@@ -19,11 +19,9 @@ from .diagnostics import (
 from .elliptic import (
     BulkSurfacePair,
     InverseCoupledOperator,
-    dual_norm,
     estimate_poincare_constant,
     manufactured_errors,
     solve_coupled_poisson,
-    solve_inverse_S,
 )
 from .errors import (
     BscchError,

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgument
-from .mesh import TriMesh, mesh_stats
+from .mesh import TriMesh
 
 
 def sigma(value):
@@ -146,11 +147,11 @@ class FormsBundle:
     def n_surf(self):
         return self.M_surf.shape[0]
 
-    @property
+    @cached_property
     def M_pair(self):
         return sp.block_diag([self.M_bulk, self.M_surf], format="csr")
 
-    @property
+    @cached_property
     def A_pair(self):
         return sp.block_diag([self.A_bulk, self.A_surf], format="csr")
 
@@ -168,29 +169,9 @@ class FormsBundle:
     def split(self, pair_vec):
         return pair_vec[: self.n_bulk], pair_vec[self.n_bulk :]
 
-    def join(self, bulk_vec, surf_vec):
-        return np.concatenate([bulk_vec, surf_vec])
 
-
-def _triangle_geometry(mesh: TriMesh):
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
-    # constant P1 gradients: grad N_i = rot90 of opposite edge / (2A)
-    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
-    grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
-    return p, areas, grads
-
-
-def _scatter(rows, cols, vals, shape):
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=shape).tocsr()
-
-
-def _tri_indices(triangles):
-    rows = np.repeat(triangles, 3, axis=1)  # i index varies slowest
-    cols = np.tile(triangles, (1, 3))
-    return rows, cols
+def _scatter(rows, cols, vals, size):
+    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)).tocsr()
 
 
 def assemble_core(mesh: TriMesh) -> FormsBundle:
@@ -199,42 +180,29 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
     The surface stiffness is the periodic arclength Laplacian on the
     boundary loop.
     """
-    n = mesh.n_vertices
-    _, areas, grads = _triangle_geometry(mesh)
-    rows, cols = _tri_indices(mesh.triangles)
+    n, b = mesh.n_vertices, mesh.n_boundary
+    g = mesh.geometry
 
     mass_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    mvals = areas[:, None, None] * mass_local[None, :, :]
-    M_bulk = _scatter(rows, cols, mvals.reshape(len(areas), 9), (n, n))
+    M_bulk = _scatter(g.tri_rows, g.tri_cols, g.areas[:, None, None] * mass_local[None, :, :], n)
+    A_bulk = _scatter(g.tri_rows, g.tri_cols, g.areas[:, None, None] * g.gdot, n)
 
-    gdot = np.einsum("tid,tjd->tij", grads, grads)
-    avals = areas[:, None, None] * gdot
-    A_bulk = _scatter(rows, cols, avals.reshape(len(areas), 9), (n, n))
-
-    b = mesh.n_boundary
-    loop = mesh.boundary_loop
-    pe = np.stack([np.arange(b), (np.arange(b) + 1) % b], axis=1)  # positions
-    pts = mesh.vertices[loop]
-    h = np.linalg.norm(pts[pe[:, 1]] - pts[pe[:, 0]], axis=1)
-
-    erows = np.repeat(pe, 2, axis=1)
-    ecols = np.tile(pe, (1, 2))
+    h = g.lengths
     m_loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     a_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    M_surf = _scatter(erows, ecols, (h[:, None, None] * m_loc).reshape(b, 4), (b, b))
-    A_surf = _scatter(erows, ecols, (a_loc[None] / h[:, None, None]).reshape(b, 4), (b, b))
+    M_surf = _scatter(g.edge_rows, g.edge_cols, h[:, None, None] * m_loc, b)
+    A_surf = _scatter(g.edge_rows, g.edge_cols, a_loc[None] / h[:, None, None], b)
 
-    trace = sp.coo_matrix((np.ones(b), (np.arange(b), loop)), shape=(b, n)).tocsr()
+    trace = sp.coo_matrix((np.ones(b), (np.arange(b), mesh.boundary_loop)), shape=(b, n)).tocsr()
 
-    stats = mesh_stats(mesh)
     return FormsBundle(
         M_bulk=M_bulk,
         A_bulk=A_bulk,
         M_surf=M_surf,
         A_surf=A_surf,
         trace=trace,
-        area=stats.area,
-        perimeter=stats.perimeter,
+        area=float(np.sum(g.areas)),
+        perimeter=float(np.sum(h)),
         lump_bulk=np.asarray(M_bulk.sum(axis=1)).ravel(),
         lump_surf=np.asarray(M_surf.sum(axis=1)).ravel(),
     )
@@ -248,23 +216,15 @@ def assemble_mobility_stiffness(mesh: TriMesh, mob: Mobility, fld):
     """
     fld = np.asarray(fld, dtype=float)
     n, b = mesh.n_vertices, mesh.n_boundary
+    g = mesh.geometry
     if fld.shape == (n,):
-        _, areas, grads = _triangle_geometry(mesh)
-        means = fld[mesh.triangles].mean(axis=1)
-        coef = mob(means) * areas
-        gdot = np.einsum("tid,tjd->tij", grads, grads)
-        rows, cols = _tri_indices(mesh.triangles)
-        return _scatter(rows, cols, (coef[:, None, None] * gdot).reshape(len(areas), 9), (n, n))
+        coef = mob(fld[mesh.triangles].mean(axis=1)) * g.areas
+        return _scatter(g.tri_rows, g.tri_cols, coef[:, None, None] * g.gdot, n)
     if fld.shape == (b,):
-        pe = np.stack([np.arange(b), (np.arange(b) + 1) % b], axis=1)
-        pts = mesh.vertices[mesh.boundary_loop]
-        h = np.linalg.norm(pts[pe[:, 1]] - pts[pe[:, 0]], axis=1)
-        means = 0.5 * (fld[pe[:, 0]] + fld[pe[:, 1]])
-        coef = mob(means) / h
+        pe = g.edge_pos
+        coef = mob(0.5 * (fld[pe[:, 0]] + fld[pe[:, 1]])) / g.lengths
         a_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        erows = np.repeat(pe, 2, axis=1)
-        ecols = np.tile(pe, (1, 2))
-        return _scatter(erows, ecols, (coef[:, None, None] * a_loc).reshape(b, 4), (b, b))
+        return _scatter(g.edge_rows, g.edge_cols, coef[:, None, None] * a_loc, b)
     raise InvalidArgument("field length matches neither bulk nor surface node count")
 
 
@@ -275,35 +235,29 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
     N_i); pairing any field with a constant test vector gives zero exactly.
     """
     n, b = mesh.n_vertices, mesh.n_boundary
+    g = mesh.geometry
 
     if vel.bulk_kind == "none":
         C_bulk = sp.csr_matrix((n, n))
     else:
-        p, areas, grads = _triangle_geometry(mesh)
-        centroids = p.mean(axis=1)
-        vc = vel.bulk_at(centroids, t)
+        vc = vel.bulk_at(g.centroids, t)
         # vals[t, i, j] = area/3 * v.gradN_i; trial index j enters only
         # through N_j(centroid) = 1/3
-        vdotg = np.einsum("td,tid->ti", vc, grads)
-        vals = (areas[:, None, None] / 3.0) * vdotg[:, :, None] * np.ones((1, 1, 3))
-        rows, cols = _tri_indices(mesh.triangles)
-        C_bulk = _scatter(rows, cols, vals.reshape(len(areas), 9), (n, n))
+        vdotg = np.einsum("td,tid->ti", vc, g.grads)
+        vals = (g.areas[:, None, None] / 3.0) * vdotg[:, :, None] * np.ones((1, 1, 3))
+        C_bulk = _scatter(g.tri_rows, g.tri_cols, vals, n)
 
     if vel.surf_kind == "none":
         C_surf = sp.csr_matrix((b, b))
     else:
-        pe = np.stack([np.arange(b), (np.arange(b) + 1) % b], axis=1)
+        pe = g.edge_pos
         pts = mesh.vertices[mesh.boundary_loop]
-        tang = pts[pe[:, 1]] - pts[pe[:, 0]]
-        h = np.linalg.norm(tang, axis=1)
         mid = 0.5 * (pts[pe[:, 0]] + pts[pe[:, 1]])
-        wt = np.einsum("ed,ed->e", vel.surf_at(mid, t), tang / h[:, None])
+        wt = np.einsum("ed,ed->e", vel.surf_at(mid, t), g.tangents / g.lengths[:, None])
         # dN/ds = (-1/h, +1/h), N_j(mid) = 1/2, edge length h
         dn = np.stack([-np.ones(b), np.ones(b)], axis=1)
         vals = (0.5 * wt)[:, None, None] * dn[:, :, None] * np.ones((1, 1, 2))
-        erows = np.repeat(pe, 2, axis=1)
-        ecols = np.tile(pe, (1, 2))
-        C_surf = _scatter(erows, ecols, vals.reshape(b, 4), (b, b))
+        C_surf = _scatter(g.edge_rows, g.edge_cols, vals, b)
 
     return C_bulk, C_surf
 
@@ -314,48 +268,41 @@ class CaseSpaces:
 
     ``P_phase`` prolongs reduced (phi, psi) coordinates to the full pair
     vector (K = 0 slaves boundary phi to alpha*psi); ``P_chem`` does the
-    same for (mu, theta) with (L, beta).  ``B_K``/``B_L`` are the sigma-
-    weighted coupling blocks on the full pair space (zero matrices when the
-    respective sigma vanishes).
+    same for (mu, theta) with (L, beta).  ``idx_phase``/``idx_chem`` are the
+    positions of the reduced coordinates inside the full pair vector, so
+    ``full[idx]`` restricts and ``(P @ x)[idx] == x``.  ``B_K``/``B_L`` are
+    the sigma-weighted coupling blocks on the full pair space (zero
+    matrices when the respective sigma vanishes).
     """
 
     cp: CouplingParams
     P_phase: sp.csr_matrix
     P_chem: sp.csr_matrix
+    idx_phase: np.ndarray
+    idx_chem: np.ndarray
     B_K: sp.csr_matrix
     B_L: sp.csr_matrix
 
-    @property
-    def n_phase(self):
-        return self.P_phase.shape[1]
 
-    @property
-    def n_chem(self):
-        return self.P_chem.shape[1]
+def _case_space(mesh: TriMesh, dirichlet: bool, weight):
+    """Reduced-coordinate indices and prolongation of one case space.
 
-
-def _dirichlet_prolongation(forms: FormsBundle, weight):
-    """Prolongation slaving boundary bulk dofs to weight * surface dofs."""
-    n, b = forms.n_bulk, forms.n_surf
-    loop = forms.trace.indices  # vertex index per boundary position
+    The Dirichlet space keeps the interior bulk dofs and the surface dofs;
+    each boundary bulk dof is slaved to ``weight`` times its surface dof.
+    """
+    n, b = mesh.n_vertices, mesh.n_boundary
+    if not dirichlet:
+        return np.arange(n + b), sp.identity(n + b, format="csr")
+    loop = mesh.boundary_loop
     is_bnd = np.zeros(n, dtype=bool)
     is_bnd[loop] = True
     interior = np.flatnonzero(~is_bnd)
-    n_red = len(interior) + b
-
-    rows, cols, vals = [], [], []
-    for r, vtx in enumerate(interior):
-        rows.append(vtx)
-        cols.append(r)
-        vals.append(1.0)
-    for pos in range(b):
-        rows.append(loop[pos])
-        cols.append(len(interior) + pos)
-        vals.append(weight)
-        rows.append(n + pos)
-        cols.append(len(interior) + pos)
-        vals.append(1.0)
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n + b, n_red)).tocsr()
+    idx = np.concatenate([interior, n + np.arange(b)])
+    n_red = len(idx)
+    rows = np.concatenate([idx, loop])
+    cols = np.concatenate([np.arange(n_red), len(interior) + np.arange(b)])
+    vals = np.concatenate([np.ones(n_red), np.full(b, float(weight))])
+    return idx, sp.coo_matrix((vals, (rows, cols)), shape=(n + b, n_red)).tocsr()
 
 
 def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None) -> CaseSpaces:
@@ -363,12 +310,11 @@ def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | No
     if forms is None:
         forms = assemble_core(mesh)
     cp.validate_measures(forms.area, forms.perimeter)
-    n, b = forms.n_bulk, forms.n_surf
-    eye = sp.identity(n + b, format="csr")
-
-    P_phase = _dirichlet_prolongation(forms, cp.alpha) if cp.K == 0.0 else eye
-    P_chem = _dirichlet_prolongation(forms, cp.beta) if cp.L == 0.0 else eye
-    zero = sp.csr_matrix((n + b, n + b))
+    idx_phase, P_phase = _case_space(mesh, cp.K == 0.0, cp.alpha)
+    idx_chem, P_chem = _case_space(mesh, cp.L == 0.0, cp.beta)
+    m = forms.n_bulk + forms.n_surf
+    zero = sp.csr_matrix((m, m))
     B_K = cp.sigma_K * forms.coupling_block(cp.alpha) if cp.sigma_K > 0 else zero
     B_L = cp.sigma_L * forms.coupling_block(cp.beta) if cp.sigma_L > 0 else zero
-    return CaseSpaces(cp=cp, P_phase=P_phase, P_chem=P_chem, B_K=B_K, B_L=B_L)
+    return CaseSpaces(cp=cp, P_phase=P_phase, P_chem=P_chem, idx_phase=idx_phase,
+                      idx_chem=idx_chem, B_K=B_K, B_L=B_L)

@@ -7,13 +7,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
 import numpy as np
 
-from .config import load_run_config
+from .config import _extended, load_run_config
 from .diagnostics import continuous_dependence_experiment, limit_study
 from .elliptic import estimate_poincare_constant, manufactured_errors
 from .errors import BscchError, SolverFailure, StepFailure, ValidationError
@@ -26,12 +25,6 @@ from .stepper import run as run_simulation
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ValidationError(message)
-
-
-def _extended(value: str) -> float:
-    if value.strip().lower() == "inf":
-        return math.inf
-    return float(value)
 
 
 def _build_parser():
@@ -189,3 +182,7 @@ def main(argv=None) -> int:
 
 def cli_entry():
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    cli_entry()

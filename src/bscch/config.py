@@ -167,6 +167,11 @@ def build_run_config(cfg: dict) -> RunConfig:
                              margin=r["init.margin"], radius=r["init.radius"],
                              separation=r["init.separation"]),
     )
+    if r["output.every"] < 1:
+        raise ValidationError(f"output.every must be >= 1, got {r['output.every']}")
+    if params.t_final > 0 and params.n_steps == 0:
+        raise ValidationError(f"time.T = {params.t_final:g} is less than half a step "
+                              f"(time.tau = {params.tau:g}) and would run no steps")
     return RunConfig(nb=r["mesh.nb"], nr=r["mesh.nr"], params=params,
                      output_every=r["output.every"])
 

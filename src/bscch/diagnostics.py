@@ -11,8 +11,8 @@ import numpy as np
 
 from .assembly import CouplingParams, FormsBundle
 from .elliptic import InverseCoupledOperator, BulkSurfacePair
-from .errors import InvalidArgument
-from .potentials import eval_regularized
+from .errors import InvalidArgument, ValidationError
+from .potentials import moreau_envelope
 
 CSV_FIELDS = (
     "t", "mass_bulk", "mass_surf", "mass_combined", "energy",
@@ -56,8 +56,8 @@ def energy(phi, psi, forms: FormsBundle, params) -> float:
     """Discrete regularized energy with lumped potential terms."""
     cp = params.coupling
     e = params.eps
-    F, _, _ = eval_regularized(params.pot_bulk, e, phi)
-    G, _, _ = eval_regularized(params.pot_surf, e, psi)
+    F = moreau_envelope(params.pot_bulk.convex, e, phi) + params.pot_bulk.smooth.value(phi)
+    G = moreau_envelope(params.pot_surf.convex, e, psi) + params.pot_surf.smooth.value(psi)
     val = 0.5 * float(phi @ (forms.A_bulk @ phi)) + float(forms.lump_bulk @ F)
     val += 0.5 * float(psi @ (forms.A_surf @ psi)) + float(forms.lump_surf @ G)
     if cp.sigma_K > 0.0:
@@ -103,7 +103,11 @@ def _map_runs(fn, items):
     BSCCH_THREADS caps the worker count (default 1 = sequential); results
     keep the order of ``items`` either way.
     """
-    workers = max(1, int(os.environ.get("BSCCH_THREADS", "1")))
+    raw = os.environ.get("BSCCH_THREADS", "1")
+    try:
+        workers = max(1, int(raw))
+    except ValueError:
+        raise ValidationError(f"BSCCH_THREADS must be an integer, got {raw!r}") from None
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:

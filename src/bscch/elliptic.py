@@ -36,21 +36,6 @@ class BulkSurfacePair:
         return np.concatenate([self.bulk, self.surf])
 
 
-def bulk_surface_mean(pair: BulkSurfacePair, forms: FormsBundle, beta: float, mode: str = "combined"):
-    """Generalized bulk-surface mean with discrete measures.
-
-    ``combined`` returns (beta*|Omega|<phi> + |Gamma|<psi>) / (beta^2 |Omega|
-    + |Gamma|); ``separate`` returns the two plain means.
-    """
-    int_bulk = forms.lump_bulk @ pair.bulk
-    int_surf = forms.lump_surf @ pair.surf
-    if mode == "separate":
-        return int_bulk / forms.area, int_surf / forms.perimeter
-    if mode == "combined":
-        return (beta * int_bulk + int_surf) / (beta**2 * forms.area + forms.perimeter)
-    raise InvalidArgument(f"unknown mean mode {mode!r}")
-
-
 class BorderedSolver:
     """LU factorization of [[A, C], [C^T, 0]] for a reduced operator A with
     mean-constraint columns C."""
@@ -74,6 +59,26 @@ class BorderedSolver:
         return x[: self.n]
 
 
+def _case_system(forms: FormsBundle, P, op, weight, separate):
+    """Energy form ``op`` reduced to the case space with prolongation ``P``.
+
+    Returns the reduced operator P^T op P, the mean-constraint columns on
+    the full pair space (the two plain integrals when ``separate``, else
+    the ``weight``-combined one), and the bordered solver of the reduced
+    operator under those constraints.
+    """
+    A_red = (P.T @ op @ P).tocsr()
+    mb, ms = forms.lump_bulk, forms.lump_surf
+    if separate:
+        cols = [
+            np.concatenate([mb, np.zeros(forms.n_surf)]),
+            np.concatenate([np.zeros(forms.n_bulk), ms]),
+        ]
+    else:
+        cols = [np.concatenate([weight * mb, ms])]
+    return A_red, cols, BorderedSolver(A_red, [P.T @ c for c in cols])
+
+
 class InverseCoupledOperator:
     """Discrete inverse of the coupled bulk-surface elliptic operator.
 
@@ -87,20 +92,10 @@ class InverseCoupledOperator:
         self.forms = forms if forms is not None else assemble_core(mesh)
         self.cp = cp
         self.spaces = spaces if spaces is not None else build_case_spaces(mesh, cp, self.forms)
-        P = self.spaces.P_chem
-        self.P = P
-        self.A_red = (P.T @ (self.forms.A_pair + self.spaces.B_L) @ P).tocsr()
-        self.separate = np.isinf(cp.L)
-        mb, ms = self.forms.lump_bulk, self.forms.lump_surf
-        if self.separate:
-            cols = [
-                np.concatenate([mb, np.zeros(self.forms.n_surf)]),
-                np.concatenate([np.zeros(self.forms.n_bulk), ms]),
-            ]
-        else:
-            cols = [np.concatenate([cp.beta * mb, ms])]
-        self._cols_full = cols
-        self.solver = BorderedSolver(self.A_red, [P.T @ c for c in cols])
+        self.P = self.spaces.P_chem
+        self.op = self.forms.A_pair + self.spaces.B_L
+        _, self._cols_full, self.solver = _case_system(
+            self.forms, self.P, self.op, cp.beta, np.isinf(cp.L))
 
     def _check_mean_free(self, pair: BulkSurfacePair):
         scale = max(1.0, float(np.linalg.norm(pair.concat())))
@@ -114,28 +109,18 @@ class InverseCoupledOperator:
     def apply(self, pair: BulkSurfacePair) -> BulkSurfacePair:
         self._check_mean_free(pair)
         rhs_full = -(self.forms.M_pair @ pair.concat())
-        x_red = self.solver.solve(self.P.T @ rhs_full)
-        full = self.P @ x_red
+        full = self.P @ self.solver.solve(self.P.T @ rhs_full)
         b, s = self.forms.split(full)
         return BulkSurfacePair(bulk=b, surf=s)
 
     def energy_product(self, p1: BulkSurfacePair, p2: BulkSurfacePair):
         """<p1, p2>_{L,beta} with the assembled form."""
-        op = self.forms.A_pair + self.spaces.B_L
-        return float(p1.concat() @ (op @ p2.concat()))
+        return float(p1.concat() @ (self.op @ p2.concat()))
 
     def dual_norm(self, pair: BulkSurfacePair) -> float:
         s = self.apply(pair)
         val = self.energy_product(s, s)
         return float(np.sqrt(max(val, 0.0)))
-
-
-def solve_inverse_S(mesh: TriMesh, cp: CouplingParams, rhs: BulkSurfacePair) -> BulkSurfacePair:
-    return InverseCoupledOperator(mesh, cp).apply(rhs)
-
-
-def dual_norm(mesh: TriMesh, cp: CouplingParams, pair: BulkSurfacePair) -> float:
-    return InverseCoupledOperator(mesh, cp).dual_norm(pair)
 
 
 def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g,
@@ -170,19 +155,9 @@ def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g,
     cp = CouplingParams(K=K, L=np.inf, alpha=alpha, beta=alpha)
     spaces = build_case_spaces(mesh, cp, forms)
     P = spaces.P_phase
-    A_red = (P.T @ (forms.A_pair + spaces.B_K) @ P).tocsr()
-    mb, ms = forms.lump_bulk, forms.lump_surf
-    if separate:
-        cols = [
-            np.concatenate([mb, np.zeros(forms.n_surf)]),
-            np.concatenate([np.zeros(forms.n_bulk), ms]),
-        ]
-    else:
-        cols = [np.concatenate([alpha * mb, ms])]
-    solver = BorderedSolver(A_red, [P.T @ c for c in cols])
+    _, _, solver = _case_system(forms, P, forms.A_pair + spaces.B_K, alpha, separate)
     rhs_full = forms.M_pair @ np.concatenate([f, g])
-    x_red = solver.solve(P.T @ rhs_full)
-    full = P @ x_red
+    full = P @ solver.solve(P.T @ rhs_full)
     b, s = forms.split(full)
     return BulkSurfacePair(bulk=b, surf=s)
 
@@ -204,11 +179,9 @@ def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta,
     cp = CouplingParams(K=K, L=np.inf, alpha=alpha, beta=beta)
     spaces = build_case_spaces(mesh, cp, forms)
     P = spaces.P_phase
-    A_red = (P.T @ (forms.A_pair + spaces.B_K) @ P).tocsr()
+    A_red, (c_full,), solver = _case_system(forms, P, forms.A_pair + spaces.B_K, beta, False)
     M_red = (P.T @ forms.M_pair @ P).tocsr()
-    c_full = np.concatenate([beta * forms.lump_bulk, forms.lump_surf])
     c = P.T @ c_full
-    solver = BorderedSolver(A_red, [c])
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(A_red.shape[0])

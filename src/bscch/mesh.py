@@ -11,12 +11,65 @@ Meshes are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import InvalidArgument, MeshParseError, ValidationError
 
 FORMAT_HEADER = "bscch-mesh 1"
+
+
+@dataclass(frozen=True)
+class MeshGeometry:
+    """P1 element data of a mesh, computed once per mesh.
+
+    Triangle arrays are indexed by triangle.  Boundary edge ``k`` joins the
+    loop positions ``edge_pos[k] = (k, k + 1 mod B)``.  The scatter patterns
+    give the global (row, col) of each local entry of a 3x3 triangle or 2x2
+    edge matrix, row index varying slowest.
+    """
+
+    areas: np.ndarray  # (T,) signed areas
+    grads: np.ndarray  # (T, 3, 2) constant P1 basis gradients
+    gdot: np.ndarray  # (T, 3, 3) grad N_i . grad N_j
+    centroids: np.ndarray  # (T, 2)
+    tri_rows: np.ndarray  # (T, 9) vertex indices
+    tri_cols: np.ndarray
+    edge_pos: np.ndarray  # (B, 2) loop positions
+    edge_rows: np.ndarray  # (B, 4) loop positions
+    edge_cols: np.ndarray
+    tangents: np.ndarray  # (B, 2) edge vectors, counterclockwise
+    lengths: np.ndarray  # (B,)
+
+
+def _element_geometry(vertices, triangles, loop) -> MeshGeometry:
+    p = vertices[triangles]
+    d1 = p[:, 1] - p[:, 0]
+    d2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
+    # grad N_i = rot90 of the opposite edge / (2A); degenerate triangles
+    # are rejected by validate_mesh, which reads these areas
+    e = np.stack([p[:, 2] - p[:, 1], p[:, 0] - p[:, 2], p[:, 1] - p[:, 0]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        grads = np.stack([-e[:, :, 1], e[:, :, 0]], axis=2) / (2.0 * areas)[:, None, None]
+    b = len(loop)
+    pe = np.stack([np.arange(b), (np.arange(b) + 1) % b], axis=1)
+    pts = vertices[loop]
+    tangents = pts[pe[:, 1]] - pts[pe[:, 0]]
+    return MeshGeometry(
+        areas=areas,
+        grads=grads,
+        gdot=np.einsum("tid,tjd->tij", grads, grads),
+        centroids=p.mean(axis=1),
+        tri_rows=np.repeat(triangles, 3, axis=1),
+        tri_cols=np.tile(triangles, (1, 3)),
+        edge_pos=pe,
+        edge_rows=np.repeat(pe, 2, axis=1),
+        edge_cols=np.tile(pe, (1, 2)),
+        tangents=tangents,
+        lengths=np.linalg.norm(tangents, axis=1),
+    )
 
 
 @dataclass(frozen=True)
@@ -39,10 +92,9 @@ class TriMesh:
     def n_boundary(self):
         return self.boundary_loop.shape[0]
 
-    @property
-    def boundary_edges(self):
-        loop = self.boundary_loop
-        return np.stack([loop, np.roll(loop, -1)], axis=1)
+    @cached_property
+    def geometry(self) -> MeshGeometry:
+        return _element_geometry(self.vertices, self.triangles, self.boundary_loop)
 
 
 @dataclass(frozen=True)
@@ -51,13 +103,6 @@ class MeshStats:
     area: float
     perimeter: float
     min_angle: float  # degrees
-
-
-def _signed_areas(vertices, triangles):
-    p = vertices[triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def validate_mesh(mesh: TriMesh):
@@ -74,8 +119,8 @@ def validate_mesh(mesh: TriMesh):
     if len(np.unique(loop)) != len(loop):
         raise ValidationError("boundary loop visits a vertex twice")
 
-    areas = _signed_areas(v, t)
-    if np.any(areas <= 0):
+    g = mesh.geometry
+    if np.any(g.areas <= 0):
         raise ValidationError("triangle with non-positive signed area (clockwise or degenerate)")
 
     # each boundary edge must belong to exactly one triangle, and the loop
@@ -88,7 +133,7 @@ def validate_mesh(mesh: TriMesh):
     single = {k for k, cnt in edges.items() if cnt == 1}
     if any(cnt > 2 for cnt in edges.values()):
         raise ValidationError("non-manifold edge")
-    loop_edges = {(min(a, b), max(a, b)) for a, b in zip(loop, np.roll(loop, -1))}
+    loop_edges = {(min(a, b), max(a, b)) for a, b in loop[g.edge_pos]}
     if loop_edges != single:
         raise ValidationError("boundary loop is not the closed cycle of boundary edges")
 
@@ -142,11 +187,8 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
     e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
     e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     h_max = float(max(e0.max(), e1.max(), e2.max()))
-    area = float(np.sum(_signed_areas(v, t)))
-
-    edges = mesh.boundary_edges
-    lens = np.linalg.norm(v[edges[:, 1]] - v[edges[:, 0]], axis=1)
-    perimeter = float(np.sum(lens))
+    area = float(np.sum(mesh.geometry.areas))
+    perimeter = float(np.sum(mesh.geometry.lengths))
 
     # min angle via the law of cosines over all triangle corners
     def corner(a, b, c):

@@ -21,18 +21,6 @@ def write_series(path, records):
             fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
 
 
-def read_series(path):
-    """Read a series CSV back into a list of row dicts (floats)."""
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            line = line.strip()
-            if line:
-                rows.append(dict(zip(header, map(float, line.split(",")))))
-    return header, rows
-
-
 def write_vtk_bulk(path, mesh, phi, mu):
     """Legacy ASCII VTK unstructured grid with nodal scalars phi and mu."""
     n, m = mesh.n_vertices, len(mesh.triangles)

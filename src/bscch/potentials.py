@@ -177,20 +177,9 @@ def make_potential(kind, c=DEFAULT_C, theta=DEFAULT_THETA, theta_c=DEFAULT_THETA
     )
 
 
-@dataclass(frozen=True)
-class YosidaParam:
-    eps: float
-
-    def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
-            raise InvalidArgument(f"regularization parameter must lie in (0,1), got {self.eps}")
-
-
 def _as_eps(eps):
     # scalar operations are total for any positive eps; the strict (0,1)
-    # range is enforced on run configurations via YosidaParam
-    if isinstance(eps, YosidaParam):
-        return eps.eps
+    # range is enforced on run configurations (RunParams)
     e = float(eps)
     if not (e > 0.0):
         raise InvalidArgument(f"regularization parameter must be positive, got {e}")
@@ -454,8 +443,9 @@ def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid, eps_list=(
     mask = (grid > glo) & (grid < ghi) if g_cp.prime_domain_open else (grid >= glo) & (grid <= ghi)
     pts = grid[mask]
     if pts.size:
-        fmin = np.abs(np.asarray(cp_minimal(f_cp, a * pts)))
-        gmin = np.abs(np.asarray(cp_minimal(g_cp, pts)))
+        # the masks keep every argument inside the open log domain
+        fmin = np.abs(f_cp.minimal_section(a * pts))
+        gmin = np.abs(g_cp.minimal_section(pts))
         if not np.all(fmin <= kappa1 * gmin + kappa2 + 1e-10):
             report.regularized_ok = False
             report.admissible = False
@@ -468,31 +458,3 @@ def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid, eps_list=(
         if not np.all(np.abs(fval) <= kappa1 * np.abs(gval) + kappa2 + 1e-10):
             report.regularized_ok = False
     return report
-
-
-def cp_minimal(cp: ConvexPart, r):
-    """Minimal section, clipping log arguments into the open interval."""
-    r = np.asarray(r, dtype=float)
-    if cp.kind == "log":
-        return cp.theta * np.arctanh(np.clip(r, -1 + _BRACKET_MARGIN, 1 - _BRACKET_MARGIN))
-    return cp.minimal_section(r)
-
-
-def check_growth_condition(cp: ConvexPart, lam, c1, c2, grid):
-    """Check |F1''(s)| <= C1 exp(C2 |F1'(s)|^lambda) on the grid.
-
-    Only the logarithmic kind has a singular second derivative; other
-    kinds are rejected.
-    """
-    if cp.kind != "log":
-        raise InvalidArgument(f"growth condition only applies to the logarithmic kind, got {cp.kind!r}")
-    if not (1.0 <= lam < 2.0):
-        raise InvalidArgument("exponent must lie in [1,2)")
-    if c1 <= 0 or c2 <= 0:
-        raise InvalidArgument("constants must be positive")
-    grid = np.asarray(grid, dtype=float)
-    if np.any(np.abs(grid) >= 1.0):
-        raise InvalidArgument("grid must lie in (-1,1)")
-    second = np.abs(cp.second_derivative(grid))
-    first = np.abs(cp.minimal_section(grid))
-    return bool(np.all(second <= c1 * np.exp(c2 * first**lam)))

@@ -98,6 +98,11 @@ class RunParams:
         if not (0.0 < self.eps < 1.0):
             raise InvalidArgument("regularization parameter must lie in (0,1)")
 
+    @property
+    def n_steps(self):
+        """Number of steps of size tau to the final time (T rounded to a multiple of tau)."""
+        return int(round(self.t_final / self.tau))
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -128,18 +133,6 @@ class RunResult:
     params: RunParams
     final_state: State = None
     robin_gap_sq_integral: float = 0.0
-
-
-def _reduction_indices(forms: FormsBundle, dirichlet: bool):
-    """Indices of reduced coordinates inside the full pair vector."""
-    n, b = forms.n_bulk, forms.n_surf
-    if not dirichlet:
-        return np.arange(n + b)
-    loop = forms.trace.indices
-    is_bnd = np.zeros(n, dtype=bool)
-    is_bnd[loop] = True
-    interior = np.flatnonzero(~is_bnd)
-    return np.concatenate([interior, n + np.arange(b)])
 
 
 def make_initial_data(spec: InitialDataSpec, mesh: TriMesh, cp: CouplingParams,
@@ -223,8 +216,6 @@ class Stepper:
                 raise InvalidArgument(f"potential pairing {rep.reason or 'fails domination'}")
         self.spaces = build_case_spaces(mesh, cp, self.forms)
         f = self.forms
-        self.idx_phase = _reduction_indices(f, cp.K == 0.0)
-        self.idx_chem = _reduction_indices(f, cp.L == 0.0)
         P_K, P_L = self.spaces.P_phase, self.spaces.P_chem
         self.P_K, self.P_L = P_K, P_L
         self.A_K = (P_K.T @ (f.A_pair + self.spaces.B_K) @ P_K).tocsr()
@@ -261,7 +252,7 @@ class Stepper:
 
         phase_n = np.concatenate([state.phi, state.psi])
         chem_n = np.concatenate([state.mu, state.theta])
-        x_n = phase_n[self.idx_phase]
+        x_n = phase_n[self.spaces.idx_phase]
         t_new = state.t + tau
 
         K_b = assemble_mobility_stiffness(self.mesh, p.mob_bulk, state.phi)
@@ -279,7 +270,7 @@ class Stepper:
         smooth_n = self._explicit_smooth(phase_n)
 
         x = x_n.copy()
-        y = chem_n[self.idx_chem].copy()
+        y = chem_n[self.spaces.idx_chem].copy()
 
         def residual(x_red, y_red):
             phase_full = self.P_K @ x_red
@@ -385,7 +376,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None) -> RunResult:
     states = [state.copy()] if config.keep_states else []
     robin_sq = 0.0
 
-    n_steps = int(round(params.t_final / params.tau))
+    n_steps = params.n_steps
     prev_energy = records[0].energy
     for k in range(1, n_steps + 1):
         state, report = _attempt_step(stepper, state, params.tau,

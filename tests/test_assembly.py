@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,7 @@ from bscch.assembly import (
     sigma,
 )
 from bscch.errors import InvalidArgument
-from bscch.mesh import generate_disk_mesh
+from bscch.mesh import generate_disk_mesh, mesh_stats
 
 
 @pytest.fixture(scope="module")
@@ -132,6 +134,40 @@ def test_case_space_dirichlet_phase_constraint(mesh, forms):
     full = spaces.P_phase @ x_red
     phi, psi = full[: forms.n_bulk], full[forms.n_bulk :]
     np.testing.assert_allclose(phi[mesh.boundary_loop], cp.alpha * psi, atol=1e-14)
+
+
+def _loop_prolongation(mesh, dirichlet, weight):
+    """Dense reference prolongation, built entry by entry."""
+    n, b = mesh.n_vertices, mesh.n_boundary
+    if not dirichlet:
+        return np.eye(n + b)
+    boundary = set(mesh.boundary_loop.tolist())
+    interior = [v for v in range(n) if v not in boundary]
+    P = np.zeros((n + b, len(interior) + b))
+    for r, v in enumerate(interior):
+        P[v, r] = 1.0
+    for pos, v in enumerate(mesh.boundary_loop):
+        P[v, len(interior) + pos] = weight
+        P[n + pos, len(interior) + pos] = 1.0
+    return P
+
+
+@pytest.mark.parametrize("K,L", list(itertools.product((0.0, 1.0, np.inf), repeat=2)))
+def test_case_space_restriction_inverts_prolongation(mesh, forms, K, L):
+    cp = CouplingParams(K=K, L=L, alpha=0.8, beta=1.2)
+    spaces = build_case_spaces(mesh, cp, forms)
+    rng = np.random.default_rng(1)
+    for P, idx, dirichlet, weight in ((spaces.P_phase, spaces.idx_phase, K == 0.0, cp.alpha),
+                                      (spaces.P_chem, spaces.idx_chem, L == 0.0, cp.beta)):
+        assert np.array_equal(P.toarray(), _loop_prolongation(mesh, dirichlet, weight))
+        x = rng.standard_normal(P.shape[1])
+        assert np.array_equal((P @ x)[idx], x)
+
+
+def test_core_measures_match_mesh_stats(mesh, forms):
+    stats = mesh_stats(mesh)
+    assert forms.area == stats.area
+    assert forms.perimeter == stats.perimeter
 
 
 def test_coupling_block_kernel(mesh, forms):

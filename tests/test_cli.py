@@ -1,4 +1,7 @@
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -73,6 +76,24 @@ def test_build_run_config_revalidates():
     cfg["time.tau"] = "-1"
     with pytest.raises(Exception):
         build_run_config(cfg)
+
+
+@pytest.mark.parametrize("every", ["0", "-2"])
+def test_output_every_below_one_exits_1(tmp_path, capsys, every):
+    p = tmp_path / "e.cfg"
+    p.write_text(SHORT_CFG.replace("output.every = 1", f"output.every = {every}")
+                 + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert "output.every" in capsys.readouterr().err
+
+
+def test_final_time_rounding_to_zero_steps_exits_1(tmp_path, capsys):
+    p = tmp_path / "t.cfg"
+    p.write_text(SHORT_CFG.replace("time.T = 5e-4", "time.T = 4e-5")
+                 + f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert "time.T" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -154,3 +175,22 @@ def test_cont_dep_subcommand(tmp_path, capsys):
                  + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
     assert main(["cont-dep", "--config", str(p), "--amplitudes", "0,1e-3"]) == 0
     assert "zero_is_zero: True" in capsys.readouterr().out
+
+
+def test_non_integer_thread_count_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BSCCH_THREADS", "abc")
+    p = tmp_path / "c.cfg"
+    p.write_text(SHORT_CFG.replace("init.mode = random", "init.mode = bubbles")
+                 + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
+    assert main(["cont-dep", "--config", str(p), "--amplitudes", "0,1e-3"]) == 1
+    assert "BSCCH_THREADS" in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = tmp_path / "m.mesh"
+    proc = subprocess.run([sys.executable, "-m", "bscch.cli", "mesh", "--nb", "8", "--nr", "1",
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert read_mesh(out).n_vertices == 9

@@ -30,6 +30,11 @@ def test_exact_polygon_area_and_perimeter():
         assert st_.area == pytest.approx(0.5 * nb * np.sin(2 * np.pi / nb), rel=1e-13)
 
 
+def test_geometry_built_once_per_mesh():
+    m = generate_disk_mesh(16, 4)
+    assert m.geometry is m.geometry
+
+
 def test_boundary_loop_is_unit_circle_nodes():
     m = generate_disk_mesh(32, 8)
     r = np.linalg.norm(m.vertices[m.boundary_loop], axis=1)
