@@ -50,7 +50,6 @@ from .stepper import (
     RunResult,
     State,
     Stepper,
-    epsilon_continuation,
     make_initial_data,
     run,
 )

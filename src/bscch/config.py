@@ -73,10 +73,6 @@ def _choice(options):
     return conv
 
 
-def _float_list(value: str):
-    return tuple(_float(part) for part in value.split(",") if part.strip())
-
-
 # registry: key -> (converter, default as string or None for required)
 KEY_REGISTRY = {
     "mesh.nb": (_int, "64"),
@@ -104,11 +100,9 @@ KEY_REGISTRY = {
     "time.tau": (_float, "1e-4"),
     "time.T": (_float, "0.05"),
     "yosida.eps": (_float, "0.05"),
-    "yosida.schedule": (_float_list, "0.1,0.05,0.025"),
     "newton.tol_abs": (_float, "1e-11"),
     "newton.tol_rel": (_float, "1e-10"),
     "newton.max_iter": (_int, "50"),
-    "newton.damping_floor": (_float, "0.125"),
     "newton.max_tau_halvings": (_int, "0"),
     "init.mode": (_choice(("constant", "random", "bubbles")), "random"),
     "init.mean": (_float, "0"),
@@ -160,7 +154,6 @@ def build_run_config(cfg: dict) -> RunConfig:
                                ramp=r["velocity.ramp"]),
         newton=NewtonParams(tol_abs=r["newton.tol_abs"], tol_rel=r["newton.tol_rel"],
                             max_iter=r["newton.max_iter"],
-                            damping_floor=r["newton.damping_floor"],
                             max_tau_halvings=r["newton.max_tau_halvings"]),
         init=InitialDataSpec(mode=r["init.mode"], mean=r["init.mean"],
                              amplitude=r["init.amplitude"], seed=r["init.seed"],

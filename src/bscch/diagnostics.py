@@ -12,6 +12,7 @@ import numpy as np
 from .assembly import CouplingParams, FormsBundle
 from .elliptic import InverseCoupledOperator, BulkSurfacePair
 from .errors import InvalidArgument, ValidationError
+from .mesh import generate_disk_mesh
 from .potentials import moreau_envelope
 
 CSV_FIELDS = (
@@ -97,17 +98,19 @@ def make_record(state, forms: FormsBundle, params, report, prev_energy, tau) -> 
 
 # -- experiments -----------------------------------------------------------
 
-def _map_runs(fn, items):
-    """Run independent member simulations, optionally in parallel.
-
-    BSCCH_THREADS caps the worker count (default 1 = sequential); results
-    keep the order of ``items`` either way.
-    """
+def _thread_count():
+    """Worker cap from BSCCH_THREADS (default 1 = sequential); experiments
+    read it before their first run, so a bad value costs no simulation."""
     raw = os.environ.get("BSCCH_THREADS", "1")
     try:
-        workers = max(1, int(raw))
+        return max(1, int(raw))
     except ValueError:
         raise ValidationError(f"BSCCH_THREADS must be an integer, got {raw!r}") from None
+
+
+def _map_runs(fn, items, workers):
+    """Run independent member simulations, in parallel when workers > 1;
+    results keep the order of ``items`` either way."""
     if workers == 1 or len(items) <= 1:
         return [fn(item) for item in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -143,6 +146,7 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
     if sorted(amps) != amps:
         raise InvalidArgument("perturbation amplitudes must be sorted ascending")
 
+    workers = _thread_count()
     base = run(config_base)
     op = InverseCoupledOperator(base.mesh, params.coupling, forms=base.forms)
 
@@ -158,7 +162,7 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
             dmax = max(dmax, op.dual_norm(pair))
         return dmax
 
-    maxima = _map_runs(member, amps)
+    maxima = _map_runs(member, amps, workers)
 
     zero_ok = all(d <= 1e-12 for a, d in zip(amps, maxima) if a == 0.0)
     monotone = all(d1 <= d2 + 1e-14 for d1, d2 in zip(maxima, maxima[1:]))
@@ -191,10 +195,12 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     """Trend check for the coupling and regularization limits.
 
     parameter is one of "L->0", "L->inf", "K->0", "K->inf", "eps->0"; the
-    schedule must move monotonically toward the limit.  The report carries
-    the observable named in the corresponding convergence statement.
+    schedule must move monotonically toward the limit.  Every member runs on
+    one shared mesh.  The report carries the observable named in the
+    corresponding convergence statement; for "eps->0" these are the L2 gaps
+    of the final bulk phase fields between consecutive levels.
     """
-    from .stepper import run, epsilon_continuation  # local import to avoid a cycle
+    from .stepper import run  # local import to avoid a cycle
 
     schedule = [float(v) for v in schedule]
     toward_zero = parameter in ("L->0", "K->0", "eps->0")
@@ -206,19 +212,18 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     if not steps_ok:
         raise InvalidArgument("schedule must be monotone toward the limit")
 
-    if parameter == "eps->0":
-        _, distances = epsilon_continuation(config_base, schedule)
-        dec = all(d2 <= d1 for d1, d2 in zip(distances, distances[1:]))
-        return LimitReport(parameter, tuple(schedule), tuple(distances), (), dec)
-
+    workers = _thread_count()
     params = config_base.params
+    mesh = generate_disk_mesh(config_base.nb, config_base.nr)
+    name = parameter.split("->")[0]  # eps, K or L
 
     def member(v):
-        cp = params.coupling
-        cp = replace(cp, L=v) if parameter.startswith("L") else replace(cp, K=v)
-        res = run(replace(config_base, params=replace(params, coupling=cp)))
-        final = res.final_state
-        forms = res.forms
+        p = (replace(params, eps=v) if name == "eps"
+             else replace(params, coupling=replace(params.coupling, **{name: v})))
+        res = run(replace(config_base, params=p), mesh=mesh)
+        final, forms, cp = res.final_state, res.forms, p.coupling
+        if name == "eps":
+            return final.phi, forms.M_bulk
         if parameter == "L->0":
             return res.robin_gap_sq_integral, None
         if parameter == "L->inf":
@@ -229,7 +234,16 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
             return gap_norm, None
         return 0.5 * cp.sigma_K * gap_norm**2, None
 
-    members = _map_runs(member, schedule)
+    members = _map_runs(member, schedule, workers)
+
+    if parameter == "eps->0":
+        distances = []
+        for (phi1, M_bulk), (phi2, _) in zip(members, members[1:]):
+            d = phi1 - phi2
+            distances.append(float(np.sqrt(d @ (M_bulk @ d))))
+        dec = all(d2 <= d1 for d1, d2 in zip(distances, distances[1:]))
+        return LimitReport(parameter, tuple(schedule), tuple(distances), (), dec)
+
     values = [v for v, _ in members]
     extra = [e for _, e in members if e is not None]
 

@@ -14,7 +14,7 @@ prolongations, so slaved boundary values satisfy their constraints bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,7 +55,6 @@ class NewtonParams:
     tol_abs: float = 1e-11
     tol_rel: float = 1e-10
     max_iter: int = 50
-    damping_floor: float = 0.125
     max_tau_halvings: int = 0
 
 
@@ -115,6 +114,8 @@ class RunConfig:
 
 @dataclass
 class StepReport:
+    """Newton count, final residual and the step's rates (per unit time)."""
+
     newton_iters: int
     residual: float
     diss_bulk: float = 0.0
@@ -122,6 +123,15 @@ class StepReport:
     diss_robin: float = 0.0
     conv_power_bulk: float = 0.0
     conv_power_surf: float = 0.0
+    robin_gap_sq: float = 0.0  # |beta*theta - mu|_Gamma|^2 in the M_Gamma norm
+
+    def followed_by(self, later: "StepReport") -> "StepReport":
+        """Report of this half step followed by an equally long ``later`` one:
+        iterations add up, the rates (every field after the first two)
+        average, i.e. are tau-weighted."""
+        rates = {f.name: 0.5 * (getattr(self, f.name) + getattr(later, f.name))
+                 for f in fields(self)[2:]}
+        return StepReport(self.newton_iters + later.newton_iters, later.residual, **rates)
 
 
 @dataclass
@@ -200,7 +210,14 @@ def _check_mean_admissibility(phi, psi, cp, pot_bulk, pot_surf, forms):
 
 
 class Stepper:
-    """Holds the assembled operators and advances states in time."""
+    """Holds the assembled operators and advances states in time.
+
+    Each block of the Newton system is built at the rate it changes: the
+    case-space blocks once per run; the lagged-mobility blocks once per step,
+    or once per run when both mobilities are constant (a constant mobility
+    ignores the field); the lumped diagonal of the regularized derivative
+    once per Newton iteration.
+    """
 
     def __init__(self, mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None):
         self.mesh = mesh
@@ -223,42 +240,43 @@ class Stepper:
         self.M_KL = (P_K.T @ f.M_pair @ P_L).tocsr()  # eq2 coupling to chem unknowns
         self.BL_red = (P_L.T @ self.spaces.B_L @ P_L).tocsr()
         self.lump_pair = np.concatenate([f.lump_bulk, f.lump_surf])
-        self.n_bulk = f.n_bulk
+        # each row of P_K holds one entry p_K, so P_K^T diag(d) P_K = diag(P_K^T (p_K * d))
+        self.p_K = np.asarray(P_K.sum(axis=1)).ravel()
+        constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
+        self.run_mobility = (  # (K_b, K_s, A1) for the whole run, or None: built per step
+            self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
 
-    # -- nonlinearity ------------------------------------------------------
+    def _mobility_blocks(self, phi, psi):
+        """Mobility stiffnesses K_b, K_s at (phi, psi) and A1 = P_L^T (K_pair + B_L) P_L."""
+        p = self.params
+        K_b = assemble_mobility_stiffness(self.mesh, p.mob_bulk, phi)
+        K_s = assemble_mobility_stiffness(self.mesh, p.mob_surf, psi)
+        K_pair = sp.block_diag([K_b, K_s], format="csr")
+        return K_b, K_s, (self.P_L.T @ K_pair @ self.P_L).tocsr() + self.BL_red
 
     def _nonlinear(self, phase_full):
         """Implicit regularized derivative and its diagonal Jacobian."""
-        e = self.params.eps
-        phi, psi = phase_full[: self.n_bulk], phase_full[self.n_bulk :]
-        fval, fder = yosida(self.params.pot_bulk.convex, e, phi)
-        gval, gder = yosida(self.params.pot_surf.convex, e, psi)
+        p = self.params
+        phi, psi = self.forms.split(phase_full)
+        fval, fder = yosida(p.pot_bulk.convex, p.eps, phi)
+        gval, gder = yosida(p.pot_surf.convex, p.eps, psi)
         return np.concatenate([fval, gval]), np.concatenate([fder, gder])
 
-    def _explicit_smooth(self, phase_full):
-        phi, psi = phase_full[: self.n_bulk], phase_full[self.n_bulk :]
-        return np.concatenate(
-            [self.params.pot_bulk.smooth.derivative(phi), self.params.pot_surf.smooth.derivative(psi)]
-        )
-
-    # -- single step -------------------------------------------------------
-
     def step(self, state: State, tau: float | None = None):
-        """Advance the state by one step; returns (new_state, StepReport)."""
+        """Advance the state by one step; returns (new_state, StepReport).
+
+        Every failure raises StepFailure: Newton not converging within
+        ``max_iter``, a non-finite residual or phase iterate, or a singular
+        Jacobian.
+        """
         p = self.params
         tau = p.tau if tau is None else tau
         f = self.forms
-        cp = p.coupling
-
-        phase_n = np.concatenate([state.phi, state.psi])
-        chem_n = np.concatenate([state.mu, state.theta])
-        x_n = phase_n[self.spaces.idx_phase]
         t_new = state.t + tau
 
-        K_b = assemble_mobility_stiffness(self.mesh, p.mob_bulk, state.phi)
-        K_s = assemble_mobility_stiffness(self.mesh, p.mob_surf, state.psi)
-        K_pair = sp.block_diag([K_b, K_s], format="csr")
-        A1 = (self.P_L.T @ K_pair @ self.P_L).tocsr() + self.BL_red
+        x_n = np.concatenate([state.phi, state.psi])[self.spaces.idx_phase]
+        K_b, K_s, A1 = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
+        J11 = (1.0 / tau) * self.M_LK
 
         if p.velocity.is_zero:
             conv = np.zeros(f.n_bulk + f.n_surf)
@@ -266,71 +284,60 @@ class Stepper:
             C_b, C_s = assemble_convection(self.mesh, p.velocity, t_new)
             conv = np.concatenate([C_b @ state.phi, C_s @ state.psi])
         conv_red = self.P_L.T @ conv
+        smooth_n = np.concatenate([p.pot_bulk.smooth.derivative(state.phi),
+                                   p.pot_surf.smooth.derivative(state.psi)])
 
-        smooth_n = self._explicit_smooth(phase_n)
-
-        x = x_n.copy()
-        y = chem_n[self.spaces.idx_chem].copy()
+        def failure(why, res):
+            return StepFailure(f"{why} (residual {res:.3e})", residual=res, t=t_new)
 
         def residual(x_red, y_red):
             phase_full = self.P_K @ x_red
+            if not np.all(np.isfinite(phase_full)):
+                raise failure("non-finite phase iterate", np.nan)
             nl, nl_der = self._nonlinear(phase_full)
             g1 = (1.0 / tau) * (self.M_LK @ (x_red - x_n)) - conv_red + A1 @ y_red
             rhs2 = self.lump_pair * (nl + smooth_n)
             g2 = self.M_KL @ y_red - self.A_K @ x_red - self.P_K.T @ rhs2
-            return np.concatenate([g1, g2]), nl_der
+            g = np.concatenate([g1, g2])
+            return g, float(np.abs(g).max()), nl_der
 
-        g, nl_der = residual(x, y)
-        res0 = float(np.abs(g).max())
-        tol = p.newton.tol_abs + p.newton.tol_rel * res0
+        x = x_n
+        y = np.concatenate([state.mu, state.theta])[self.spaces.idx_chem]
+        g, res, nl_der = residual(x, y)
+        tol = p.newton.tol_abs + p.newton.tol_rel * res
         iters = 0
-        res = res0
         nx = len(x)
-        while res > tol:
+        while not res <= tol:  # a NaN residual must fail, not pass as converged
+            if not np.isfinite(res):
+                raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
-                raise StepFailure(
-                    f"Newton did not converge (residual {res:.3e})", residual=res, t=t_new
-                )
-            D = sp.diags(self.lump_pair * nl_der)
-            J21 = -(self.A_K + (self.P_K.T @ D @ self.P_K))
-            J11 = (1.0 / tau) * self.M_LK
+                raise failure("Newton did not converge", res)
+            D = self.P_K.T @ (self.p_K * (self.lump_pair * nl_der))
+            J21 = -(self.A_K + sp.diags(D))
             J = sp.bmat([[J11, A1], [J21, self.M_KL]], format="csc")
-            delta = splu(J).solve(-g)
+            try:  # the factor is not kept: two alive at once would double peak memory
+                delta = splu(J).solve(-g)
+            except RuntimeError as exc:  # exactly singular Jacobian
+                raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
             dx, dy = delta[:nx], delta[nx:]
 
-            accepted = False
+            # damped update: the first factor that lowers the residual, else the last one
             for lam in DAMPING_FACTORS:
-                if lam < p.newton.damping_floor:
+                x_try, y_try = x + lam * dx, y + lam * dy
+                g_try, res_try, der_try = residual(x_try, y_try)
+                if res_try < res:
                     break
-                g_try, nl_der_try = residual(x + lam * dx, y + lam * dy)
-                if float(np.abs(g_try).max()) < res:
-                    x, y = x + lam * dx, y + lam * dy
-                    g, nl_der = g_try, nl_der_try
-                    accepted = True
-                    break
-            if not accepted:
-                lam = p.newton.damping_floor
-                x, y = x + lam * dx, y + lam * dy
-                g, nl_der = residual(x, y)
-            res = float(np.abs(g).max())
+            x, y, g, res, nl_der = x_try, y_try, g_try, res_try, der_try
             iters += 1
 
-        phase_full = self.P_K @ x
-        chem_full = self.P_L @ y
-        new = State(
-            t=t_new,
-            phi=phase_full[: self.n_bulk],
-            psi=phase_full[self.n_bulk :],
-            mu=chem_full[: self.n_bulk],
-            theta=chem_full[self.n_bulk :],
-        )
-
+        new = State(t_new, *f.split(self.P_K @ x), *f.split(self.P_L @ y))
         mu, theta = new.mu, new.theta
-        report = StepReport(newton_iters=iters, residual=res)
-        report.diss_bulk = float(mu @ (K_b @ mu))
-        report.diss_surf = float(theta @ (K_s @ theta))
-        gap = cp.beta * theta - f.trace @ mu
-        report.diss_robin = float(cp.sigma_L * (gap @ (f.M_surf @ gap)))
+        gap = p.coupling.beta * theta - f.trace @ mu
+        report = StepReport(newton_iters=iters, residual=res,
+                            diss_bulk=float(mu @ (K_b @ mu)),
+                            diss_surf=float(theta @ (K_s @ theta)),
+                            robin_gap_sq=float(gap @ (f.M_surf @ gap)))
+        report.diss_robin = p.coupling.sigma_L * report.robin_gap_sq
         if not p.velocity.is_zero:
             conv_b, conv_s = f.split(conv)
             report.conv_power_bulk = float(mu @ conv_b)
@@ -339,13 +346,16 @@ class Stepper:
 
 
 def _attempt_step(stepper: Stepper, state: State, tau: float, halvings_left: int):
+    """One step of size tau; on StepFailure, two half steps (recursively)
+    whose reports merge into one for the whole step."""
     try:
         return stepper.step(state, tau)
     except StepFailure:
         if halvings_left <= 0:
             raise
-        mid, _ = _attempt_step(stepper, state, tau / 2, halvings_left - 1)
-        return _attempt_step(stepper, mid, tau / 2, halvings_left - 1)
+        mid, first = _attempt_step(stepper, state, tau / 2, halvings_left - 1)
+        new, second = _attempt_step(stepper, mid, tau / 2, halvings_left - 1)
+        return new, first.followed_by(second)
 
 
 def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None) -> State:
@@ -381,8 +391,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None) -> RunResult:
     for k in range(1, n_steps + 1):
         state, report = _attempt_step(stepper, state, params.tau,
                                       params.newton.max_tau_halvings)
-        gap = params.coupling.beta * state.theta - forms.trace @ state.mu
-        robin_sq += params.tau * float(gap @ (forms.M_surf @ gap))
+        robin_sq += params.tau * report.robin_gap_sq
         rec = diag.make_record(state, forms, params, report,
                                prev_energy=prev_energy, tau=params.tau)
         prev_energy = rec.energy
@@ -394,25 +403,3 @@ def run(config: RunConfig, mesh: TriMesh | None = None) -> RunResult:
     return RunResult(records=records, states=states, mesh=mesh, forms=forms,
                      params=params, final_state=state.copy(),
                      robin_gap_sq_integral=robin_sq)
-
-
-def epsilon_continuation(config: RunConfig, schedule, mesh: TriMesh | None = None):
-    """Run the same scenario for each regularization level in the schedule.
-
-    Returns ``(results, distances)`` where distances are the L2 gaps of the
-    final bulk phase fields between consecutive levels.
-    """
-    schedule = [float(e) for e in schedule]
-    if any(b >= a for a, b in zip(schedule, schedule[1:])):
-        raise InvalidArgument("schedule must be strictly decreasing")
-    mesh = mesh if mesh is not None else generate_disk_mesh(config.nb, config.nr)
-    results = []
-    for e in schedule:
-        cfg = replace(config, params=replace(config.params, eps=e))
-        results.append(run(cfg, mesh=mesh))
-    distances = []
-    forms = results[0].forms
-    for r1, r2 in zip(results, results[1:]):
-        d = r1.final_state.phi - r2.final_state.phi
-        distances.append(float(np.sqrt(d @ (forms.M_bulk @ d))))
-    return results, distances

@@ -6,10 +6,20 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bscch
+import bscch.stepper
 from bscch.cli import main
-from bscch.config import KEY_REGISTRY, build_run_config, parse_config, resolve, serialize_config
+from bscch.config import (
+    KEY_REGISTRY,
+    build_run_config,
+    load_run_config,
+    parse_config,
+    resolve,
+    serialize_config,
+)
 from bscch.errors import ValidationError
 from bscch.mesh import read_mesh
+from bscch.stepper import initial_state
 
 SHORT_CFG = """
 mesh.nb = 16
@@ -184,6 +194,48 @@ def test_non_integer_thread_count_exits_1(tmp_path, capsys, monkeypatch):
                  + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
     assert main(["cont-dep", "--config", str(p), "--amplitudes", "0,1e-3"]) == 1
     assert "BSCCH_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cont-dep", "--amplitudes", "0,1e-3"],
+    ["limit-study", "--parameter", "eps->0", "--schedule", "0.1,0.05"],
+    ["limit-study", "--parameter", "K->0", "--schedule", "1,0.5"],
+])
+def test_thread_count_checked_before_any_run(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulation started before BSCCH_THREADS was checked")
+
+    monkeypatch.setenv("BSCCH_THREADS", "abc")
+    monkeypatch.setattr(bscch.stepper, "run", no_run)
+    p = tmp_path / "c.cfg"
+    p.write_text(SHORT_CFG + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
+    assert main([argv[0], "--config", str(p), *argv[1:]]) == 1
+    assert "BSCCH_THREADS" in capsys.readouterr().err
+
+
+def test_singular_jacobian_exits_2(cfg_file, capsys, monkeypatch):
+    def singular(J):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(bscch.stepper, "splu", singular)
+    assert main(["run", "--config", cfg_file]) == 2
+    assert "solver failure" in capsys.readouterr().err
+
+
+def test_benchmark_setup_calls(tmp_path):
+    # the public set-up sequence of bench/child.py, with forms passed positionally
+    p = tmp_path / "s.cfg"
+    p.write_text(SHORT_CFG + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
+    config, _ = load_run_config(str(p))
+    mesh = bscch.generate_disk_mesh(config.nb, config.nr)
+    forms = bscch.assemble_core(mesh)
+    stepper = bscch.Stepper(mesh, config.params, forms)
+    state = initial_state(mesh, config.params, forms)
+    op = bscch.InverseCoupledOperator(mesh, config.params.coupling, forms=forms)
+    assert stepper.forms is forms
+    new, report = stepper.step(state)
+    assert report.newton_iters > 0 and new.t == config.params.tau
+    assert op.dual_norm(bscch.BulkSurfacePair(new.phi - state.phi, new.psi - state.psi)) > 0
 
 
 def test_module_entry_point(tmp_path):

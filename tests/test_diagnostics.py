@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -124,6 +126,20 @@ def test_limit_study_rejects_bad_schedule():
         limit_study(cfg, "K->0", [0.25, 0.5])
     with pytest.raises(InvalidArgument):
         limit_study(cfg, "K->sideways", [1.0])
+
+
+def test_limit_study_eps_distances():
+    # the eps->0 observable: L2 gaps of the final bulk phase between consecutive levels
+    cfg = RunConfig(nb=16, nr=4, params=_params(), keep_states=False)
+    schedule = [0.1, 0.05, 0.025]
+    rep = limit_study(cfg, "eps->0", schedule)
+    finals = [run(replace(cfg, params=replace(cfg.params, eps=e))) for e in schedule]
+    M = finals[0].forms.M_bulk
+    gaps = [r1.final_state.phi - r2.final_state.phi for r1, r2 in zip(finals, finals[1:])]
+    assert rep.values == tuple(float(np.sqrt(d @ (M @ d))) for d in gaps)
+    assert all(d >= 0 for d in rep.values) and rep.extra == ()
+    with pytest.raises(InvalidArgument):
+        limit_study(cfg, "eps->0", [0.05, 0.1])
 
 
 def test_cont_dep_requires_rotation_and_constant_mobility():

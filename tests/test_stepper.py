@@ -2,9 +2,11 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from dataclasses import replace
 
-from bscch.assembly import CouplingParams, VelocityField
+import bscch.stepper
+from bscch.assembly import CouplingParams, Mobility, VelocityField
 from bscch.errors import InvalidArgument, StepFailure
 from bscch.mesh import generate_disk_mesh
 from bscch.potentials import make_potential
@@ -14,7 +16,6 @@ from bscch.stepper import (
     RunConfig,
     RunParams,
     Stepper,
-    epsilon_continuation,
     initial_state,
     make_initial_data,
     run,
@@ -137,13 +138,15 @@ def test_newton_failure_raises_step_failure():
         stepper.step(state)
 
 
+# a 2-iteration Newton budget fails at tau but suffices at tau/16
+HARD = dict(
+    tau=1e-4, t_final=2e-4, eps=0.02,
+    init=InitialDataSpec(mode="random", mean=0.0, amplitude=0.6, seed=7, margin=0.02),
+)
+
+
 def test_tau_halving_rescue():
-    # a 2-iteration Newton budget fails at tau but suffices at tau/16
-    hard = dict(
-        tau=1e-4, t_final=2e-4, eps=0.02,
-        init=InitialDataSpec(mode="random", mean=0.0, amplitude=0.6, seed=7,
-                             margin=0.02),
-    )
+    hard = HARD
     p_fail = _params(newton=NewtonParams(max_iter=2), **hard)
     with pytest.raises(StepFailure):
         run(RunConfig(nb=16, nr=4, params=p_fail, keep_states=False))
@@ -167,10 +170,94 @@ def test_run_params_validation():
         _params(eps=1.5)
 
 
-def test_epsilon_continuation_distances():
-    cfg = RunConfig(nb=16, nr=4, params=_params(), keep_states=False)
-    results, distances = epsilon_continuation(cfg, [0.1, 0.05, 0.025])
-    assert len(results) == 3 and len(distances) == 2
-    assert all(d >= 0 for d in distances)
-    with pytest.raises(InvalidArgument):
-        epsilon_continuation(cfg, [0.05, 0.1])
+def _halving_by_hand(stepper, state, tau):
+    """Sub-steps tau/2**k driven by hand: (final state, [(tau_i, report_i)])."""
+    try:
+        new, report = stepper.step(state, tau)
+        return new, [(tau, report)]
+    except StepFailure:
+        mid, first = _halving_by_hand(stepper, state, tau / 2)
+        new, second = _halving_by_hand(stepper, mid, tau / 2)
+        return new, first + second
+
+
+def test_rescued_step_reports_whole_step():
+    p = _params(newton=NewtonParams(max_iter=2, max_tau_halvings=6), **HARD)
+    res = run(RunConfig(nb=16, nr=4, params=p, keep_states=False))
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p)
+    robin_integral, n_subs = 0.0, []
+    for rec in res.records[1:]:
+        state, subs = _halving_by_hand(stepper, state, p.tau)
+        n_subs.append(len(subs))
+        assert rec.newton_iters == sum(r.newton_iters for _, r in subs)
+        for name in ("diss_bulk", "diss_surf", "diss_robin"):
+            weighted = sum(t * getattr(r, name) for t, r in subs) / p.tau
+            assert getattr(rec, name) == pytest.approx(weighted, rel=1e-12)
+        robin_integral += sum(t * r.robin_gap_sq for t, r in subs)
+        assert rec.t == state.t
+    assert n_subs[0] > 1  # the first step is rescued
+    np.testing.assert_array_equal(res.final_state.phi, state.phi)
+    assert res.robin_gap_sq_integral == pytest.approx(robin_integral, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["phi", "psi", "mu", "theta"])
+def test_non_finite_state_raises_step_failure(field):
+    p = _params(newton=NewtonParams(max_tau_halvings=2))
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p)
+    getattr(state, field)[3] = np.nan
+    with pytest.raises(StepFailure):
+        stepper.step(state)
+    with pytest.raises(StepFailure):  # tau-halving cannot rescue it either
+        bscch.stepper._attempt_step(stepper, state, p.tau, p.newton.max_tau_halvings)
+
+
+class _NonFiniteFactor:
+    def __init__(self, J):
+        self.n = J.shape[0]
+
+    def solve(self, rhs):
+        return np.full(self.n, np.inf)
+
+
+def _singular(J):
+    raise RuntimeError("Factor is exactly singular")
+
+
+@pytest.mark.parametrize("factor", [_singular, _NonFiniteFactor])
+def test_linear_solver_breakdown_raises_step_failure(monkeypatch, factor):
+    # an exactly singular factor, and a solve that yields a non-finite iterate
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p)
+    monkeypatch.setattr(bscch.stepper, "splu", factor)
+    with pytest.raises(StepFailure):
+        stepper.step(state)
+
+
+@pytest.mark.parametrize("K", [0.0, 1.0])
+def test_lumped_diagonal_equals_triple_product(K):
+    p = _params(coupling=CouplingParams(K=K, L=1.0, alpha=0.5, beta=2.0))
+    mesh = generate_disk_mesh(16, 4)
+    st = Stepper(mesh, p)
+    d = st.lump_pair * np.random.default_rng(1).random(len(st.lump_pair))
+    triple = (st.A_K + st.P_K.T @ sp.diags(d) @ st.P_K).toarray()
+    lumped = (st.A_K + sp.diags(st.P_K.T @ (st.p_K * d))).toarray()
+    np.testing.assert_array_equal(lumped, triple)
+
+
+@pytest.mark.parametrize("kind,calls", [("constant", 2), ("degenerate", 2 * 3)])
+def test_mobility_stiffness_built_at_its_rate(monkeypatch, kind, calls):
+    # once per run for constant mobilities, once per step (bulk + surface) otherwise
+    count = []
+    assemble = bscch.stepper.assemble_mobility_stiffness
+    monkeypatch.setattr(bscch.stepper, "assemble_mobility_stiffness",
+                        lambda *a: count.append(1) or assemble(*a))
+    mob = Mobility(kind=kind, m0=1.0, m1=1.0)
+    run(RunConfig(nb=16, nr=4, params=_params(t_final=3e-4, mob_bulk=mob, mob_surf=mob),
+                  keep_states=False))
+    assert len(count) == calls
