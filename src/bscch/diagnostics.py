@@ -196,7 +196,8 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
 
     parameter is one of "L->0", "L->inf", "K->0", "K->inf", "eps->0"; the
     schedule must move monotonically toward the limit.  Every member runs on
-    one shared mesh.  The report carries the observable named in the
+    one shared mesh and keeps no states (only its records and final state
+    are read).  The report carries the observable named in the
     corresponding convergence statement; for "eps->0" these are the L2 gaps
     of the final bulk phase fields between consecutive levels.
     """
@@ -220,7 +221,7 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     def member(v):
         p = (replace(params, eps=v) if name == "eps"
              else replace(params, coupling=replace(params.coupling, **{name: v})))
-        res = run(replace(config_base, params=p), mesh=mesh)
+        res = run(replace(config_base, params=p, keep_states=False), mesh=mesh)
         final, forms, cp = res.final_state, res.forms, p.coupling
         if name == "eps":
             return final.phi, forms.M_bulk

@@ -36,6 +36,13 @@ from .mesh import TriMesh, generate_disk_mesh
 from .potentials import Potential, check_domination, yosida
 
 DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
+# Krylov solve of each Newton correction, preconditioned by the kept LU factor:
+# it must reach KRYLOV_RTOL in the true residual within KRYLOV_MAX_ITER
+# iterations, or the Jacobian is factored afresh.  The first block row of the
+# system is linear, so its linear residual is the step's mass defect: the
+# tolerance is tight and fixed.
+KRYLOV_RTOL = 1e-12
+KRYLOV_MAX_ITER = 10
 
 
 @dataclass
@@ -112,12 +119,18 @@ class RunConfig:
     keep_states: bool = True
 
 
+_COUNTS = ("newton_iters", "linear_iters", "factorizations")
+
+
 @dataclass
 class StepReport:
-    """Newton count, final residual and the step's rates (per unit time)."""
+    """Newton, Krylov and factorization counts, final residual and the step's
+    rates (per unit time)."""
 
     newton_iters: int
     residual: float
+    linear_iters: int = 0
+    factorizations: int = 0
     diss_bulk: float = 0.0
     diss_surf: float = 0.0
     diss_robin: float = 0.0
@@ -127,11 +140,13 @@ class StepReport:
 
     def followed_by(self, later: "StepReport") -> "StepReport":
         """Report of this half step followed by an equally long ``later`` one:
-        iterations add up, the rates (every field after the first two)
-        average, i.e. are tau-weighted."""
-        rates = {f.name: 0.5 * (getattr(self, f.name) + getattr(later, f.name))
-                 for f in fields(self)[2:]}
-        return StepReport(self.newton_iters + later.newton_iters, later.residual, **rates)
+        the counts add up, the residual is the later one, the rates average,
+        i.e. are tau-weighted."""
+        def merge(name):
+            a, b = getattr(self, name), getattr(later, name)
+            return a + b if name in _COUNTS else b if name == "residual" else 0.5 * (a + b)
+
+        return StepReport(**{f.name: merge(f.name) for f in fields(self)})
 
 
 @dataclass
@@ -217,6 +232,14 @@ class Stepper:
     or once per run when both mobilities are constant (a constant mobility
     ignores the field); the lumped diagonal of the regularized derivative
     once per Newton iteration.
+
+    The Jacobian is factored rarely: ``factor`` is one LU factor kept across
+    Newton iterations and steps, and each correction is solved by GMRES
+    preconditioned with it, applying the Jacobian block by block.  A new
+    factor is taken (lazily, in the first Newton iteration that needs one)
+    when GMRES misses its tolerance, or when the step's tau is not the
+    ``factor_tau`` the factor was built for; the correction is then the
+    direct solve with the new factor.
     """
 
     def __init__(self, mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None):
@@ -245,6 +268,7 @@ class Stepper:
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s, A1) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
+        self.factor, self.factor_tau = None, None
 
     def _mobility_blocks(self, phi, psi):
         """Mobility stiffnesses K_b, K_s at (phi, psi) and A1 = P_L^T (K_pair + B_L) P_L."""
@@ -305,20 +329,38 @@ class Stepper:
         y = np.concatenate([state.mu, state.theta])[self.spaces.idx_chem]
         g, res, nl_der = residual(x, y)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
-        iters = 0
+        iters = linear_iters = factorizations = 0
         nx = len(x)
+        if tau != self.factor_tau:  # J11 = M_LK / tau: a factor for another tau is dropped
+            self.factor = None
         while not res <= tol:  # a NaN residual must fail, not pass as converged
             if not np.isfinite(res):
                 raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
                 raise failure("Newton did not converge", res)
             D = self.P_K.T @ (self.p_K * (self.lump_pair * nl_der))
-            J21 = -(self.A_K + sp.diags(D))
-            J = sp.bmat([[J11, A1], [J21, self.M_KL]], format="csc")
-            try:  # the factor is not kept: two alive at once would double peak memory
-                delta = splu(J).solve(-g)
-            except RuntimeError as exc:  # exactly singular Jacobian
-                raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
+
+            def apply_jacobian(v):
+                vx, vy = v[:nx], v[nx:]
+                return np.concatenate([J11 @ vx + A1 @ vy,
+                                       self.M_KL @ vy - self.A_K @ vx - D * vx])
+
+            delta = None
+            if self.factor is not None:
+                delta, n_krylov = _krylov(apply_jacobian, self.factor.solve, -g)
+                linear_iters += n_krylov
+            if delta is None:  # refactor; the old factor goes first, two alive would double memory
+                self.factor = None
+                J = sp.bmat([[J11, A1], [-(self.A_K + sp.diags(D)), self.M_KL]], format="csc")
+                try:
+                    self.factor = splu(J)
+                except RuntimeError as exc:  # exactly singular Jacobian
+                    raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
+                self.factor_tau = tau
+                factorizations += 1
+                delta = self.factor.solve(-g)
+                if not np.all(np.isfinite(delta)):
+                    raise failure("non-finite Newton correction", res)
             dx, dy = delta[:nx], delta[nx:]
 
             # damped update: the first factor that lowers the residual, else the last one
@@ -333,7 +375,8 @@ class Stepper:
         new = State(t_new, *f.split(self.P_K @ x), *f.split(self.P_L @ y))
         mu, theta = new.mu, new.theta
         gap = p.coupling.beta * theta - f.trace @ mu
-        report = StepReport(newton_iters=iters, residual=res,
+        report = StepReport(newton_iters=iters, residual=res, linear_iters=linear_iters,
+                            factorizations=factorizations,
                             diss_bulk=float(mu @ (K_b @ mu)),
                             diss_surf=float(theta @ (K_s @ theta)),
                             robin_gap_sq=float(gap @ (f.M_surf @ gap)))
@@ -343,6 +386,49 @@ class Stepper:
             report.conv_power_bulk = float(mu @ conv_b)
             report.conv_power_surf = float(theta @ conv_s)
         return new, report
+
+
+def _krylov(apply_jacobian, precondition, b):
+    """Right-preconditioned GMRES for J x = b: one cycle of at most
+    KRYLOV_MAX_ITER iterations, its least-squares problem kept triangular by
+    Givens rotations (no LAPACK call, whose first use costs about 1 MB of
+    resident memory).  Returns (x, iterations), with x None unless the true
+    residual |b - J x| reaches KRYLOV_RTOL |b| (never for a non-finite x)."""
+    m = KRYLOV_MAX_ITER
+    b_norm = np.linalg.norm(b)
+    R, rotations = np.zeros((m, m)), []
+    e = np.zeros(m + 1)
+    e[0] = b_norm  # b_norm * e_1, rotated along with R
+    basis, search = [b / b_norm], []
+    for j in range(m):
+        search.append(precondition(basis[j]))
+        w = apply_jacobian(search[j])
+        if not np.all(np.isfinite(w)):
+            break
+        for i, v in enumerate(basis):  # modified Gram-Schmidt
+            R[i, j] = v @ w
+            w -= R[i, j] * v
+        h = np.linalg.norm(w)
+        for i, (c, s) in enumerate(rotations):
+            R[i, j], R[i + 1, j] = c * R[i, j] + s * R[i + 1, j], c * R[i + 1, j] - s * R[i, j]
+        r = np.hypot(R[j, j], h)
+        if r == 0.0:
+            break
+        c, s = R[j, j] / r, h / r
+        rotations.append((c, s))
+        R[j, j] = r
+        e[j], e[j + 1] = c * e[j], -s * e[j]
+        if abs(e[j + 1]) <= KRYLOV_RTOL * b_norm:  # the residual estimate; now the true one
+            y = np.zeros(j + 1)
+            for i in range(j, -1, -1):
+                y[i] = (e[i] - R[i, i + 1:j + 1] @ y[i + 1:]) / R[i, i]
+            x = y @ np.array(search)
+            if np.linalg.norm(b - apply_jacobian(x)) <= KRYLOV_RTOL * b_norm:
+                return x, j + 1
+        if h == 0.0:
+            break
+        basis.append(w / h)
+    return None, j + 1
 
 
 def _attempt_step(stepper: Stepper, state: State, tau: float, halvings_left: int):

@@ -1,10 +1,12 @@
+import dataclasses
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 import bscch
 import bscch.stepper
@@ -179,6 +181,27 @@ def test_limit_study_subcommand(cfg_file, capsys):
     assert "decreasing" in capsys.readouterr().out
 
 
+def test_limit_study_members_keep_no_states(cfg_file, capsys, monkeypatch):
+    # the members keep no states, and keeping them again changes no output
+    run, kept = bscch.stepper.run, []
+
+    def recording(config, **kwargs):
+        kept.append(config.keep_states)
+        return run(config, **kwargs)
+
+    def keeping(config, **kwargs):
+        return run(dataclasses.replace(config, keep_states=True), **kwargs)
+
+    outs = []
+    for wrapper in (recording, keeping):
+        monkeypatch.setattr(bscch.stepper, "run", wrapper)
+        assert main(["limit-study", "--config", cfg_file,
+                     "--parameter", "eps->0", "--schedule", "0.1,0.05"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert kept == [False, False]
+    assert outs[0] == outs[1]
+
+
 def test_cont_dep_subcommand(tmp_path, capsys):
     p = tmp_path / "c.cfg"
     p.write_text(SHORT_CFG.replace("init.mode = random", "init.mode = bubbles")
@@ -246,3 +269,44 @@ def test_module_entry_point(tmp_path):
                            "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert read_mesh(out).n_vertices == 9
+
+
+_EXTENDED = st.sampled_from(["0", "1", "inf"])
+_POTENTIAL = st.sampled_from(["reg", "log", "obst"])
+_MOBILITY = st.sampled_from(["constant", "degenerate"])
+_INVALID = [("time.tau", "0"), ("time.tau", "-1e-4"), ("time.T", "4e-5"), ("time.T", "-1"),
+            ("yosida.eps", "0"), ("yosida.eps", "1.5"), ("output.every", "0"),
+            ("mesh.nb", "6"), ("mesh.nr", "0"), ("init.amplitude", "3")]
+
+
+@settings(max_examples=25, deadline=None)
+@given(command=st.sampled_from(["run", "limit-study", "cont-dep"]),
+       values=st.fixed_dictionaries({
+           "mesh.nb": st.sampled_from(["8", "16"]), "mesh.nr": st.sampled_from(["2", "4"]),
+           "model.K": _EXTENDED, "model.L": _EXTENDED,
+           "model.alpha": st.sampled_from(["0", "0.5", "1"]),
+           "potential.bulk": _POTENTIAL, "potential.surf": _POTENTIAL,
+           "mobility.bulk.kind": _MOBILITY, "mobility.surf.kind": _MOBILITY,
+           "velocity.bulk": st.sampled_from(["none", "rigid_rotation"]),
+           "velocity.omega": st.just("1"),
+           "time.tau": st.sampled_from(["1e-4", "2e-4"]),
+           "time.T": st.sampled_from(["3e-4", "5e-4"]),
+           "yosida.eps": st.sampled_from(["0.05", "0.02"]),
+           "newton.max_iter": st.sampled_from(["50", "2"]),
+           "newton.max_tau_halvings": st.sampled_from(["0", "2"]),
+           "init.amplitude": st.sampled_from(["0.2", "0.6"]),
+           "output.every": st.sampled_from(["1", "2"]),
+           "output.vtk": st.sampled_from(["false", "true"]),
+       }),
+       invalid=st.one_of(st.none(), st.sampled_from(_INVALID)))
+def test_generated_configs_end_in_a_documented_exit(command, values, invalid):
+    # any config ends in a correct run (0), a message (1) or a solver failure (2)
+    extra = {"run": [], "limit-study": ["--parameter", "L->0", "--schedule", "1,0.5"],
+             "cont-dep": ["--amplitudes", "0,1e-3"]}[command]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "g.cfg"
+        cfg.write_text(serialize_config({**values, **dict([invalid] if invalid else []),
+                                         "output.dir": str(Path(tmp) / "out")}))
+        rc = main([command, "--config", str(cfg), *extra])
+    event(f"{command} exit {rc}")
+    assert rc in (0, 1, 2)

@@ -7,6 +7,7 @@ from dataclasses import replace
 
 import bscch.stepper
 from bscch.assembly import CouplingParams, Mobility, VelocityField
+from bscch.diagnostics import masses
 from bscch.errors import InvalidArgument, StepFailure
 from bscch.mesh import generate_disk_mesh
 from bscch.potentials import make_potential
@@ -16,6 +17,7 @@ from bscch.stepper import (
     RunConfig,
     RunParams,
     Stepper,
+    StepReport,
     initial_state,
     make_initial_data,
     run,
@@ -261,3 +263,99 @@ def test_mobility_stiffness_built_at_its_rate(monkeypatch, kind, calls):
     run(RunConfig(nb=16, nr=4, params=_params(t_final=3e-4, mob_bulk=mob, mob_surf=mob),
                   keep_states=False))
     assert len(count) == calls
+
+
+# -- the kept Jacobian factor ----------------------------------------------------
+
+def _steps(p, n, mesh):
+    """n steps driven by hand: (final state, reports, worst drift of the
+    conserved masses: the combined one, and for L = inf also each phase's)."""
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p, stepper.forms)
+    conserved = slice(0, 3) if np.isinf(p.coupling.L) else slice(2, 3)
+    m0 = masses(state.phi, state.psi, stepper.forms, p.coupling)[conserved]
+    reports, drift = [], 0.0
+    for _ in range(n):
+        state, report = stepper.step(state)
+        reports.append(report)
+        m = masses(state.phi, state.psi, stepper.forms, p.coupling)[conserved]
+        drift = max(drift, *(abs(a - b) for a, b in zip(m, m0)))
+    return state, reports, drift
+
+
+@pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
+def test_kept_factor_matches_refactoring_every_iteration(monkeypatch, K, L):
+    p = _params(K=K, L=L)
+    mesh = generate_disk_mesh(16, 4)
+    kept, kept_reports, kept_drift = _steps(p, 8, mesh)
+    # a Krylov solve that never converges refactors in every Newton iteration
+    monkeypatch.setattr(bscch.stepper, "_krylov", lambda *args: (None, 0))
+    fresh, fresh_reports, _ = _steps(p, 8, mesh)
+    assert all(r.factorizations == r.newton_iters for r in fresh_reports)
+    assert sum(r.factorizations for r in kept_reports) < sum(r.newton_iters for r in kept_reports)
+    assert [r.newton_iters for r in kept_reports] == [r.newton_iters for r in fresh_reports]
+    for name in ("phi", "psi", "mu", "theta"):
+        a, b = getattr(kept, name), getattr(fresh, name)
+        assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
+    assert kept_drift <= 1e-13
+
+
+def _count_splu(monkeypatch):
+    calls = []
+    factor = bscch.stepper.splu
+    monkeypatch.setattr(bscch.stepper, "splu", lambda J: calls.append(1) or factor(J))
+    return calls
+
+
+def test_constant_mobility_run_factors_once(monkeypatch):
+    calls = _count_splu(monkeypatch)
+    res = run(RunConfig(nb=16, nr=4, params=_params(), keep_states=False))
+    assert len(res.records) == 21 and sum(r.newton_iters for r in res.records) > 20
+    assert len(calls) == 1
+
+
+def test_new_tau_refactors():
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p)
+    mid, first = stepper.step(state, p.tau)
+    assert first.factorizations == 1 and stepper.factor_tau == p.tau
+    _, half = stepper.step(state, p.tau / 2)
+    assert half.factorizations == 1 and stepper.factor_tau == p.tau / 2
+    _, again = stepper.step(mid, p.tau / 2)
+    assert again.factorizations == 0 and again.linear_iters > 0
+
+
+class _NaNFactor(_NonFiniteFactor):
+    def solve(self, rhs):
+        return np.full(self.n, np.nan)
+
+
+@pytest.mark.parametrize("factor", [_NonFiniteFactor, _NaNFactor])
+def test_non_finite_kept_factor_refactors(monkeypatch, factor):
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state, _ = stepper.step(initial_state(mesh, p))
+    jacobian_shape = sp.eye(stepper.P_K.shape[1] + stepper.P_L.shape[1])
+    stepper.factor = factor(jacobian_shape)
+    calls = _count_splu(monkeypatch)
+    new, report = stepper.step(state)
+    assert len(calls) == 1 and report.factorizations == 1
+    assert all(np.all(np.isfinite(getattr(new, f))) for f in ("phi", "psi", "mu", "theta"))
+    # a refactor that is no better ends in a StepFailure, not in a NaN state
+    monkeypatch.setattr(bscch.stepper, "splu", factor)
+    stepper.factor = factor(jacobian_shape)
+    with pytest.raises(StepFailure):
+        stepper.step(new)
+
+
+def test_followed_by_adds_counts_and_averages_rates():
+    a = StepReport(newton_iters=2, residual=1e-3, linear_iters=5, factorizations=1,
+                   diss_bulk=2.0, robin_gap_sq=1.0)
+    b = StepReport(newton_iters=3, residual=1e-12, linear_iters=7, factorizations=0,
+                   diss_bulk=4.0, robin_gap_sq=3.0)
+    m = a.followed_by(b)
+    assert (m.newton_iters, m.linear_iters, m.factorizations) == (5, 12, 1)
+    assert (m.residual, m.diss_bulk, m.robin_gap_sq) == (1e-12, 3.0, 2.0)
