@@ -144,8 +144,9 @@ def _cmd_cont_dep(args):
     rep = continuous_dependence_experiment(config, amps)
     for a, d in zip(rep.amplitudes, rep.max_distances):
         print(f"amplitude={a:g}  max_dual_distance={d:.9e}")
+    ratio = rep.first_order_ratio
     print(f"zero_is_zero: {rep.zero_is_zero}  monotone: {rep.monotone}  "
-          f"first_order_ratio: {rep.first_order_ratio}")
+          f"first_order_ratio: {'None' if ratio is None else f'{ratio:.9e}'}")
     return 0
 
 

@@ -160,8 +160,9 @@ def build_run_config(cfg: dict) -> RunConfig:
                              margin=r["init.margin"], radius=r["init.radius"],
                              separation=r["init.separation"]),
     )
-    if r["output.every"] < 1:
-        raise ValidationError(f"output.every must be >= 1, got {r['output.every']}")
+    for key in ("output.every", "newton.max_iter"):
+        if r[key] < 1:
+            raise ValidationError(f"{key} must be >= 1, got {r[key]}")
     if params.t_final > 0 and params.n_steps == 0:
         raise ValidationError(f"time.T = {params.t_final:g} is less than half a step "
                               f"(time.tau = {params.tau:g}) and would run no steps")

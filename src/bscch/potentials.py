@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .errors import InvalidArgument
 
@@ -33,6 +32,13 @@ DEFAULT_THETA = 0.8
 DEFAULT_THETA_C = 1.6
 
 _BRACKET_MARGIN = 1e-15
+
+
+def _xlogx(x):
+    """x log x, 0 at x = 0; NaN for x < 0 (both branches of np.where are
+    evaluated, so the warnings of the unused one are silenced)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x * np.log(x))
 
 
 @dataclass(frozen=True)
@@ -83,7 +89,7 @@ class ConvexPart:
         if self.kind == "log":
             out = np.where(
                 np.abs(r) <= 1.0,
-                0.5 * self.theta * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r)),
+                0.5 * self.theta * (_xlogx(1.0 + r) + _xlogx(1.0 - r)),
                 np.inf,
             )
             return out if out.shape else float(out)

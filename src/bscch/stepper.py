@@ -14,11 +14,12 @@ prolongations, so slaved boundary values satisfy their constraints bitwise.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+import scipy.sparse.linalg
 
 from . import diagnostics as diag
 from .assembly import (
@@ -43,6 +44,14 @@ DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
 # tolerance is tight and fixed.
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAX_ITER = 10
+# The Newton unknowns are ordered (y, x), chemical potentials first, so the
+# Jacobian [[A1, M_LK/tau], [M_KL, -(A_K + diag D)]] has square diagonal
+# blocks and a symmetric sparsity pattern.  Its LU factor takes a symmetric
+# fill-reducing ordering (minimum degree on J^T + J) and prefers diagonal
+# pivots down to LU_DIAG_PIVOT_THRESH times the column maximum.
+LU_DIAG_PIVOT_THRESH = 1e-3
+splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)
 
 
 @dataclass
@@ -63,6 +72,13 @@ class NewtonParams:
     tol_rel: float = 1e-10
     max_iter: int = 50
     max_tau_halvings: int = 0
+
+    def __post_init__(self):
+        # max_iter = 0 is allowed: the step then fails unless already converged
+        for name in ("tol_abs", "tol_rel", "max_iter", "max_tau_halvings"):
+            value = getattr(self, name)
+            if not value >= 0:  # also rejects NaN
+                raise InvalidArgument(f"newton.{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -330,7 +346,7 @@ class Stepper:
         g, res, nl_der = residual(x, y)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
         iters = linear_iters = factorizations = 0
-        nx = len(x)
+        ny = len(y)  # Newton unknowns (y, x); the residual rows stay (g1, g2)
         if tau != self.factor_tau:  # J11 = M_LK / tau: a factor for another tau is dropped
             self.factor = None
         while not res <= tol:  # a NaN residual must fail, not pass as converged
@@ -341,8 +357,8 @@ class Stepper:
             D = self.P_K.T @ (self.p_K * (self.lump_pair * nl_der))
 
             def apply_jacobian(v):
-                vx, vy = v[:nx], v[nx:]
-                return np.concatenate([J11 @ vx + A1 @ vy,
+                vy, vx = v[:ny], v[ny:]
+                return np.concatenate([A1 @ vy + J11 @ vx,
                                        self.M_KL @ vy - self.A_K @ vx - D * vx])
 
             delta = None
@@ -351,7 +367,7 @@ class Stepper:
                 linear_iters += n_krylov
             if delta is None:  # refactor; the old factor goes first, two alive would double memory
                 self.factor = None
-                J = sp.bmat([[J11, A1], [-(self.A_K + sp.diags(D)), self.M_KL]], format="csc")
+                J = sp.bmat([[A1, J11], [self.M_KL, -(self.A_K + sp.diags(D))]], format="csc")
                 try:
                     self.factor = splu(J)
                 except RuntimeError as exc:  # exactly singular Jacobian
@@ -361,7 +377,7 @@ class Stepper:
                 delta = self.factor.solve(-g)
                 if not np.all(np.isfinite(delta)):
                     raise failure("non-finite Newton correction", res)
-            dx, dy = delta[:nx], delta[nx:]
+            dy, dx = delta[:ny], delta[ny:]
 
             # damped update: the first factor that lowers the residual, else the last one
             for lam in DAMPING_FACTORS:

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -108,6 +109,17 @@ def test_final_time_rounding_to_zero_steps_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [("newton.tol_abs", "-1"), ("newton.tol_rel", "-1e-10"),
+                                       ("newton.max_iter", "0"), ("newton.max_iter", "-3"),
+                                       ("newton.max_tau_halvings", "-1")])
+def test_invalid_newton_parameter_exits_1(tmp_path, capsys, key, value):
+    p = tmp_path / "n.cfg"
+    p.write_text(SHORT_CFG + f"{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -208,6 +220,21 @@ def test_cont_dep_subcommand(tmp_path, capsys):
                  + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
     assert main(["cont-dep", "--config", str(p), "--amplitudes", "0,1e-3"]) == 0
     assert "zero_is_zero: True" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("amplitudes", ["0,1e-3,2e-3", "0,1e-3"])
+def test_cont_dep_prints_ratio_with_fixed_digits(tmp_path, capsys, amplitudes):
+    p = tmp_path / "c.cfg"
+    p.write_text(SHORT_CFG.replace("init.mode = random", "init.mode = bubbles")
+                 + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
+    assert main(["cont-dep", "--config", str(p), "--amplitudes", amplitudes]) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    ratio = last.split("first_order_ratio: ")[1]
+    if amplitudes.count(",") == 1:  # one nonzero amplitude: no ratio
+        assert ratio == "None"
+    else:
+        assert re.fullmatch(r"\d\.\d{9}e[+-]\d{2}", ratio), last
+        assert float(ratio) == pytest.approx(1.0, abs=0.2)
 
 
 def test_non_integer_thread_count_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import xlogy
 
 from bscch.errors import InvalidArgument
 from bscch.potentials import (
@@ -194,3 +200,26 @@ def test_certificate_holds_on_grid(kind):
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidArgument):
         make_potential("polynomial")
+
+
+def test_log_value_matches_xlogy_reference():
+    cp = make_potential("log").convex
+    r = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.0, -1.0, 1.0, np.nextafter(1.0, 0.0)]])
+    ref = 0.5 * cp.theta * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r))
+    np.testing.assert_allclose(cp.value(r), ref, rtol=0.0, atol=1e-15)
+    assert cp.value(1.0) == pytest.approx(cp.theta * np.log(2.0), rel=1e-15)  # 0 log 0 = 0
+    outside = np.array([-1.5, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), 3.0])
+    with np.errstate(all="raise"):  # no warning leaks from the unused branch
+        assert np.all(cp.value(outside) == np.inf)
+        assert cp.value(2.0) == np.inf
+
+
+def test_cli_import_does_not_load_scipy_special():
+    # the package needs no scipy.special; importing it costs memory and start-up time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, bscch.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

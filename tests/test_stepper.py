@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from dataclasses import replace
 
 import bscch.stepper
@@ -349,6 +350,32 @@ def test_non_finite_kept_factor_refactors(monkeypatch, factor):
     stepper.factor = factor(jacobian_shape)
     with pytest.raises(StepFailure):
         stepper.step(new)
+
+
+# the nine (K, L) cases with alpha = beta = 1, then alpha=0.5/beta=2 and K=0/alpha=0
+FACTOR_CASES = [(K, L, 1.0, 1.0) for K, L in itertools.product([0.0, 1.0, np.inf], repeat=2)]
+FACTOR_CASES += [(1.0, 1.0, 0.5, 2.0), (0.0, 1.0, 0.0, 1.0)]
+
+
+@pytest.mark.parametrize("K,L,alpha,beta", FACTOR_CASES)
+def test_jacobian_factor_is_accurate_and_sparse(monkeypatch, K, L, alpha, beta):
+    p = _params(coupling=CouplingParams(K=K, L=L, alpha=alpha, beta=beta))
+    mesh = generate_disk_mesh(32, 8)
+    stepper = Stepper(mesh, p)
+    captured = []
+    factor = bscch.stepper.splu
+    monkeypatch.setattr(bscch.stepper, "splu", lambda J: captured.append(J) or factor(J))
+    stepper.step(initial_state(mesh, p, stepper.forms))
+    J = captured[0]
+    # (a) the direct solve of a fresh factor meets the Krylov tolerance
+    b = np.random.default_rng(3).standard_normal(J.shape[0])
+    lu = factor(J)
+    assert np.linalg.norm(J @ lu.solve(b) - b) <= bscch.stepper.KRYLOV_RTOL * np.linalg.norm(b)
+    # (b) far fewer L+U nonzeros than scipy's default splu in the (x, y) column order
+    ny = stepper.P_L.shape[1]
+    phase_first = J[:, np.r_[ny:J.shape[0], 0:ny]].tocsc()
+    default = scipy.sparse.linalg.splu(phase_first)
+    assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
 
 def test_followed_by_adds_counts_and_averages_rates():
