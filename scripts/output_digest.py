@@ -60,6 +60,11 @@ def _cases():
                    velocity__bulk="rigid_rotation", velocity__omega="1",
                    velocity__surf="rotation", velocity__speed="1",
                    output__every="5", output__vtk="true"))
+    # both Dirichlet cases with weights that are not exact in binary, and convection
+    yield ("run-K0-L0-a0.8-b1.2-convection", run,
+           _config(model__K="0", model__L="0", model__alpha="0.8", model__beta="1.2",
+                   velocity__bulk="rigid_rotation", velocity__omega="1",
+                   velocity__surf="rotation", velocity__speed="1"))
     # a 2-iteration Newton budget that fails at tau and is rescued by halving
     yield ("run-tau-halving", run,
            _config(time__T="2e-4", yosida__eps="0.02", init__amplitude="0.6",
@@ -68,6 +73,9 @@ def _cases():
     yield ("limit-study-L->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "L->0", "--schedule", "1,0.5,0.25"],
            short)
+    yield ("limit-study-K->0",  # the last member is the K = 0 (Dirichlet) case
+           ["limit-study", "--config", "CONFIG", "--parameter", "K->0", "--schedule", "1,0.5,0"],
+           _config(time__T="5e-4", model__alpha="0.8", model__beta="1.2"))
     yield ("limit-study-eps->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "eps->0",
             "--schedule", "0.1,0.05,0.025"], short)

@@ -35,7 +35,6 @@ from .mesh import TriMesh, generate_disk_mesh, mesh_stats, read_mesh, write_mesh
 from .potentials import (
     Potential,
     check_domination,
-    eval_regularized,
     make_potential,
     moreau_envelope,
     resolvent,

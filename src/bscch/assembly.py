@@ -3,8 +3,9 @@
 Operators act on nodal coefficient vectors.  Bulk matrices are indexed by
 vertex; surface matrices by position along the boundary loop.  Pair vectors
 concatenate (bulk, surface) blocks.  The case-dependent trial/test space
-reductions (Dirichlet couplings K=0 / L=0) are realized by sparse
-prolongation matrices, so constraints hold exactly.
+reductions (Dirichlet couplings K=0 / L=0) are realized by index maps
+that slave boundary bulk values to surface values, so constraints hold
+exactly.
 """
 
 from __future__ import annotations
@@ -263,58 +264,96 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
 
 
 @dataclass(frozen=True)
+class CaseSpace:
+    """One case space in index form: ``idx`` holds the positions of the
+    reduced coordinates in the full pair vector of length ``size``; in a
+    Dirichlet case (K = 0 or L = 0) each boundary bulk row ``slaved[i]`` is
+    ``weight`` times the reduced surface slot ``masters[i]`` (both empty
+    otherwise).  ``prolong`` is P x, ``restrict`` P^T v and ``lumped`` the
+    diagonal of P^T diag(d) P, as index operations bitwise equal to the
+    sparse products; the sparse ``P`` only builds reduced operators.  Like
+    the sparse kernels, each sum starts from +0.0, so a zero result is +0.0
+    (0.0 * x is -0.0 for x < 0)."""
+
+    size: int
+    idx: np.ndarray
+    slaved: np.ndarray
+    masters: np.ndarray
+    weight: float
+
+    def prolong(self, x):
+        full = np.zeros(self.size)
+        full[self.idx] += x
+        full[self.slaved] += self.weight * x[self.masters]
+        return full
+
+    def restrict(self, v):
+        out = 0.0 + v[self.idx]
+        out[self.masters] += self.weight * v[self.slaved]
+        return out
+
+    def lumped(self, d):  # each row of P holds one entry
+        out = 0.0 + d[self.idx]
+        out[self.masters] += self.weight * (self.weight * d[self.slaved])
+        return out
+
+    @cached_property
+    def P(self):
+        n_red = len(self.idx)
+        rows = np.concatenate([self.idx, self.slaved])
+        cols = np.concatenate([np.arange(n_red), self.masters])
+        vals = np.concatenate([np.ones(n_red), np.full(len(self.slaved), self.weight)])
+        return sp.coo_matrix((vals, (rows, cols)), shape=(self.size, n_red)).tocsr()
+
+
+def reduce(test: CaseSpace, op, trial: CaseSpace):
+    """P_test^T op P_trial: the pair-space operator ``op`` between two case spaces."""
+    return (test.P.T @ op @ trial.P).tocsr()
+
+
+@dataclass(frozen=True)
 class CaseSpaces:
     """Dof reductions for one (K, L, alpha, beta) configuration.
 
-    ``P_phase`` prolongs reduced (phi, psi) coordinates to the full pair
-    vector (K = 0 slaves boundary phi to alpha*psi); ``P_chem`` does the
-    same for (mu, theta) with (L, beta).  ``idx_phase``/``idx_chem`` are the
-    positions of the reduced coordinates inside the full pair vector, so
-    ``full[idx]`` restricts and ``(P @ x)[idx] == x``.  ``B_K``/``B_L`` are
-    the sigma-weighted coupling blocks on the full pair space (zero
-    matrices when the respective sigma vanishes).
+    ``phase`` is the (phi, psi) space (K = 0 slaves boundary phi to
+    alpha*psi), ``chem`` the (mu, theta) space with (L, beta).
+    ``B_K``/``B_L`` are the sigma-weighted coupling blocks on the full pair
+    space (zero matrices when the respective sigma vanishes).
     """
 
-    cp: CouplingParams
-    P_phase: sp.csr_matrix
-    P_chem: sp.csr_matrix
-    idx_phase: np.ndarray
-    idx_chem: np.ndarray
+    phase: CaseSpace
+    chem: CaseSpace
     B_K: sp.csr_matrix
     B_L: sp.csr_matrix
 
+    @property
+    def P_phase(self):
+        return self.phase.P
 
-def _case_space(mesh: TriMesh, dirichlet: bool, weight):
-    """Reduced-coordinate indices and prolongation of one case space.
 
-    The Dirichlet space keeps the interior bulk dofs and the surface dofs;
-    each boundary bulk dof is slaved to ``weight`` times its surface dof.
-    """
+def _case_space(mesh: TriMesh, dirichlet: bool, weight) -> CaseSpace:
+    """The full pair space, or the Dirichlet space: the interior bulk dofs
+    and the surface dofs, each boundary bulk dof slaved to ``weight`` times
+    its surface dof."""
     n, b = mesh.n_vertices, mesh.n_boundary
     if not dirichlet:
-        return np.arange(n + b), sp.identity(n + b, format="csr")
-    loop = mesh.boundary_loop
+        none = np.zeros(0, dtype=np.intp)
+        return CaseSpace(n + b, np.arange(n + b), none, none, float(weight))
     is_bnd = np.zeros(n, dtype=bool)
-    is_bnd[loop] = True
+    is_bnd[mesh.boundary_loop] = True
     interior = np.flatnonzero(~is_bnd)
     idx = np.concatenate([interior, n + np.arange(b)])
-    n_red = len(idx)
-    rows = np.concatenate([idx, loop])
-    cols = np.concatenate([np.arange(n_red), len(interior) + np.arange(b)])
-    vals = np.concatenate([np.ones(n_red), np.full(b, float(weight))])
-    return idx, sp.coo_matrix((vals, (rows, cols)), shape=(n + b, n_red)).tocsr()
+    return CaseSpace(n + b, idx, mesh.boundary_loop, len(interior) + np.arange(b), float(weight))
 
 
 def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None) -> CaseSpaces:
-    """Index maps and coupling blocks realizing the four K/L case families."""
+    """Case spaces and coupling blocks realizing the four K/L case families."""
     if forms is None:
         forms = assemble_core(mesh)
     cp.validate_measures(forms.area, forms.perimeter)
-    idx_phase, P_phase = _case_space(mesh, cp.K == 0.0, cp.alpha)
-    idx_chem, P_chem = _case_space(mesh, cp.L == 0.0, cp.beta)
     m = forms.n_bulk + forms.n_surf
     zero = sp.csr_matrix((m, m))
     B_K = cp.sigma_K * forms.coupling_block(cp.alpha) if cp.sigma_K > 0 else zero
     B_L = cp.sigma_L * forms.coupling_block(cp.beta) if cp.sigma_L > 0 else zero
-    return CaseSpaces(cp=cp, P_phase=P_phase, P_chem=P_chem, idx_phase=idx_phase,
-                      idx_chem=idx_chem, B_K=B_K, B_L=B_L)
+    return CaseSpaces(phase=_case_space(mesh, cp.K == 0.0, cp.alpha),
+                      chem=_case_space(mesh, cp.L == 0.0, cp.beta), B_K=B_K, B_L=B_L)

@@ -8,17 +8,26 @@ and the same factorization serves every right-hand side.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+import scipy.sparse.linalg
 
-from .assembly import CaseSpaces, CouplingParams, FormsBundle, assemble_core, build_case_spaces
+from .assembly import (CaseSpace, CouplingParams, FormsBundle, assemble_core, build_case_spaces,
+                       reduce)
 from .errors import InvalidArgument, SolverFailure
 from .mesh import TriMesh
 
 MEAN_TOL = 1e-10
+# The package's one sparse LU: both factored systems (the bordered ones here,
+# the stepper's Newton Jacobian) have a symmetric sparsity pattern, so it takes
+# a minimum-degree ordering on A^T + A and prefers diagonal pivots down to
+# this threshold times the column maximum.
+LU_DIAG_PIVOT_THRESH = 1e-3
+splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
+                         diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)
 
 
 @dataclass(frozen=True)
@@ -37,46 +46,34 @@ class BulkSurfacePair:
 
 
 class BorderedSolver:
-    """LU factorization of [[A, C], [C^T, 0]] for a reduced operator A with
-    mean-constraint columns C."""
+    """Energy form ``op`` on a case space under mean constraints: ``A`` is
+    the reduced P^T op P, ``cols`` the constraint columns on the full pair
+    space (the two plain integrals when ``separate``, else the
+    ``weight``-combined one).  One LU factor of [[A, C], [C^T, 0]], C the
+    restricted columns, serves every right-hand side."""
 
-    def __init__(self, A_red, constraint_cols):
-        self.n = A_red.shape[0]
-        self.m = len(constraint_cols)
-        C = sp.csr_matrix(np.column_stack(constraint_cols))
-        K = sp.bmat([[A_red, C], [C.T, None]], format="csc")
+    def __init__(self, forms: FormsBundle, space: CaseSpace, op, weight, separate):
+        mb, ms = forms.lump_bulk, forms.lump_surf
+        if separate:
+            self.cols = [np.concatenate([mb, np.zeros(forms.n_surf)]),
+                         np.concatenate([np.zeros(forms.n_bulk), ms])]
+        else:
+            self.cols = [np.concatenate([weight * mb, ms])]
+        self.space = space
+        self.A = reduce(space, op, space)
+        C = sp.csr_matrix(np.column_stack([space.restrict(c) for c in self.cols]))
         try:
-            self.lu = splu(K)
+            self.lu = splu(sp.bmat([[self.A, C], [C.T, None]], format="csc"))
         except RuntimeError as exc:
             raise SolverFailure(f"singular bordered system: {exc}") from exc
 
-    def solve(self, rhs, constraint_rhs=None):
-        b = np.zeros(self.n + self.m)
-        b[: self.n] = rhs
-        if constraint_rhs is not None:
-            b[self.n :] = constraint_rhs
-        x = self.lu.solve(b)
-        return x[: self.n]
+    def solve_reduced(self, rhs):
+        """Reduced solution for reduced right-hand side ``rhs``."""
+        return self.lu.solve(np.concatenate([rhs, np.zeros(len(self.cols))]))[: len(rhs)]
 
-
-def _case_system(forms: FormsBundle, P, op, weight, separate):
-    """Energy form ``op`` reduced to the case space with prolongation ``P``.
-
-    Returns the reduced operator P^T op P, the mean-constraint columns on
-    the full pair space (the two plain integrals when ``separate``, else
-    the ``weight``-combined one), and the bordered solver of the reduced
-    operator under those constraints.
-    """
-    A_red = (P.T @ op @ P).tocsr()
-    mb, ms = forms.lump_bulk, forms.lump_surf
-    if separate:
-        cols = [
-            np.concatenate([mb, np.zeros(forms.n_surf)]),
-            np.concatenate([np.zeros(forms.n_bulk), ms]),
-        ]
-    else:
-        cols = [np.concatenate([weight * mb, ms])]
-    return A_red, cols, BorderedSolver(A_red, [P.T @ c for c in cols])
+    def solve(self, rhs):
+        """Full pair solution for full pair right-hand side ``rhs``."""
+        return self.space.prolong(self.solve_reduced(self.space.restrict(rhs)))
 
 
 class InverseCoupledOperator:
@@ -87,19 +84,15 @@ class InverseCoupledOperator:
     on the (L, beta) case space, returning the mean-free solution pair.
     """
 
-    def __init__(self, mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None,
-                 spaces: CaseSpaces | None = None):
+    def __init__(self, mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None):
         self.forms = forms if forms is not None else assemble_core(mesh)
-        self.cp = cp
-        self.spaces = spaces if spaces is not None else build_case_spaces(mesh, cp, self.forms)
-        self.P = self.spaces.P_chem
-        self.op = self.forms.A_pair + self.spaces.B_L
-        _, self._cols_full, self.solver = _case_system(
-            self.forms, self.P, self.op, cp.beta, np.isinf(cp.L))
+        spaces = build_case_spaces(mesh, cp, self.forms)
+        self.op = self.forms.A_pair + spaces.B_L
+        self.solver = BorderedSolver(self.forms, spaces.chem, self.op, cp.beta, np.isinf(cp.L))
 
     def _check_mean_free(self, pair: BulkSurfacePair):
         scale = max(1.0, float(np.linalg.norm(pair.concat())))
-        for c in self._cols_full:
+        for c in self.solver.cols:
             m = c @ pair.concat()
             if abs(m) > MEAN_TOL * scale:
                 raise InvalidArgument(
@@ -108,9 +101,7 @@ class InverseCoupledOperator:
 
     def apply(self, pair: BulkSurfacePair) -> BulkSurfacePair:
         self._check_mean_free(pair)
-        rhs_full = -(self.forms.M_pair @ pair.concat())
-        full = self.P @ self.solver.solve(self.P.T @ rhs_full)
-        b, s = self.forms.split(full)
+        b, s = self.forms.split(self.solver.solve(-(self.forms.M_pair @ pair.concat())))
         return BulkSurfacePair(bulk=b, surf=s)
 
     def energy_product(self, p1: BulkSurfacePair, p2: BulkSurfacePair):
@@ -154,11 +145,8 @@ def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g,
     # reuse the phase-space reduction machinery with beta := alpha
     cp = CouplingParams(K=K, L=np.inf, alpha=alpha, beta=alpha)
     spaces = build_case_spaces(mesh, cp, forms)
-    P = spaces.P_phase
-    _, _, solver = _case_system(forms, P, forms.A_pair + spaces.B_K, alpha, separate)
-    rhs_full = forms.M_pair @ np.concatenate([f, g])
-    full = P @ solver.solve(P.T @ rhs_full)
-    b, s = forms.split(full)
+    solver = BorderedSolver(forms, spaces.phase, forms.A_pair + spaces.B_K, alpha, separate)
+    b, s = forms.split(solver.solve(forms.M_pair @ np.concatenate([f, g])))
     return BulkSurfacePair(bulk=b, surf=s)
 
 
@@ -178,17 +166,16 @@ def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta,
     forms = forms if forms is not None else assemble_core(mesh)
     cp = CouplingParams(K=K, L=np.inf, alpha=alpha, beta=beta)
     spaces = build_case_spaces(mesh, cp, forms)
-    P = spaces.P_phase
-    A_red, (c_full,), solver = _case_system(forms, P, forms.A_pair + spaces.B_K, beta, False)
-    M_red = (P.T @ forms.M_pair @ P).tocsr()
-    c = P.T @ c_full
+    solver = BorderedSolver(forms, spaces.phase, forms.A_pair + spaces.B_K, beta, False)
+    A_red, M_red = solver.A, reduce(spaces.phase, forms.M_pair, spaces.phase)
+    c = spaces.phase.restrict(solver.cols[0])
 
     rng = np.random.default_rng(seed)
     x = rng.standard_normal(A_red.shape[0])
     x -= c * (c @ x) / (c @ c)
     lam_old = np.inf
     for _ in range(max_iter):
-        y = solver.solve(M_red @ x)
+        y = solver.solve_reduced(M_red @ x)
         norm = float(np.sqrt(y @ (M_red @ y)))
         if norm == 0.0:
             raise SolverFailure("inverse iteration collapsed to zero")

@@ -70,15 +70,12 @@ class ConvexPart:
 
     @property
     def prime_domain(self):
-        if self.kind == "reg":
-            return (-math.inf, math.inf)
-        if self.kind == "log":
-            return (-1.0, 1.0)  # open interval
-        return (-1.0, 1.0)  # closed for the obstacle graph
+        return (-math.inf, math.inf) if self.kind == "reg" else (-1.0, 1.0)
 
     @property
     def prime_domain_open(self):
-        """Whether prime_domain is an open interval."""
+        """Whether prime_domain is an open interval (log); the obstacle
+        graph's is closed."""
         return self.kind == "log"
 
     def value(self, r):
@@ -129,14 +126,6 @@ class SmoothPart:
     kind: str
     c: float = DEFAULT_C
     theta_c: float = DEFAULT_THETA_C
-
-    @property
-    def lipschitz_bound(self):
-        if self.kind == "reg":
-            return 4.0 * self.c
-        if self.kind == "log":
-            return self.theta_c
-        return 2.0
 
     def value(self, r):
         r = np.asarray(r, dtype=float)
@@ -278,25 +267,12 @@ def moreau_envelope(cp: ConvexPart, eps, r):
     return (r_arr - j) ** 2 / (2.0 * e) + cp.value(j)
 
 
-def eval_regularized(pot: Potential, eps, r):
-    """Regularized potential value and derivative parts at r.
-
-    Returns ``(F_eps, f1_eps, f2)`` where F_eps is the Moreau envelope of
-    the convex part plus the smooth part, f1_eps the regularized monotone
-    derivative, and f2 the smooth derivative.
-    """
-    e = _as_eps(eps)
-    fe = moreau_envelope(pot.convex, e, r) + pot.smooth.value(r)
-    f1e, _ = yosida(pot.convex, e, r)
-    f2 = pot.smooth.derivative(r)
-    return fe, f1e, f2
-
-
 def quadratic_lower_bound_certificate(pot: Potential, grid=None, max_level=40):
     """Constructive certificate for the quadratic lower bound.
 
     Finds the largest eps = 2^-k such that F_eps(r) >= r^2 - C on a wide
-    grid, with C from a kind-specific closed-form bound.  Returns
+    grid, with F_eps the Moreau envelope of the convex part plus the smooth
+    part and C from a kind-specific closed-form bound.  Returns
     ``(eps_star, C)``.
     """
     kind = pot.kind
@@ -313,7 +289,7 @@ def quadratic_lower_bound_certificate(pot: Potential, grid=None, max_level=40):
         grid = np.linspace(-20.0, 20.0, 4001)
     for k in range(1, max_level + 1):
         e = 2.0**-k
-        fe, _, _ = eval_regularized(pot, e, grid)
+        fe = moreau_envelope(pot.convex, e, grid) + pot.smooth.value(grid)
         if np.all(fe >= grid**2 - C):
             return e, C
     raise InvalidArgument("no admissible regularization level found")

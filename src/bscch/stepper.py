@@ -8,18 +8,17 @@ lagged one step, and the velocity is evaluated at the new time.  This keeps
 every step mass-conservative to roundoff and energy-decreasing without
 convection.
 
-Dirichlet couplings (K=0, L=0) are eliminated exactly through the case-space
-prolongations, so slaved boundary values satisfy their constraints bitwise.
+Dirichlet couplings (K=0, L=0) are eliminated exactly through the case
+spaces' index maps, so slaved boundary values satisfy their constraints
+bitwise.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg
 
 from . import diagnostics as diag
 from .assembly import (
@@ -31,7 +30,9 @@ from .assembly import (
     assemble_core,
     assemble_mobility_stiffness,
     build_case_spaces,
+    reduce,
 )
+from .elliptic import splu
 from .errors import InvalidArgument, StepFailure
 from .mesh import TriMesh, generate_disk_mesh
 from .potentials import Potential, check_domination, yosida
@@ -46,12 +47,8 @@ KRYLOV_RTOL = 1e-12
 KRYLOV_MAX_ITER = 10
 # The Newton unknowns are ordered (y, x), chemical potentials first, so the
 # Jacobian [[A1, M_LK/tau], [M_KL, -(A_K + diag D)]] has square diagonal
-# blocks and a symmetric sparsity pattern.  Its LU factor takes a symmetric
-# fill-reducing ordering (minimum degree on J^T + J) and prefers diagonal
-# pivots down to LU_DIAG_PIVOT_THRESH times the column maximum.
-LU_DIAG_PIVOT_THRESH = 1e-3
-splu = functools.partial(scipy.sparse.linalg.splu, permc_spec="MMD_AT_PLUS_A",
-                         diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)
+# blocks and a symmetric sparsity pattern, which the package's `splu` (a
+# symmetric fill-reducing ordering with diagonal pivoting) is set for.
 
 
 @dataclass
@@ -272,27 +269,25 @@ class Stepper:
                 raise InvalidArgument(f"potential pairing {rep.reason or 'fails domination'}")
         self.spaces = build_case_spaces(mesh, cp, self.forms)
         f = self.forms
-        P_K, P_L = self.spaces.P_phase, self.spaces.P_chem
-        self.P_K, self.P_L = P_K, P_L
-        self.A_K = (P_K.T @ (f.A_pair + self.spaces.B_K) @ P_K).tocsr()
-        self.M_LK = (P_L.T @ f.M_pair @ P_K).tocsr()  # eq1 coupling to phase increment
-        self.M_KL = (P_K.T @ f.M_pair @ P_L).tocsr()  # eq2 coupling to chem unknowns
-        self.BL_red = (P_L.T @ self.spaces.B_L @ P_L).tocsr()
+        phase, chem = self.spaces.phase, self.spaces.chem
+        self.A_K = reduce(phase, f.A_pair + self.spaces.B_K, phase)
+        self.M_LK = reduce(chem, f.M_pair, phase)  # eq1 coupling to phase increment
+        self.M_KL = reduce(phase, f.M_pair, chem)  # eq2 coupling to chem unknowns
+        self.BL_red = reduce(chem, self.spaces.B_L, chem)
         self.lump_pair = np.concatenate([f.lump_bulk, f.lump_surf])
-        # each row of P_K holds one entry p_K, so P_K^T diag(d) P_K = diag(P_K^T (p_K * d))
-        self.p_K = np.asarray(P_K.sum(axis=1)).ravel()
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s, A1) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
         self.factor, self.factor_tau = None, None
 
     def _mobility_blocks(self, phi, psi):
-        """Mobility stiffnesses K_b, K_s at (phi, psi) and A1 = P_L^T (K_pair + B_L) P_L."""
+        """Mobility stiffnesses K_b, K_s at (phi, psi) and A1, the chem-space
+        reduction of K_pair + B_L."""
         p = self.params
         K_b = assemble_mobility_stiffness(self.mesh, p.mob_bulk, phi)
         K_s = assemble_mobility_stiffness(self.mesh, p.mob_surf, psi)
         K_pair = sp.block_diag([K_b, K_s], format="csr")
-        return K_b, K_s, (self.P_L.T @ K_pair @ self.P_L).tocsr() + self.BL_red
+        return K_b, K_s, reduce(self.spaces.chem, K_pair, self.spaces.chem) + self.BL_red
 
     def _nonlinear(self, phase_full):
         """Implicit regularized derivative and its diagonal Jacobian."""
@@ -313,8 +308,9 @@ class Stepper:
         tau = p.tau if tau is None else tau
         f = self.forms
         t_new = state.t + tau
+        phase, chem = self.spaces.phase, self.spaces.chem
 
-        x_n = np.concatenate([state.phi, state.psi])[self.spaces.idx_phase]
+        x_n = np.concatenate([state.phi, state.psi])[phase.idx]
         K_b, K_s, A1 = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
         J11 = (1.0 / tau) * self.M_LK
 
@@ -323,7 +319,7 @@ class Stepper:
         else:
             C_b, C_s = assemble_convection(self.mesh, p.velocity, t_new)
             conv = np.concatenate([C_b @ state.phi, C_s @ state.psi])
-        conv_red = self.P_L.T @ conv
+        conv_red = chem.restrict(conv)
         smooth_n = np.concatenate([p.pot_bulk.smooth.derivative(state.phi),
                                    p.pot_surf.smooth.derivative(state.psi)])
 
@@ -331,18 +327,18 @@ class Stepper:
             return StepFailure(f"{why} (residual {res:.3e})", residual=res, t=t_new)
 
         def residual(x_red, y_red):
-            phase_full = self.P_K @ x_red
+            phase_full = phase.prolong(x_red)
             if not np.all(np.isfinite(phase_full)):
                 raise failure("non-finite phase iterate", np.nan)
             nl, nl_der = self._nonlinear(phase_full)
             g1 = (1.0 / tau) * (self.M_LK @ (x_red - x_n)) - conv_red + A1 @ y_red
             rhs2 = self.lump_pair * (nl + smooth_n)
-            g2 = self.M_KL @ y_red - self.A_K @ x_red - self.P_K.T @ rhs2
+            g2 = self.M_KL @ y_red - self.A_K @ x_red - phase.restrict(rhs2)
             g = np.concatenate([g1, g2])
             return g, float(np.abs(g).max()), nl_der
 
         x = x_n
-        y = np.concatenate([state.mu, state.theta])[self.spaces.idx_chem]
+        y = np.concatenate([state.mu, state.theta])[chem.idx]
         g, res, nl_der = residual(x, y)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
         iters = linear_iters = factorizations = 0
@@ -354,7 +350,7 @@ class Stepper:
                 raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
                 raise failure("Newton did not converge", res)
-            D = self.P_K.T @ (self.p_K * (self.lump_pair * nl_der))
+            D = phase.lumped(self.lump_pair * nl_der)
 
             def apply_jacobian(v):
                 vy, vx = v[:ny], v[ny:]
@@ -388,7 +384,7 @@ class Stepper:
             x, y, g, res, nl_der = x_try, y_try, g_try, res_try, der_try
             iters += 1
 
-        new = State(t_new, *f.split(self.P_K @ x), *f.split(self.P_L @ y))
+        new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)))
         mu, theta = new.mu, new.theta
         gap = p.coupling.beta * theta - f.trace @ mu
         report = StepReport(newton_iters=iters, residual=res, linear_iters=linear_iters,

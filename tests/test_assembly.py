@@ -157,11 +157,19 @@ def test_case_space_restriction_inverts_prolongation(mesh, forms, K, L):
     cp = CouplingParams(K=K, L=L, alpha=0.8, beta=1.2)
     spaces = build_case_spaces(mesh, cp, forms)
     rng = np.random.default_rng(1)
-    for P, idx, dirichlet, weight in ((spaces.P_phase, spaces.idx_phase, K == 0.0, cp.alpha),
-                                      (spaces.P_chem, spaces.idx_chem, L == 0.0, cp.beta)):
+    for space, dirichlet, weight in ((spaces.phase, K == 0.0, cp.alpha),
+                                     (spaces.chem, L == 0.0, cp.beta)):
+        P = space.P
         assert np.array_equal(P.toarray(), _loop_prolongation(mesh, dirichlet, weight))
         x = rng.standard_normal(P.shape[1])
-        assert np.array_equal((P @ x)[idx], x)
+        assert np.array_equal((P @ x)[space.idx], x)
+        # the index form is bitwise the sparse product in both directions,
+        # signed zeros included
+        x[::7] = -0.0
+        assert space.prolong(x).tobytes() == (P @ x).tobytes()
+        v = rng.standard_normal(P.shape[0])
+        v[::7] = -0.0
+        assert space.restrict(v).tobytes() == (P.T @ v).tobytes()
 
 
 def test_core_measures_match_mesh_stats(mesh, forms):

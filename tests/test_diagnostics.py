@@ -16,7 +16,7 @@ from bscch.diagnostics import (
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
 from bscch.output import write_vtk_bulk, write_vtk_surface
-from bscch.potentials import eval_regularized, make_potential
+from bscch.potentials import make_potential, moreau_envelope
 from bscch.stepper import InitialDataSpec, RunConfig, RunParams, run
 
 LOG = make_potential("log")
@@ -68,8 +68,8 @@ def test_energy_constant_state(forms):
     m = 0.4
     phi = np.full(forms.n_bulk, m)
     psi = np.full(forms.n_surf, m)
-    Fe, _, _ = eval_regularized(p.pot_bulk, p.eps, m)
-    Ge, _, _ = eval_regularized(p.pot_surf, p.eps, m)
+    Fe = moreau_envelope(p.pot_bulk.convex, p.eps, m) + p.pot_bulk.smooth.value(m)
+    Ge = moreau_envelope(p.pot_surf.convex, p.eps, m) + p.pot_surf.smooth.value(m)
     expected = forms.area * Fe + forms.perimeter * Ge
     assert energy(phi, psi, forms, p) == pytest.approx(expected, rel=1e-14)
 

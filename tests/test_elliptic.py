@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+import bscch.elliptic
+import bscch.stepper
 from bscch.assembly import CouplingParams, assemble_core
 from bscch.elliptic import (
     BulkSurfacePair,
@@ -70,6 +73,22 @@ def test_non_mean_free_rejected(mesh, forms):
     op = InverseCoupledOperator(mesh, cp, forms=forms)
     with pytest.raises(InvalidArgument):
         op.apply(BulkSurfacePair(np.ones(forms.n_bulk), np.ones(forms.n_surf)))
+
+
+def test_bordered_factor_is_accurate_and_sparse(monkeypatch):
+    # one factor policy for the package: the stepper's Jacobian and the bordered systems
+    assert bscch.stepper.splu is bscch.elliptic.splu
+    captured = []
+    factor = bscch.elliptic.splu
+    monkeypatch.setattr(bscch.elliptic, "splu", lambda A: captured.append(A) or factor(A))
+    InverseCoupledOperator(generate_disk_mesh(32, 8),
+                           CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0))
+    (A,) = captured
+    lu = factor(A)
+    b = np.random.default_rng(5).standard_normal(A.shape[0])
+    assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
+    default = scipy.sparse.linalg.splu(A)
+    assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0, np.inf])

@@ -12,7 +12,6 @@ from bscch.errors import InvalidArgument
 from bscch.potentials import (
     KINDS,
     check_domination,
-    eval_regularized,
     make_potential,
     moreau_envelope,
     quadratic_lower_bound_certificate,
@@ -61,18 +60,19 @@ def test_resolvent_vectorized_matches_scalar(kind):
 def test_eval_regularized_obstacle():
     # eps=0.5, r=2: J=1, f1e=(2-1)/0.5=2, F1e=1, F2=1-4=-3 => Fe=-2, f2=-4
     pot = make_potential("obst")
-    Fe, f1e, f2 = eval_regularized(pot, 0.5, 2.0)
+    Fe = moreau_envelope(pot.convex, 0.5, 2.0) + pot.smooth.value(2.0)
+    f1e, _ = yosida(pot.convex, 0.5, 2.0)
     assert Fe == pytest.approx(-2.0, abs=1e-13)
     assert f1e == pytest.approx(2.0, abs=1e-13)
-    assert f2 == pytest.approx(-4.0, abs=1e-13)
+    assert pot.smooth.derivative(2.0) == pytest.approx(-4.0, abs=1e-13)
 
 
 def test_eval_regularized_quartic():
     # c=1, eps=0.25, r=2: J=1, f1e=(2-1)/0.25=4, f2=-4*2=-8
     pot = make_potential("reg")
-    _, f1e, f2 = eval_regularized(pot, 0.25, 2.0)
+    f1e, _ = yosida(pot.convex, 0.25, 2.0)
     assert f1e == pytest.approx(4.0, abs=1e-12)
-    assert f2 == pytest.approx(-8.0, abs=1e-12)
+    assert pot.smooth.derivative(2.0) == pytest.approx(-8.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -193,7 +193,7 @@ def test_certificate_holds_on_grid(kind):
     assert 0 < eps_star < 1
     grid = np.linspace(-5, 5, 4001)
     for eps in (eps_star, eps_star / 4):
-        Fe, _, _ = eval_regularized(pot, eps, grid)
+        Fe = moreau_envelope(pot.convex, eps, grid) + pot.smooth.value(grid)
         assert np.all(Fe >= 0.25 * grid**2 - C + -1e-10)
 
 
