@@ -65,6 +65,11 @@ def _cases():
            _config(model__K="0", model__L="0", model__alpha="0.8", model__beta="1.2",
                    velocity__bulk="rigid_rotation", velocity__omega="1",
                    velocity__surf="rotation", velocity__speed="1"))
+    # convection switched on by a ramp over the first half of the run
+    yield ("run-ramped-convection", run,
+           _config(model__K="1", model__L="1",
+                   velocity__bulk="rigid_rotation", velocity__omega="1",
+                   velocity__surf="rotation", velocity__speed="1", velocity__ramp="5e-4"))
     # a 2-iteration Newton budget that fails at tau and is rescued by halving
     yield ("run-tau-halving", run,
            _config(time__T="2e-4", yosida__eps="0.02", init__amplitude="0.6",

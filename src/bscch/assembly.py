@@ -101,6 +101,11 @@ class VelocityField:
             raise InvalidArgument(f"unsupported bulk velocity kind {self.bulk_kind!r}")
         if self.surf_kind not in ("none", "rotation"):
             raise InvalidArgument(f"unsupported surface velocity kind {self.surf_kind!r}")
+        for name in ("omega", "speed", "ramp"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or (name == "ramp" and value < 0):
+                bound = " and >= 0" if name == "ramp" else ""
+                raise InvalidArgument(f"velocity.{name} must be finite{bound}, got {value}")
 
     @property
     def is_zero(self):
@@ -307,8 +312,9 @@ class CaseSpace:
 
 
 def reduce(test: CaseSpace, op, trial: CaseSpace):
-    """P_test^T op P_trial: the pair-space operator ``op`` between two case spaces."""
-    return (test.P.T @ op @ trial.P).tocsr()
+    """P_test^T op P_trial, or ``op`` itself (as CSR) when both spaces are full."""
+    full = len(test.idx) == test.size and len(trial.idx) == trial.size
+    return (op if full else test.P.T @ op @ trial.P).tocsr()
 
 
 @dataclass(frozen=True)

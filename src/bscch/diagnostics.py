@@ -53,12 +53,14 @@ def masses(phi, psi, forms: FormsBundle, cp: CouplingParams):
     return mass_bulk, mass_surf, cp.beta * mass_bulk + mass_surf
 
 
-def energy(phi, psi, forms: FormsBundle, params) -> float:
-    """Discrete regularized energy with lumped potential terms."""
+def energy(phi, psi, forms: FormsBundle, params, resolvents=None) -> float:
+    """Discrete regularized energy with lumped potential terms; ``resolvents``
+    = (J(phi), J(psi)) when known."""
     cp = params.coupling
     e = params.eps
-    F = moreau_envelope(params.pot_bulk.convex, e, phi) + params.pot_bulk.smooth.value(phi)
-    G = moreau_envelope(params.pot_surf.convex, e, psi) + params.pot_surf.smooth.value(psi)
+    j_b, j_s = resolvents or (None, None)
+    F = moreau_envelope(params.pot_bulk.convex, e, phi, j_b) + params.pot_bulk.smooth.value(phi)
+    G = moreau_envelope(params.pot_surf.convex, e, psi, j_s) + params.pot_surf.smooth.value(psi)
     val = 0.5 * float(phi @ (forms.A_bulk @ phi)) + float(forms.lump_bulk @ F)
     val += 0.5 * float(psi @ (forms.A_surf @ psi)) + float(forms.lump_surf @ G)
     if cp.sigma_K > 0.0:
@@ -82,7 +84,7 @@ def energy_residual(e_new, e_old, tau, report) -> float:
 
 def make_record(state, forms: FormsBundle, params, report, prev_energy, tau) -> DiagnosticsRecord:
     mb, ms, mc = masses(state.phi, state.psi, forms, params.coupling)
-    en = energy(state.phi, state.psi, forms, params)
+    en = energy(state.phi, state.psi, forms, params, state.nonlinear and state.nonlinear[2])
     resid = 0.0 if prev_energy is None else energy_residual(en, prev_energy, tau, report)
     db, ds = separation_margin(state.phi, state.psi)
     return DiagnosticsRecord(

@@ -21,51 +21,52 @@ def write_series(path, records):
             fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
 
 
+def _bulk_geometry(mesh):
+    """Legacy VTK unstructured grid of the triangulation, up to POINT_DATA."""
+    n, m = mesh.n_vertices, len(mesh.triangles)
+    return ("# vtk DataFile Version 3.0\nbulk phase field snapshot\nASCII\n"
+            f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
+            + "".join("%.17g %.17g 0\n" % (x, y) for x, y in mesh.vertices.tolist())
+            + f"CELLS {m} {4 * m}\n" + "".join("3 %d %d %d\n" % (a, b, c)
+                                                for a, b, c in mesh.triangles.tolist())
+            + f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n")
+
+
+def _surface_geometry(mesh):
+    """Legacy VTK polydata of the boundary loop, up to POINT_DATA."""
+    b = mesh.n_boundary
+    return ("# vtk DataFile Version 3.0\nsurface phase field snapshot\nASCII\n"
+            f"DATASET POLYDATA\nPOINTS {b} double\n"
+            + "".join("%.17g %.17g 0\n" % (x, y)
+                      for x, y in mesh.vertices[mesh.boundary_loop].tolist())
+            + f"LINES {b} {3 * b}\n" + "".join(f"2 {k} {(k + 1) % b}\n" for k in range(b))
+            + f"POINT_DATA {b}\n")
+
+
+def _write_vtk(path, geometry, scalars):
+    """The geometry text, then one block per (name, nodal values) pair."""
+    with open(path, "w") as fh:
+        fh.write(geometry)
+        for name, vals in scalars:
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.write("".join("%.17g\n" % v for v in vals.tolist()))
+
+
 def write_vtk_bulk(path, mesh, phi, mu):
     """Legacy ASCII VTK unstructured grid with nodal scalars phi and mu."""
-    n, m = mesh.n_vertices, len(mesh.triangles)
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("bulk phase field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {n} double\n")
-        for x, y in mesh.vertices:
-            fh.write(f"{_fmt(x)} {_fmt(y)} 0\n")
-        fh.write(f"CELLS {m} {4 * m}\n")
-        for tri in mesh.triangles:
-            fh.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
-        fh.write(f"CELL_TYPES {m}\n")
-        fh.write("5\n" * m)
-        fh.write(f"POINT_DATA {n}\n")
-        for name, vals in (("phi", phi), ("mu", mu)):
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in vals:
-                fh.write(_fmt(v) + "\n")
+    _write_vtk(path, _bulk_geometry(mesh), (("phi", phi), ("mu", mu)))
 
 
 def write_vtk_surface(path, mesh, psi, theta):
     """Legacy ASCII VTK polydata: the boundary loop with scalars psi, theta."""
-    loop = mesh.boundary_loop
-    b = len(loop)
-    with open(path, "w") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("surface phase field snapshot\nASCII\nDATASET POLYDATA\n")
-        fh.write(f"POINTS {b} double\n")
-        for idx in loop:
-            x, y = mesh.vertices[idx]
-            fh.write(f"{_fmt(x)} {_fmt(y)} 0\n")
-        fh.write(f"LINES {b} {3 * b}\n")
-        for k in range(b):
-            fh.write(f"2 {k} {(k + 1) % b}\n")
-        fh.write(f"POINT_DATA {b}\n")
-        for name, vals in (("psi", psi), ("theta", theta)):
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            for v in vals:
-                fh.write(_fmt(v) + "\n")
+    _write_vtk(path, _surface_geometry(mesh), (("psi", psi), ("theta", theta)))
 
 
 def write_snapshots(outdir, mesh, states):
-    """One bulk + one surface VTK file per recorded state."""
+    """One bulk + one surface VTK file per recorded state (mesh text formatted once)."""
     os.makedirs(outdir, exist_ok=True)
+    bulk, surf = _bulk_geometry(mesh), _surface_geometry(mesh)
     for k, s in enumerate(states):
-        write_vtk_bulk(os.path.join(outdir, f"bulk_{k:05d}.vtk"), mesh, s.phi, s.mu)
-        write_vtk_surface(os.path.join(outdir, f"surf_{k:05d}.vtk"), mesh, s.psi, s.theta)
+        _write_vtk(os.path.join(outdir, f"bulk_{k:05d}.vtk"), bulk, (("phi", s.phi), ("mu", s.mu)))
+        _write_vtk(os.path.join(outdir, f"surf_{k:05d}.vtk"), surf,
+                   (("psi", s.psi), ("theta", s.theta)))

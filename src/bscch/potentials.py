@@ -229,11 +229,12 @@ def resolvent(cp: ConvexPart, eps, r):
     return float(s[0]) if scalar else s
 
 
-def yosida(cp: ConvexPart, eps, r):
+def yosida(cp: ConvexPart, eps, r, with_resolvent=False):
     """Yosida approximation value and its derivative at r.
 
-    Returns ``(value, derivative)`` with value = (r - J(r))/eps for the
-    resolvent J.  The derivative is the exact Newton Jacobian of the value:
+    Returns ``(value, derivative)``, or ``(value, derivative, J(r))`` with
+    ``with_resolvent``, with value = (r - J(r))/eps for the resolvent J.
+    The derivative is the exact Newton Jacobian of the value:
     (1 - J'(r))/eps, with the convention that the obstacle derivative is 0
     on the closed interval [-1,1].
     """
@@ -250,20 +251,20 @@ def yosida(cp: ConvexPart, eps, r):
     else:
         jprime = 1.0 / (1.0 + e * cp.second_derivative(j))
         deriv = (1.0 - jprime) / e
-    if scalar:
-        return float(value[0]), float(deriv[0])
-    return value, deriv
+    out = (value, deriv, j) if with_resolvent else (value, deriv)
+    return tuple(float(a[0]) for a in out) if scalar else out
 
 
-def moreau_envelope(cp: ConvexPart, eps, r):
+def moreau_envelope(cp: ConvexPart, eps, r, j=None):
     """Moreau envelope of the convex part, via the resolvent identity.
 
-    F_eps(r) = |r - J(r)|^2 / (2 eps) + F1(J(r)).
+    F_eps(r) = |r - J(r)|^2 / (2 eps) + F1(J(r)); ``j`` is J(r) when the
+    caller already has it.
     """
     e = _as_eps(eps)
     r_arr = np.asarray(r, dtype=float)
     _check_finite(r_arr)
-    j = resolvent(cp, e, r_arr)
+    j = resolvent(cp, e, r_arr) if j is None else j
     return (r_arr - j) ** 2 / (2.0 * e) + cp.value(j)
 
 

@@ -46,9 +46,9 @@ DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAX_ITER = 10
 # The Newton unknowns are ordered (y, x), chemical potentials first, so the
-# Jacobian [[A1, M_LK/tau], [M_KL, -(A_K + diag D)]] has square diagonal
-# blocks and a symmetric sparsity pattern, which the package's `splu` (a
-# symmetric fill-reducing ordering with diagonal pivoting) is set for.
+# Jacobian J0 - diag(0, D), J0 = [[A1, M_LK/tau], [M_KL, -A_K]], has square
+# diagonal blocks and a symmetric sparsity pattern, which the package's `splu`
+# (a symmetric fill-reducing ordering with diagonal pivoting) is set for.
 
 
 @dataclass
@@ -58,6 +58,10 @@ class State:
     psi: np.ndarray
     mu: np.ndarray
     theta: np.ndarray
+    # (value, derivative, (J_bulk, J_surf)) of the regularized derivative at (phi, psi),
+    # set by the step that returned this state and valid for its stepper while phi and
+    # psi are unchanged; None (a state built by hand, a copy) recomputes
+    nonlinear: tuple | None = None
 
     def copy(self):
         return State(self.t, self.phi.copy(), self.psi.copy(), self.mu.copy(), self.theta.copy())
@@ -240,15 +244,15 @@ def _check_mean_admissibility(phi, psi, cp, pot_bulk, pot_surf, forms):
 class Stepper:
     """Holds the assembled operators and advances states in time.
 
-    Each block of the Newton system is built at the rate it changes: the
-    case-space blocks once per run; the lagged-mobility blocks once per step,
-    or once per run when both mobilities are constant (a constant mobility
-    ignores the field); the lumped diagonal of the regularized derivative
-    once per Newton iteration.
+    Each piece of the Newton system is built at the rate it changes: the
+    case-space blocks and unit-ramp convection operators once per run; the
+    mobility blocks and the Jacobian's linear part J0 once per step, or once
+    per run and tau when both mobilities are constant (a constant mobility
+    ignores the field); the lumped diagonal D and the resolvent per iterate.
 
     The Jacobian is factored rarely: ``factor`` is one LU factor kept across
     Newton iterations and steps, and each correction is solved by GMRES
-    preconditioned with it, applying the Jacobian block by block.  A new
+    preconditioned with it, applying the Jacobian as J0 minus D.  A new
     factor is taken (lazily, in the first Newton iteration that needs one)
     when GMRES misses its tolerance, or when the step's tau is not the
     ``factor_tau`` the factor was built for; the correction is then the
@@ -278,6 +282,9 @@ class Stepper:
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s, A1) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
+        vel = params.velocity  # unit-ramp operators: vel.factor(vel.ramp) = 1
+        self.convection = None if vel.is_zero else assemble_convection(mesh, vel, vel.ramp)
+        self.linear = (None, None, None)  # (tau, A1, J0) of the last J0 built
         self.factor, self.factor_tau = None, None
 
     def _mobility_blocks(self, phi, psi):
@@ -290,12 +297,12 @@ class Stepper:
         return K_b, K_s, reduce(self.spaces.chem, K_pair, self.spaces.chem) + self.BL_red
 
     def _nonlinear(self, phase_full):
-        """Implicit regularized derivative and its diagonal Jacobian."""
+        """Implicit regularized derivative, its diagonal Jacobian, the resolvents."""
         p = self.params
         phi, psi = self.forms.split(phase_full)
-        fval, fder = yosida(p.pot_bulk.convex, p.eps, phi)
-        gval, gder = yosida(p.pot_surf.convex, p.eps, psi)
-        return np.concatenate([fval, gval]), np.concatenate([fder, gder])
+        fval, fder, fj = yosida(p.pot_bulk.convex, p.eps, phi, with_resolvent=True)
+        gval, gder, gj = yosida(p.pot_surf.convex, p.eps, psi, with_resolvent=True)
+        return np.concatenate([fval, gval]), np.concatenate([fder, gder]), (fj, gj)
 
     def step(self, state: State, tau: float | None = None):
         """Advance the state by one step; returns (new_state, StepReport).
@@ -312,50 +319,53 @@ class Stepper:
 
         x_n = np.concatenate([state.phi, state.psi])[phase.idx]
         K_b, K_s, A1 = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
-        J11 = (1.0 / tau) * self.M_LK
+        if self.linear[0] != tau or self.linear[1] is not A1:  # J0 without diag(0, D)
+            J0 = sp.bmat([[A1, (1.0 / tau) * self.M_LK], [self.M_KL, -self.A_K]], format="csr")
+            self.linear = (tau, A1, J0)
+        J0 = self.linear[2]
 
-        if p.velocity.is_zero:
+        if self.convection is None:
             conv = np.zeros(f.n_bulk + f.n_surf)
         else:
-            C_b, C_s = assemble_convection(self.mesh, p.velocity, t_new)
-            conv = np.concatenate([C_b @ state.phi, C_s @ state.psi])
-        conv_red = chem.restrict(conv)
+            C_b, C_s = self.convection
+            conv = p.velocity.factor(t_new) * np.concatenate([C_b @ state.phi, C_s @ state.psi])
+        # linear terms in increment form, J0 (y, x - x_n) - lin_n: x = x_n cancels exactly
+        lin_n = np.concatenate([chem.restrict(conv), self.A_K @ x_n])
         smooth_n = np.concatenate([p.pot_bulk.smooth.derivative(state.phi),
                                    p.pot_surf.smooth.derivative(state.psi)])
 
         def failure(why, res):
             return StepFailure(f"{why} (residual {res:.3e})", residual=res, t=t_new)
 
-        def residual(x_red, y_red):
-            phase_full = phase.prolong(x_red)
-            if not np.all(np.isfinite(phase_full)):
-                raise failure("non-finite phase iterate", np.nan)
-            nl, nl_der = self._nonlinear(phase_full)
-            g1 = (1.0 / tau) * (self.M_LK @ (x_red - x_n)) - conv_red + A1 @ y_red
-            rhs2 = self.lump_pair * (nl + smooth_n)
-            g2 = self.M_KL @ y_red - self.A_K @ x_red - phase.restrict(rhs2)
-            g = np.concatenate([g1, g2])
-            return g, float(np.abs(g).max()), nl_der
+        def residual(x_red, y_red, nonlinear=None):
+            if nonlinear is None:
+                phase_full = phase.prolong(x_red)
+                if not np.all(np.isfinite(phase_full)):
+                    raise failure("non-finite phase iterate", np.nan)
+                nonlinear = self._nonlinear(phase_full)
+            g = J0 @ np.concatenate([y_red, x_red - x_n]) - lin_n
+            g[ny:] -= phase.restrict(self.lump_pair * (nonlinear[0] + smooth_n))
+            return g, float(np.abs(g).max()), nonlinear
 
         x = x_n
         y = np.concatenate([state.mu, state.theta])[chem.idx]
-        g, res, nl_der = residual(x, y)
+        ny = len(y)  # Newton unknowns (y, x); the residual rows stay (g1, g2)
+        g, res, nonlinear = residual(x, y, state.nonlinear)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
         iters = linear_iters = factorizations = 0
-        ny = len(y)  # Newton unknowns (y, x); the residual rows stay (g1, g2)
-        if tau != self.factor_tau:  # J11 = M_LK / tau: a factor for another tau is dropped
+        if tau != self.factor_tau:  # J0 holds M_LK / tau: a factor for another tau is dropped
             self.factor = None
         while not res <= tol:  # a NaN residual must fail, not pass as converged
             if not np.isfinite(res):
                 raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
                 raise failure("Newton did not converge", res)
-            D = phase.lumped(self.lump_pair * nl_der)
+            D = phase.lumped(self.lump_pair * nonlinear[1])
 
             def apply_jacobian(v):
-                vy, vx = v[:ny], v[ny:]
-                return np.concatenate([A1 @ vy + J11 @ vx,
-                                       self.M_KL @ vy - self.A_K @ vx - D * vx])
+                w = J0 @ v
+                w[ny:] -= D * v[ny:]
+                return w
 
             delta = None
             if self.factor is not None:
@@ -363,7 +373,7 @@ class Stepper:
                 linear_iters += n_krylov
             if delta is None:  # refactor; the old factor goes first, two alive would double memory
                 self.factor = None
-                J = sp.bmat([[A1, J11], [self.M_KL, -(self.A_K + sp.diags(D))]], format="csc")
+                J = (J0 - sp.diags(np.concatenate([np.zeros(ny), D]))).tocsc()
                 try:
                     self.factor = splu(J)
                 except RuntimeError as exc:  # exactly singular Jacobian
@@ -378,13 +388,13 @@ class Stepper:
             # damped update: the first factor that lowers the residual, else the last one
             for lam in DAMPING_FACTORS:
                 x_try, y_try = x + lam * dx, y + lam * dy
-                g_try, res_try, der_try = residual(x_try, y_try)
+                g_try, res_try, nl_try = residual(x_try, y_try)
                 if res_try < res:
                     break
-            x, y, g, res, nl_der = x_try, y_try, g_try, res_try, der_try
+            x, y, g, res, nonlinear = x_try, y_try, g_try, res_try, nl_try
             iters += 1
 
-        new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)))
+        new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear)
         mu, theta = new.mu, new.theta
         gap = p.coupling.beta * theta - f.trace @ mu
         report = StepReport(newton_iters=iters, residual=res, linear_iters=linear_iters,

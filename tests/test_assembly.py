@@ -12,6 +12,7 @@ from bscch.assembly import (
     assemble_core,
     assemble_mobility_stiffness,
     build_case_spaces,
+    reduce,
     sigma,
 )
 from bscch.errors import InvalidArgument
@@ -194,3 +195,17 @@ def test_velocity_ramp():
     assert vel.factor(0.0) == 0.0
     assert vel.factor(0.25) == pytest.approx(0.5)
     assert vel.factor(10.0) == 1.0
+
+
+def test_reduce_between_full_spaces_is_the_operator(mesh, forms):
+    # L > 0 and K > 0: both case spaces are the full pair space
+    spaces = build_case_spaces(mesh, CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0), forms)
+    for op in (forms.M_pair, forms.A_pair + spaces.B_K):
+        reduced = reduce(spaces.chem, op, spaces.phase)
+        assert reduced is op
+        triple = (spaces.chem.P.T @ op @ spaces.phase.P).tocsr()
+        reduced.sort_indices()
+        triple.sort_indices()
+        np.testing.assert_array_equal(reduced.indptr, triple.indptr)
+        np.testing.assert_array_equal(reduced.indices, triple.indices)
+        np.testing.assert_array_equal(reduced.data, triple.data)

@@ -120,6 +120,19 @@ def test_invalid_newton_parameter_exits_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [("velocity.ramp", "-1"), ("velocity.ramp", "nan"),
+                                       ("velocity.omega", "inf"), ("velocity.omega", "nan")])
+def test_invalid_velocity_exits_1(tmp_path, capsys, key, value):
+    # these ran as unramped (ramp) or ended in a solver failure (omega)
+    other = {"velocity.ramp": "velocity.omega = 1\n", "velocity.omega": ""}[key]
+    p = tmp_path / "v.cfg"
+    p.write_text(SHORT_CFG + f"velocity.bulk = rigid_rotation\n{other}{key} = {value}\n"
+                 f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def test_mesh_subcommand(tmp_path, capsys):

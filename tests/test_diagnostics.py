@@ -15,9 +15,9 @@ from bscch.diagnostics import (
 )
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
-from bscch.output import write_vtk_bulk, write_vtk_surface
+from bscch.output import write_snapshots, write_vtk_bulk, write_vtk_surface
 from bscch.potentials import make_potential, moreau_envelope
-from bscch.stepper import InitialDataSpec, RunConfig, RunParams, run
+from bscch.stepper import InitialDataSpec, RunConfig, RunParams, State, run
 
 LOG = make_potential("log")
 
@@ -93,6 +93,63 @@ def test_energy_recomputed_from_vtk_snapshot(tmp_path, mesh, forms):
     np.testing.assert_array_equal(phi, s.phi)
     recomputed = energy(phi, psi, forms, p)
     assert recomputed == pytest.approx(res.records[-1].energy, abs=1e-12)
+
+
+def _reference_vtk(path, mesh, bulk, first, second):
+    """The value-by-value legacy VTK writer the snapshot writers must match."""
+    def fmt(value):
+        return "%.17g" % float(value)
+
+    with open(path, "w") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        if bulk:
+            n, m = mesh.n_vertices, len(mesh.triangles)
+            fh.write("bulk phase field snapshot\nASCII\nDATASET UNSTRUCTURED_GRID\n")
+            fh.write(f"POINTS {n} double\n")
+            for x, y in mesh.vertices:
+                fh.write(f"{fmt(x)} {fmt(y)} 0\n")
+            fh.write(f"CELLS {m} {4 * m}\n")
+            for tri in mesh.triangles:
+                fh.write(f"3 {tri[0]} {tri[1]} {tri[2]}\n")
+            fh.write(f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n")
+            names = ("phi", "mu")
+        else:
+            b = mesh.n_boundary
+            fh.write("surface phase field snapshot\nASCII\nDATASET POLYDATA\n")
+            fh.write(f"POINTS {b} double\n")
+            for idx in mesh.boundary_loop:
+                x, y = mesh.vertices[idx]
+                fh.write(f"{fmt(x)} {fmt(y)} 0\n")
+            fh.write(f"LINES {b} {3 * b}\n")
+            for k in range(b):
+                fh.write(f"2 {k} {(k + 1) % b}\n")
+            fh.write(f"POINT_DATA {b}\n")
+            names = ("psi", "theta")
+        for name, vals in zip(names, (first, second)):
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            for v in vals:
+                fh.write(fmt(v) + "\n")
+
+
+def test_vtk_writers_match_value_by_value_writer(tmp_path, mesh):
+    rng = np.random.default_rng(5)
+    n, b = mesh.n_vertices, mesh.n_boundary
+    # signed zeros, integer-valued, tiny and huge values format the same way
+    special = np.array([-0.0, 0.0, 1.0, -3.0, 1e-300, -2.5e17, 0.1])
+    phi, mu = rng.standard_normal(n), rng.standard_normal(n) * 1e5
+    psi, theta = rng.standard_normal(b), rng.standard_normal(b) * 1e-7
+    phi[: len(special)] = special
+    theta[: len(special)] = special
+    states = [State(0.0, phi, psi, mu, theta), State(1.0, -phi, psi, 2 * mu, theta)]
+    write_snapshots(str(tmp_path / "snap"), mesh, states)
+    for k, s in enumerate(states):
+        for bulk, name, fields in ((True, "bulk", (s.phi, s.mu)), (False, "surf", (s.psi, s.theta))):
+            ref = tmp_path / f"ref_{name}_{k}.vtk"
+            _reference_vtk(ref, mesh, bulk, *fields)
+            single = tmp_path / f"one_{name}_{k}.vtk"
+            (write_vtk_bulk if bulk else write_vtk_surface)(single, mesh, *fields)
+            assert single.read_bytes() == ref.read_bytes()
+            assert (tmp_path / "snap" / f"{name}_{k:05d}.vtk").read_bytes() == ref.read_bytes()
 
 
 def test_separation_margin_trivial():

@@ -6,9 +6,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 from dataclasses import replace
 
+import bscch.potentials
 import bscch.stepper
 from bscch.assembly import CouplingParams, Mobility, VelocityField
-from bscch.diagnostics import masses
+from bscch.diagnostics import energy, make_record, masses
 from bscch.errors import InvalidArgument, StepFailure
 from bscch.mesh import generate_disk_mesh
 from bscch.potentials import make_potential
@@ -390,3 +391,132 @@ def test_followed_by_adds_counts_and_averages_rates():
     m = a.followed_by(b)
     assert (m.newton_iters, m.linear_iters, m.factorizations) == (5, 12, 1)
     assert (m.residual, m.diss_bulk, m.robin_gap_sq) == (1e-12, 3.0, 2.0)
+
+
+# -- each piece built at its rate -------------------------------------------------
+
+ROTATION = VelocityField(bulk_kind="rigid_rotation", omega=1.0, surf_kind="rotation", speed=1.0)
+
+
+@pytest.mark.parametrize("kind", ["constant", "degenerate"])
+def test_convection_assembled_once_per_stepper(monkeypatch, kind):
+    count = []
+    assemble = bscch.stepper.assemble_convection
+    monkeypatch.setattr(bscch.stepper, "assemble_convection",
+                        lambda *a: count.append(1) or assemble(*a))
+    mob = Mobility(kind=kind, m0=1.0, m1=1.0)
+    p = _params(t_final=5e-4, velocity=ROTATION, mob_bulk=mob, mob_surf=mob)
+    res = run(RunConfig(nb=16, nr=4, params=p, keep_states=False))
+    assert len(res.records) == 6 and len(count) == 1
+
+
+def test_ramped_convection_matches_per_step_assembly():
+    vel = replace(ROTATION, ramp=3e-4)
+    p = _params(velocity=vel)
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p, stepper.forms)
+    C_b, C_s = stepper.convection
+    for t in (1e-4, 2e-4, 3e-4, 5e-4):
+        scaled = vel.factor(t) * np.concatenate([C_b @ state.phi, C_s @ state.psi])
+        D_b, D_s = bscch.stepper.assemble_convection(mesh, vel, t)
+        direct = np.concatenate([D_b @ state.phi, D_s @ state.psi])
+        assert np.abs(scaled - direct).max() <= 1e-15 * np.abs(direct).max()
+    # the step uses the unit-ramp operators scaled by the ramp at the new time
+    new, report = stepper.step(state)
+    s = vel.factor(state.t + p.tau)
+    assert report.conv_power_bulk == float(new.mu @ (s * (C_b @ state.phi)))
+    assert report.conv_power_surf == float(new.theta @ (s * (C_s @ state.psi)))
+
+
+def _first_newton_iterate(stepper, p):
+    """(initial state, the first iteration's Jacobian blocks A1, M_LK/tau, M_KL,
+    A_K and lumped diagonal D)."""
+    state = initial_state(stepper.mesh, p, stepper.forms)
+    phase = stepper.spaces.phase
+    x_n = np.concatenate([state.phi, state.psi])[phase.idx]
+    _, derivative, _ = stepper._nonlinear(phase.prolong(x_n))
+    D = phase.lumped(stepper.lump_pair * derivative)
+    A1 = stepper.run_mobility[2]
+    return state, (A1, (1.0 / p.tau) * stepper.M_LK, stepper.M_KL, stepper.A_K, D)
+
+
+@pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
+def test_refactor_matrix_equals_block_form(monkeypatch, K, L):
+    p = _params(K=K, L=L)
+    stepper = Stepper(generate_disk_mesh(16, 4), p)
+    state, (A1, J11, M_KL, A_K, D) = _first_newton_iterate(stepper, p)
+    captured = []
+    factor = bscch.stepper.splu
+    monkeypatch.setattr(bscch.stepper, "splu", lambda J: captured.append(J) or factor(J))
+    stepper.step(state)
+    blocks = sp.bmat([[A1, J11], [M_KL, -(A_K + sp.diags(D))]], format="csc")
+    np.testing.assert_array_equal(captured[0].toarray(), blocks.toarray())
+
+
+@pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
+def test_apply_jacobian_matches_block_application(monkeypatch, K, L):
+    p = _params(K=K, L=L)
+    stepper = Stepper(generate_disk_mesh(16, 4), p)
+    state, (A1, J11, M_KL, A_K, D) = _first_newton_iterate(stepper, p)
+    # a kept factor sends the first iteration to GMRES, whose operator is applied
+    # there (its D changes with the iteration)
+    stepper.factor, stepper.factor_tau = _NonFiniteFactor(A1), p.tau
+    ny = A1.shape[0]
+    vs = [np.random.default_rng(seed).standard_normal(ny + len(D)) for seed in range(3)]
+    applied = []
+    monkeypatch.setattr(bscch.stepper, "_krylov", lambda apply, *rest: (
+        applied.append([apply(v) for v in vs]) or (None, 0)))
+    stepper.step(state)
+    for v, got in zip(vs, applied[0]):
+        vy, vx = v[:ny], v[ny:]
+        blockwise = np.concatenate([A1 @ vy + J11 @ vx, M_KL @ vy - A_K @ vx - D * vx])
+        assert np.abs(got - blockwise).max() <= 1e-14 * np.abs(blockwise).max()
+
+
+def test_half_step_after_full_step_equals_fresh_stepper():
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p, stepper.forms)
+    stepper.step(state, p.tau)
+    half, half_report = stepper.step(state, p.tau / 2)
+    assert stepper.linear[0] == p.tau / 2
+    fresh, fresh_report = Stepper(mesh, p).step(state, p.tau / 2)
+    assert half_report == fresh_report
+    for name in ("phi", "psi", "mu", "theta"):
+        np.testing.assert_array_equal(getattr(half, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("K,pot", [(1.0, "log"), (0.0, "obst")])
+def test_record_energy_equals_recomputed_energy(K, pot):
+    potential = make_potential(pot)
+    p = _params(K=K, pot_bulk=potential, pot_surf=potential, velocity=ROTATION, t_final=5e-4)
+    res = run(RunConfig(nb=16, nr=4, params=p))
+    assert len(res.records) == len(res.states) == 6
+    for rec, s in zip(res.records, res.states):
+        assert s.nonlinear is None  # kept states are copies: the energy is recomputed
+        assert rec.energy == energy(s.phi, s.psi, res.forms, p)
+
+
+def test_each_resolvent_evaluated_once(monkeypatch):
+    # two per damping trial (bulk, surface); none for a step's first residual
+    # or for the record of the state it returns
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p, stepper.forms)
+    calls = []
+    resolve = bscch.potentials.resolvent
+    monkeypatch.setattr(bscch.potentials, "resolvent", lambda *a: calls.append(1) or resolve(*a))
+    monkeypatch.setattr(bscch.stepper, "DAMPING_FACTORS", (1.0,))  # one trial per iteration
+    make_record(state, stepper.forms, p, StepReport(newton_iters=0, residual=0.0), None, p.tau)
+    assert len(calls) == 2  # a hand-built state has no resolvents yet
+    for k in range(3):
+        calls.clear()
+        state, report = stepper.step(state)
+        assert report.newton_iters > 0
+        assert len(calls) == 2 * report.newton_iters + (2 if k == 0 else 0)
+        calls.clear()
+        make_record(state, stepper.forms, p, report, 0.0, p.tau)
+        assert calls == []
