@@ -74,6 +74,11 @@ def _cases():
     yield ("run-tau-halving", run,
            _config(time__T="2e-4", yosida__eps="0.02", init__amplitude="0.6",
                    init__margin="0.02", newton__max_iter="2", newton__max_tau_halvings="6"))
+    # a separated state: two bubbles at +-1 and log at small eps, where the resolvent's
+    # root lies within rounding of +-1
+    yield ("run-bubbles-log-eps1e-3", run,
+           _config(model__K="1", model__L="1", init__mode="bubbles", yosida__eps="1e-3",
+                   **_pair("log")))
     short = _config(time__T="5e-4")
     yield ("limit-study-L->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "L->0", "--schedule", "1,0.5,0.25"],

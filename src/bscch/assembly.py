@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import InvalidArgument
-from .mesh import TriMesh
+from .mesh import CsrPattern, TriMesh
 
 
 def sigma(value):
@@ -70,10 +70,10 @@ class Mobility:
     def __post_init__(self):
         if self.kind not in ("constant", "degenerate"):
             raise InvalidArgument(f"unknown mobility kind {self.kind!r}")
-        if self.m0 <= 0:
-            raise InvalidArgument("mobility floor m0 must be positive")
-        if self.kind == "degenerate" and self.m1 < 0:
-            raise InvalidArgument("degenerate mobility amplitude must be nonnegative")
+        if not 0 < self.m0 < math.inf:  # also rejects nan
+            raise InvalidArgument(f"mobility floor m0 must be positive and finite, got {self.m0}")
+        if not math.isfinite(self.m1) or (self.kind == "degenerate" and self.m1 < 0):
+            raise InvalidArgument(f"mobility amplitude m1 must be finite (>= 0 if degenerate), got {self.m1}")
 
     def __call__(self, s):
         if self.kind == "constant":
@@ -165,19 +165,26 @@ class FormsBundle:
         """Pair-space matrix of the boundary mismatch form.
 
         Assembles the bilinear form (w*psi - phi, w*xi - eta) on the surface
-        mass matrix, as a symmetric operator on pair vectors.
+        mass matrix, as a symmetric operator on pair vectors: the blocks
+        [[R^T Ms R, -w R^T Ms], [-w Ms R, w^2 Ms]], entry by entry.
         """
-        R, Ms = self.trace, self.M_surf
-        top = sp.hstack([R.T @ Ms @ R, -weight * (R.T @ Ms)])
-        bot = sp.hstack([-weight * (Ms @ R), weight**2 * Ms])
-        return sp.vstack([top, bot]).tocsr()
+        Ms, n = self.M_surf.tocoo(), self.n_bulk
+        loop = self.trace.indices  # the trace R has one entry per row, R[k, loop[k]] = 1
+        rows = np.concatenate([loop[Ms.row], loop[Ms.row], n + Ms.row, n + Ms.row])
+        cols = np.concatenate([loop[Ms.col], n + Ms.col, loop[Ms.col], n + Ms.col])
+        vals = np.concatenate([Ms.data, -weight * Ms.data, -weight * Ms.data, weight**2 * Ms.data])
+        return sp.csr_matrix((vals, (rows, cols)), shape=(n + self.n_surf,) * 2)
 
     def split(self, pair_vec):
         return pair_vec[: self.n_bulk], pair_vec[self.n_bulk :]
 
 
-def _scatter(rows, cols, vals, size):
-    return sp.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size)).tocsr()
+def scatter(pattern: CsrPattern, vals):
+    """The matrix summing the local entries ``vals`` into ``pattern``."""
+    data = np.bincount(pattern.slot, weights=vals.ravel(), minlength=len(pattern.indices))
+    # fresh index arrays: an in-place scipy method must not reach the mesh's pattern
+    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
+                         shape=(pattern.n, pattern.n))
 
 
 def assemble_core(mesh: TriMesh) -> FormsBundle:
@@ -190,14 +197,14 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
     g = mesh.geometry
 
     mass_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
-    M_bulk = _scatter(g.tri_rows, g.tri_cols, g.areas[:, None, None] * mass_local[None, :, :], n)
-    A_bulk = _scatter(g.tri_rows, g.tri_cols, g.areas[:, None, None] * g.gdot, n)
+    M_bulk = scatter(g.tri_pattern, g.areas[:, None, None] * mass_local[None, :, :])
+    A_bulk = scatter(g.tri_pattern, g.areas[:, None, None] * g.gdot)
 
     h = g.lengths
     m_loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     a_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    M_surf = _scatter(g.edge_rows, g.edge_cols, h[:, None, None] * m_loc, b)
-    A_surf = _scatter(g.edge_rows, g.edge_cols, a_loc[None] / h[:, None, None], b)
+    M_surf = scatter(g.edge_pattern, h[:, None, None] * m_loc)
+    A_surf = scatter(g.edge_pattern, a_loc[None] / h[:, None, None])
 
     trace = sp.coo_matrix((np.ones(b), (np.arange(b), mesh.boundary_loop)), shape=(b, n)).tocsr()
 
@@ -225,12 +232,12 @@ def assemble_mobility_stiffness(mesh: TriMesh, mob: Mobility, fld):
     g = mesh.geometry
     if fld.shape == (n,):
         coef = mob(fld[mesh.triangles].mean(axis=1)) * g.areas
-        return _scatter(g.tri_rows, g.tri_cols, coef[:, None, None] * g.gdot, n)
+        return scatter(g.tri_pattern, coef[:, None, None] * g.gdot)
     if fld.shape == (b,):
         pe = g.edge_pos
         coef = mob(0.5 * (fld[pe[:, 0]] + fld[pe[:, 1]])) / g.lengths
         a_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return _scatter(g.edge_rows, g.edge_cols, coef[:, None, None] * a_loc, b)
+        return scatter(g.edge_pattern, coef[:, None, None] * a_loc)
     raise InvalidArgument("field length matches neither bulk nor surface node count")
 
 
@@ -251,7 +258,7 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
         # through N_j(centroid) = 1/3
         vdotg = np.einsum("td,tid->ti", vc, g.grads)
         vals = (g.areas[:, None, None] / 3.0) * vdotg[:, :, None] * np.ones((1, 1, 3))
-        C_bulk = _scatter(g.tri_rows, g.tri_cols, vals, n)
+        C_bulk = scatter(g.tri_pattern, vals)
 
     if vel.surf_kind == "none":
         C_surf = sp.csr_matrix((b, b))
@@ -263,7 +270,7 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
         # dN/ds = (-1/h, +1/h), N_j(mid) = 1/2, edge length h
         dn = np.stack([-np.ones(b), np.ones(b)], axis=1)
         vals = (0.5 * wt)[:, None, None] * dn[:, :, None] * np.ones((1, 1, 2))
-        C_surf = _scatter(g.edge_rows, g.edge_cols, vals, b)
+        C_surf = scatter(g.edge_pattern, vals)
 
     return C_bulk, C_surf
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 
 from .assembly import CouplingParams, Mobility, VelocityField
-from .errors import ValidationError
+from .errors import InvalidArgument, ValidationError
 from .potentials import KINDS, make_potential
 from .stepper import InitialDataSpec, NewtonParams, RunConfig, RunParams
 
@@ -132,6 +132,13 @@ def resolve(cfg: dict) -> dict:
     return resolved
 
 
+def _mobility(r: dict, key: str) -> Mobility:
+    try:
+        return Mobility(kind=r[f"{key}.kind"], m0=r[f"{key}.m0"], m1=r[f"{key}.m1"])
+    except InvalidArgument as exc:
+        raise ValidationError(f"{key}: {exc}") from None
+
+
 def build_run_config(cfg: dict) -> RunConfig:
     r = resolve(cfg)
     coupling = CouplingParams(K=r["model.K"], L=r["model.L"],
@@ -145,10 +152,8 @@ def build_run_config(cfg: dict) -> RunConfig:
         coupling=coupling,
         pot_bulk=make_potential(r["potential.bulk"], **pot_kwargs),
         pot_surf=make_potential(r["potential.surf"], **pot_kwargs),
-        mob_bulk=Mobility(kind=r["mobility.bulk.kind"], m0=r["mobility.bulk.m0"],
-                          m1=r["mobility.bulk.m1"]),
-        mob_surf=Mobility(kind=r["mobility.surf.kind"], m0=r["mobility.surf.m0"],
-                          m1=r["mobility.surf.m1"]),
+        mob_bulk=_mobility(r, "mobility.bulk"),
+        mob_surf=_mobility(r, "mobility.surf"),
         velocity=VelocityField(bulk_kind=r["velocity.bulk"], omega=r["velocity.omega"],
                                surf_kind=r["velocity.surf"], speed=r["velocity.speed"],
                                ramp=r["velocity.ramp"]),

@@ -21,24 +21,40 @@ FORMAT_HEADER = "bscch-mesh 1"
 
 
 @dataclass(frozen=True)
+class CsrPattern:
+    """n x n CSR pattern of (row, col) entries, entry k at data[slot[k]]; int32 indices, as scipy's."""
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    slot: np.ndarray
+
+
+def csr_pattern(rows, cols, n) -> CsrPattern:
+    entries = np.ravel(rows).astype(np.int64) * n + np.ravel(cols)
+    keys = np.sort(entries)  # np.unique takes ten times as long here, and more memory
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+    return CsrPattern(n, indptr, (keys % n).astype(np.int32), np.searchsorted(keys, entries))
+
+
+@dataclass(frozen=True)
 class MeshGeometry:
     """P1 element data of a mesh, computed once per mesh.
 
     Triangle arrays are indexed by triangle.  Boundary edge ``k`` joins the
-    loop positions ``edge_pos[k] = (k, k + 1 mod B)``.  The scatter patterns
-    give the global (row, col) of each local entry of a 3x3 triangle or 2x2
-    edge matrix, row index varying slowest.
+    loop positions ``edge_pos[k] = (k, k + 1 mod B)``.  The patterns place
+    each local entry of a 3x3 triangle or 2x2 edge matrix (row index varying
+    slowest) in the CSR data of the V x V or B x B matrix.
     """
 
     areas: np.ndarray  # (T,) signed areas
     grads: np.ndarray  # (T, 3, 2) constant P1 basis gradients
     gdot: np.ndarray  # (T, 3, 3) grad N_i . grad N_j
     centroids: np.ndarray  # (T, 2)
-    tri_rows: np.ndarray  # (T, 9) vertex indices
-    tri_cols: np.ndarray
+    tri_pattern: CsrPattern  # vertex indices
     edge_pos: np.ndarray  # (B, 2) loop positions
-    edge_rows: np.ndarray  # (B, 4) loop positions
-    edge_cols: np.ndarray
+    edge_pattern: CsrPattern  # loop positions
     tangents: np.ndarray  # (B, 2) edge vectors, counterclockwise
     lengths: np.ndarray  # (B,)
 
@@ -62,11 +78,10 @@ def _element_geometry(vertices, triangles, loop) -> MeshGeometry:
         grads=grads,
         gdot=np.einsum("tid,tjd->tij", grads, grads),
         centroids=p.mean(axis=1),
-        tri_rows=np.repeat(triangles, 3, axis=1),
-        tri_cols=np.tile(triangles, (1, 3)),
+        tri_pattern=csr_pattern(np.repeat(triangles, 3, axis=1), np.tile(triangles, (1, 3)),
+                                len(vertices)),
         edge_pos=pe,
-        edge_rows=np.repeat(pe, 2, axis=1),
-        edge_cols=np.tile(pe, (1, 2)),
+        edge_pattern=csr_pattern(np.repeat(pe, 2, axis=1), np.tile(pe, (1, 2)), b),
         tangents=tangents,
         lengths=np.linalg.norm(tangents, axis=1),
     )
@@ -125,16 +140,13 @@ def validate_mesh(mesh: TriMesh):
 
     # each boundary edge must belong to exactly one triangle, and the loop
     # must be the full set of single-triangle edges
-    edges = {}
-    for tri in t:
-        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            key = (min(a, b), max(a, b))
-            edges[key] = edges.get(key, 0) + 1
-    single = {k for k, cnt in edges.items() if cnt == 1}
-    if any(cnt > 2 for cnt in edges.values()):
+    def edge_keys(pairs):
+        return np.min(pairs, axis=1) * len(v) + np.max(pairs, axis=1)
+
+    keys, counts = np.unique(edge_keys(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)), return_counts=True)
+    if np.any(counts > 2):
         raise ValidationError("non-manifold edge")
-    loop_edges = {(min(a, b), max(a, b)) for a, b in loop[g.edge_pos]}
-    if loop_edges != single:
+    if not np.array_equal(np.unique(edge_keys(loop[g.edge_pos])), keys[counts == 1]):
         raise ValidationError("boundary loop is not the closed cycle of boundary edges")
 
     # counterclockwise orientation of the loop (positive polygon area)
@@ -157,27 +169,18 @@ def generate_disk_mesh(nb: int, nr: int) -> TriMesh:
         raise InvalidArgument("nr must be >= 1")
 
     angles = 2.0 * np.pi * np.arange(nb) / nb
-    cos, sin = np.cos(angles), np.sin(angles)
-    verts = [np.zeros((1, 2))]
-    for k in range(1, nr + 1):
-        rad = k / nr
-        verts.append(np.stack([rad * cos, rad * sin], axis=1))
-    vertices = np.concatenate(verts, axis=0)
+    rad = np.arange(1, nr + 1)[:, None] / nr
+    rings = np.stack([rad * np.cos(angles), rad * np.sin(angles)], axis=2).reshape(-1, 2)
+    vertices = np.concatenate([np.zeros((1, 2)), rings], axis=0)
 
-    def ring(k, j):
-        return 1 + (k - 1) * nb + (j % nb)
-
-    tris = []
-    for j in range(nb):
-        tris.append((0, ring(1, j), ring(1, j + 1)))
-    for k in range(1, nr):
-        for j in range(nb):
-            tris.append((ring(k, j), ring(k + 1, j), ring(k + 1, j + 1)))
-            tris.append((ring(k, j), ring(k + 1, j + 1), ring(k, j + 1)))
-    triangles = np.array(tris, dtype=np.int64)
-
-    loop = np.array([ring(nr, j) for j in range(nb)], dtype=np.int64)
-    return TriMesh(vertices=vertices, triangles=triangles, boundary_loop=loop)
+    j = np.arange(nb)
+    ring = 1 + np.arange(nr)[:, None] * nb  # first vertex of each ring
+    a, b = ring + j, ring + (j + 1) % nb  # (ring, sector) -> vertex at angle j, j + 1
+    fan = np.stack([np.zeros(nb, dtype=np.int64), a[0], b[0]], axis=1)
+    # two triangles per sector between rings k and k + 1, in sector order
+    band = np.stack([a[:-1], a[1:], b[1:], a[:-1], b[1:], b[:-1]], axis=2).reshape(-1, 3)
+    triangles = np.concatenate([fan, band]).astype(np.int64)
+    return TriMesh(vertices=vertices, triangles=triangles, boundary_loop=a[-1])
 
 
 def mesh_stats(mesh: TriMesh) -> MeshStats:

@@ -31,7 +31,7 @@ DEFAULT_C = 1.0
 DEFAULT_THETA = 0.8
 DEFAULT_THETA_C = 1.6
 
-_BRACKET_MARGIN = 1e-15
+_EDGE_MARGIN = 1e-15  # least distance of the log resolvent from +-1
 
 
 def _xlogx(x):
@@ -186,46 +186,55 @@ def _check_finite(r):
         raise InvalidArgument("non-finite input")
 
 
+def _log_sweep(u, a, y):
+    """One Newton step for tanh(u) + a*u = y in u >= 0."""
+    t = np.tanh(u)
+    return u - (t + a * u - y) / (1.0 - t * t + a)
+
+
+def _reg_sweep(s, k, y):
+    """One Newton step for s + k*s^3 = y in s >= 0."""
+    return s - (s + k * s**3 - y) / (1.0 + 3.0 * k * s * s)
+
+
+def _monotone_newton(sweep, x, a, y, direction):
+    """Newton sweeps moving each entry toward its root in ``direction`` (+1 up,
+    -1 down); an entry stops at its first update that does not move it on."""
+    active, xa, ya = np.arange(x.size), x, y
+    while active.size:
+        new = sweep(xa, a, ya)
+        moved = new > xa if direction > 0 else new < xa
+        active, xa, ya = active[moved], new[moved], ya[moved]
+        x[active] = xa
+    return x
+
+
 def resolvent(cp: ConvexPart, eps, r):
     """(I + eps*f1)^{-1}(r), the unique s with s + eps*f1(s) = r.
 
-    For the obstacle graph this is the projection onto [-1,1].  Smooth
-    kinds are solved by safeguarded Newton with bisection fallback; the
-    residual satisfies |s + eps*f1'(s) - r| <= 1e-13 * max(1, |r|).
+    For the obstacle graph this is the projection onto [-1,1].  Smooth kinds
+    solve for |s| by monotone Newton, so each entry stops at its root to
+    rounding.  ``log``: tanh(u) + eps*theta*u = |r| in u = artanh|s| is
+    concave increasing, and Newton from the lower bound max(|r|/(1 +
+    eps*theta), (|r| - 1)/(eps*theta)) climbs without passing the root;
+    |s| <= 1 - 1e-15 also where tanh(u) rounds to 1.  ``reg``: s + 4*eps*c*s^3
+    = |r| is convex, and Newton from s = |r| descends to the root.
     """
     e = _as_eps(eps)
     r_arr = np.asarray(r, dtype=float)
     _check_finite(r_arr)
     scalar = r_arr.ndim == 0
-    x = np.atleast_1d(r_arr).astype(float).copy()
+    x = np.atleast_1d(r_arr)
+    y = np.abs(x)
 
     if cp.kind == "obst":
         s = np.clip(x, -1.0, 1.0)
-        return float(s[0]) if scalar else s
-
-    # monotone scalar equation; root shares the sign of r and |s| <= |r|
-    lo = np.minimum(0.0, x)
-    hi = np.maximum(0.0, x)
-    if cp.kind == "log":
-        lo = np.maximum(lo, -1.0 + _BRACKET_MARGIN)
-        hi = np.minimum(hi, 1.0 - _BRACKET_MARGIN)
-
-    s = 0.5 * (lo + hi)
-    tol = 1e-13 * np.maximum(1.0, np.abs(x))
-    for _ in range(200):
-        f = cp.minimal_section(s)
-        res = s + e * f - x
-        done = np.abs(res) <= tol
-        if np.all(done):
-            break
-        lo = np.where(res < 0, s, lo)
-        hi = np.where(res > 0, s, hi)
-        deriv = 1.0 + e * cp.second_derivative(s)
-        step = res / deriv
-        cand = s - step
-        bad = (cand <= lo) | (cand >= hi) | ~np.isfinite(cand)
-        cand = np.where(bad, 0.5 * (lo + hi), cand)
-        s = np.where(done, s, cand)
+    elif cp.kind == "log":
+        a = e * cp.theta
+        u = _monotone_newton(_log_sweep, np.maximum(y / (1.0 + a), (y - 1.0) / a), a, y, 1)
+        s = np.copysign(np.minimum(np.tanh(u), 1.0 - _EDGE_MARGIN), x)
+    else:
+        s = np.copysign(_monotone_newton(_reg_sweep, y.copy(), 4.0 * e * cp.c, y, -1), x)
     return float(s[0]) if scalar else s
 
 
@@ -240,11 +249,10 @@ def yosida(cp: ConvexPart, eps, r, with_resolvent=False):
     """
     e = _as_eps(eps)
     r_arr = np.asarray(r, dtype=float)
-    _check_finite(r_arr)
     scalar = r_arr.ndim == 0
     x = np.atleast_1d(r_arr).astype(float)
 
-    j = np.atleast_1d(np.asarray(resolvent(cp, e, x)))
+    j = np.atleast_1d(np.asarray(resolvent(cp, e, x)))  # rejects non-finite r
     value = (x - j) / e
     if cp.kind == "obst":
         deriv = np.where(np.abs(x) <= 1.0, 0.0, 1.0 / e)

@@ -31,10 +31,11 @@ from .assembly import (
     assemble_mobility_stiffness,
     build_case_spaces,
     reduce,
+    scatter,
 )
 from .elliptic import splu
 from .errors import InvalidArgument, StepFailure
-from .mesh import TriMesh, generate_disk_mesh
+from .mesh import TriMesh, csr_pattern, generate_disk_mesh
 from .potentials import Potential, check_domination, yosida
 
 DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
@@ -114,10 +115,10 @@ class RunParams:
     init: InitialDataSpec = InitialDataSpec()
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise InvalidArgument("time step must be positive")
-        if self.t_final < 0:
-            raise InvalidArgument("final time must be nonnegative")
+        if not 0 < self.tau < np.inf:  # also rejects nan
+            raise InvalidArgument(f"time step time.tau must be positive and finite, got {self.tau}")
+        if not 0 <= self.t_final < np.inf:
+            raise InvalidArgument(f"final time time.T must be >= 0 and finite, got {self.t_final}")
         if not (0.0 < self.eps < 1.0):
             raise InvalidArgument("regularization parameter must lie in (0,1)")
 
@@ -245,9 +246,10 @@ class Stepper:
     """Holds the assembled operators and advances states in time.
 
     Each piece of the Newton system is built at the rate it changes: the
-    case-space blocks and unit-ramp convection operators once per run; the
-    mobility blocks and the Jacobian's linear part J0 once per step, or once
-    per run and tau when both mobilities are constant (a constant mobility
+    case-space blocks, unit-ramp convection operators and J0's CSR pattern
+    once per run; the mobility blocks and the data of J0, the Jacobian's
+    linear part, once per step (one scatter, ``linear_map``), or once per
+    run and tau when both mobilities are constant (a constant mobility
     ignores the field); the lumped diagonal D and the resolvent per iterate.
 
     The Jacobian is factored rarely: ``factor`` is one LU factor kept across
@@ -275,26 +277,23 @@ class Stepper:
         f = self.forms
         phase, chem = self.spaces.phase, self.spaces.chem
         self.A_K = reduce(phase, f.A_pair + self.spaces.B_K, phase)
-        self.M_LK = reduce(chem, f.M_pair, phase)  # eq1 coupling to phase increment
-        self.M_KL = reduce(phase, f.M_pair, chem)  # eq2 coupling to chem unknowns
-        self.BL_red = reduce(chem, self.spaces.B_L, chem)
+        self.linear_map = _linear_jacobian_map(mesh, chem, reduce(chem, self.spaces.B_L, chem),
+                                               reduce(chem, f.M_pair, phase),
+                                               reduce(phase, f.M_pair, chem), self.A_K)
         self.lump_pair = np.concatenate([f.lump_bulk, f.lump_surf])
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
-        self.run_mobility = (  # (K_b, K_s, A1) for the whole run, or None: built per step
+        self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
         vel = params.velocity  # unit-ramp operators: vel.factor(vel.ramp) = 1
         self.convection = None if vel.is_zero else assemble_convection(mesh, vel, vel.ramp)
-        self.linear = (None, None, None)  # (tau, A1, J0) of the last J0 built
+        self.linear = (None, None, None)  # (tau, K_b, J0) of the last J0 built
         self.factor, self.factor_tau = None, None
 
     def _mobility_blocks(self, phi, psi):
-        """Mobility stiffnesses K_b, K_s at (phi, psi) and A1, the chem-space
-        reduction of K_pair + B_L."""
+        """Mobility stiffnesses K_b, K_s at (phi, psi)."""
         p = self.params
-        K_b = assemble_mobility_stiffness(self.mesh, p.mob_bulk, phi)
-        K_s = assemble_mobility_stiffness(self.mesh, p.mob_surf, psi)
-        K_pair = sp.block_diag([K_b, K_s], format="csr")
-        return K_b, K_s, reduce(self.spaces.chem, K_pair, self.spaces.chem) + self.BL_red
+        return (assemble_mobility_stiffness(self.mesh, p.mob_bulk, phi),
+                assemble_mobility_stiffness(self.mesh, p.mob_surf, psi))
 
     def _nonlinear(self, phase_full):
         """Implicit regularized derivative, its diagonal Jacobian, the resolvents."""
@@ -318,10 +317,12 @@ class Stepper:
         phase, chem = self.spaces.phase, self.spaces.chem
 
         x_n = np.concatenate([state.phi, state.psi])[phase.idx]
-        K_b, K_s, A1 = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
-        if self.linear[0] != tau or self.linear[1] is not A1:  # J0 without diag(0, D)
-            J0 = sp.bmat([[A1, (1.0 / tau) * self.M_LK], [self.M_KL, -self.A_K]], format="csr")
-            self.linear = (tau, A1, J0)
+        K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
+        if self.linear[0] != tau or self.linear[1] is not K_b:  # J0 without diag(0, D)
+            pattern, linear, over_tau, coef = self.linear_map
+            data = [np.where(over_tau, (1.0 / tau) * linear, linear),
+                    coef * np.concatenate([K_b.data, K_s.data])]
+            self.linear = (tau, K_b, scatter(pattern, np.concatenate(data)))
         J0 = self.linear[2]
 
         if self.convection is None:
@@ -408,6 +409,22 @@ class Stepper:
             report.conv_power_bulk = float(mu @ conv_b)
             report.conv_power_surf = float(theta @ conv_s)
         return new, report
+
+
+def _linear_jacobian_map(mesh, chem, BL_red, M_LK, M_KL, A_K):
+    """J0 = [[A1, M_LK/tau], [M_KL, -A_K]], A1 = P^T diag(K_b, K_s) P + BL_red
+    for the chem space's P, as one pattern and the scatter into it of [the
+    data of F = [[BL_red, M_LK], [M_KL, -A_K]], its M_LK block over tau;
+    coef * (K_b, K_s data)].  Returns (pattern, F data, M_LK mask, coef)."""
+    g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
+    c, w = chem.P.indices, chem.P.data  # P holds one entry per row: w[i] in column c[i]
+    k_rows = np.concatenate([np.repeat(np.arange(p.n), np.diff(p.indptr)) + off
+                             for p, off in ((g.tri_pattern, 0), (g.edge_pattern, n))])
+    k_cols = np.concatenate([g.tri_pattern.indices, n + g.edge_pattern.indices])
+    F = sp.bmat([[BL_red, M_LK], [M_KL, -A_K]], format="coo")
+    pattern = csr_pattern(np.concatenate([F.row, c[k_rows]]), np.concatenate([F.col, c[k_cols]]),
+                          F.shape[0])
+    return pattern, F.data, (F.row < ny) & (F.col >= ny), w[k_rows] * w[k_cols]
 
 
 def _krylov(apply_jacobian, precondition, b):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from bscch.assembly import (
@@ -209,3 +210,34 @@ def test_reduce_between_full_spaces_is_the_operator(mesh, forms):
         np.testing.assert_array_equal(reduced.indptr, triple.indptr)
         np.testing.assert_array_equal(reduced.indices, triple.indices)
         np.testing.assert_array_equal(reduced.data, triple.data)
+
+
+def test_mobility_stiffness_on_fixed_pattern_matches_coo_scatter(mesh):
+    # reference: sum the local matrices through COO, as a general assembler would
+    g, n, b = mesh.geometry, mesh.n_vertices, mesh.n_boundary
+    mob = Mobility(kind="degenerate", m0=0.5, m1=2.0)
+    rng = np.random.default_rng(3)
+    phi, psi = rng.uniform(-1.2, 1.2, n), rng.uniform(-1.2, 1.2, b)
+    tri, pe = mesh.triangles, g.edge_pos
+    bulk = (mob(phi[tri].mean(axis=1)) * g.areas)[:, None, None] * g.gdot
+    surf = (mob(0.5 * (psi[pe[:, 0]] + psi[pe[:, 1]])) / g.lengths)[:, None, None] \
+        * np.array([[1.0, -1.0], [-1.0, 1.0]])
+    for fld, elements, local, size in ((phi, tri, bulk, n), (psi, pe, surf, b)):
+        k = elements.shape[1]
+        rows, cols = np.repeat(elements, k, axis=1), np.tile(elements, (1, k))
+        ref = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
+        got = assemble_mobility_stiffness(mesh, mob, fld)
+        assert got.has_sorted_indices and got.shape == (size, size)
+        diff = np.abs((got - ref.tocsr()).toarray()).max()
+        assert diff <= 1e-14 * np.abs(got.data).max()
+
+
+@pytest.mark.parametrize("alpha", [0.0, 0.8, 1.0])
+def test_coupling_block_bitwise_equal_to_triple_products(forms, alpha):
+    R, Ms = forms.trace, forms.M_surf
+    top = sp.hstack([R.T @ Ms @ R, -alpha * (R.T @ Ms)])
+    bot = sp.hstack([-alpha * (Ms @ R), alpha**2 * Ms])
+    ref = sp.vstack([top, bot]).tocsr()
+    got = forms.coupling_block(alpha)
+    for name in ("indptr", "indices", "data"):
+        assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name

@@ -133,6 +133,31 @@ def test_invalid_velocity_exits_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [("time.tau", "nan"), ("time.T", "nan"),
+                                       ("time.tau", "inf"), ("time.T", "inf")])
+def test_non_finite_time_exits_1(tmp_path, capsys, key, value):
+    # nan raised a ValueError traceback from the step count
+    p = tmp_path / "t.cfg"
+    text = SHORT_CFG.replace(f"{key} = ", "# ")
+    p.write_text(text + f"{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("where", ["bulk", "surf"])
+@pytest.mark.parametrize("lines", ["m0 = nan", "m0 = inf", "kind = degenerate\n{key}.m1 = inf",
+                                   "kind = degenerate\n{key}.m1 = nan"])
+def test_non_finite_mobility_exits_1(tmp_path, capsys, where, lines):
+    # these ended in a solver failure (exit 2, non-finite Newton residual)
+    key = f"mobility.{where}"
+    p = tmp_path / "m.cfg"
+    p.write_text(SHORT_CFG + f"{key}.{lines.format(key=key)}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def test_mesh_subcommand(tmp_path, capsys):

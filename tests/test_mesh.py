@@ -82,6 +82,48 @@ def test_flipped_triangle_rejected():
         TriMesh(m.vertices, tris, m.boundary_loop)
 
 
+def test_non_manifold_edge_rejected():
+    m = generate_disk_mesh(8, 2)
+    tris = np.concatenate([m.triangles, m.triangles[:1]])  # its edges now have 2-3 triangles
+    with pytest.raises(ValidationError, match="non-manifold"):
+        TriMesh(m.vertices, tris, m.boundary_loop)
+
+
+def test_loop_that_is_not_the_boundary_cycle_rejected():
+    m = generate_disk_mesh(8, 2)
+    inner_ring = m.boundary_loop - 8  # a closed counterclockwise cycle, but interior edges
+    with pytest.raises(ValidationError, match="closed cycle of boundary edges"):
+        TriMesh(m.vertices, m.triangles, inner_ring)
+    with pytest.raises(ValidationError, match="closed cycle of boundary edges"):
+        TriMesh(m.vertices, m.triangles, m.boundary_loop[[0, 2, 1, 3, 4, 5, 6, 7]])
+
+
+def _loop_disk_mesh(nb, nr):
+    """The polar construction one vertex and one triangle at a time."""
+    angles = 2.0 * np.pi * np.arange(nb) / nb
+    verts = [np.zeros((1, 2))] + [np.stack([k / nr * np.cos(angles), k / nr * np.sin(angles)], axis=1)
+                                  for k in range(1, nr + 1)]
+
+    def ring(k, j):
+        return 1 + (k - 1) * nb + (j % nb)
+
+    tris = [(0, ring(1, j), ring(1, j + 1)) for j in range(nb)]
+    for k in range(1, nr):
+        for j in range(nb):
+            tris.append((ring(k, j), ring(k + 1, j), ring(k + 1, j + 1)))
+            tris.append((ring(k, j), ring(k + 1, j + 1), ring(k, j + 1)))
+    loop = [ring(nr, j) for j in range(nb)]
+    return np.concatenate(verts), np.array(tris, dtype=np.int64), np.array(loop, dtype=np.int64)
+
+
+@pytest.mark.parametrize("nb,nr", [(8, 1), (16, 4), (64, 16)])
+def test_generator_bitwise_equal_to_loop_construction(nb, nr):
+    m = generate_disk_mesh(nb, nr)
+    for got, ref in zip((m.vertices, m.triangles, m.boundary_loop), _loop_disk_mesh(nb, nr)):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
 def test_generator_input_validation():
     with pytest.raises(InvalidArgument):
         generate_disk_mesh(7, 2)  # odd nb

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import xlogy
 
+import bscch.potentials
 from bscch.errors import InvalidArgument
 from bscch.potentials import (
     KINDS,
@@ -53,6 +55,30 @@ def test_resolvent_vectorized_matches_scalar(kind):
     vec = resolvent(cp, 0.1, grid)
     scalars = np.array([resolvent(cp, 0.1, float(r)) for r in grid])
     np.testing.assert_allclose(vec, scalars, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.05, 0.01, 1e-3])
+def test_log_resolvent_sweeps_bounded_near_the_singularity(monkeypatch, eps):
+    # the bracketed solver ran all of its 200 sweeps at these r: its residual
+    # bound cannot be met in floating point once the root is within ~1e-5 of +-1
+    sweeps = []
+    sweep = bscch.potentials._log_sweep
+    monkeypatch.setattr(bscch.potentials, "_log_sweep", lambda *a: sweeps.append(1) or sweep(*a))
+    cp = make_potential("log").convex
+    r = np.array([1.05, 1.1, 1.3, -1.05, -1.1, -1.3])
+    grid = np.linspace(-1.4, 1.4, 2801)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        for values, bound in ((r, 10), (grid, 15)):
+            sweeps.clear()
+            j = resolvent(cp, eps, values)
+            assert len(sweeps) <= bound
+            assert np.all(np.abs(j) < 1.0) and np.all(np.sign(j) == np.sign(values))
+            assert np.all(np.diff(j[np.argsort(values)]) >= 0.0)
+            # away from the rounding edge at +-1 the root solves its equation
+            inner = np.abs(j) < 0.999
+            lhs = j + eps * cp.theta * np.arctanh(j)
+            assert np.all(np.abs(lhs - values)[inner] <= 1e-14 * np.abs(values)[inner] + 1e-15)
 
 
 # -- regularized evaluation worked examples ----------------------------------

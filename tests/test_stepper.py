@@ -8,7 +8,13 @@ from dataclasses import replace
 
 import bscch.potentials
 import bscch.stepper
-from bscch.assembly import CouplingParams, Mobility, VelocityField
+from bscch.assembly import (
+    CouplingParams,
+    Mobility,
+    VelocityField,
+    assemble_mobility_stiffness,
+    reduce,
+)
 from bscch.diagnostics import energy, make_record, masses
 from bscch.errors import InvalidArgument, StepFailure
 from bscch.mesh import generate_disk_mesh
@@ -437,8 +443,11 @@ def _first_newton_iterate(stepper, p):
     x_n = np.concatenate([state.phi, state.psi])[phase.idx]
     _, derivative, _ = stepper._nonlinear(phase.prolong(x_n))
     D = phase.lumped(stepper.lump_pair * derivative)
-    A1 = stepper.run_mobility[2]
-    return state, (A1, (1.0 / p.tau) * stepper.M_LK, stepper.M_KL, stepper.A_K, D)
+    chem, f = stepper.spaces.chem, stepper.forms
+    K_pair = sp.block_diag(stepper.run_mobility, format="csr")
+    A1 = reduce(chem, K_pair, chem) + reduce(chem, stepper.spaces.B_L, chem)
+    M_LK, M_KL = reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem)
+    return state, (A1, (1.0 / p.tau) * M_LK, M_KL, stepper.A_K, D)
 
 
 @pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
@@ -472,6 +481,29 @@ def test_apply_jacobian_matches_block_application(monkeypatch, K, L):
         vy, vx = v[:ny], v[ny:]
         blockwise = np.concatenate([A1 @ vy + J11 @ vx, M_KL @ vy - A_K @ vx - D * vx])
         assert np.abs(got - blockwise).max() <= 1e-14 * np.abs(blockwise).max()
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.8, 1.2), (0.0, 0.0)])
+@pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
+def test_refreshed_linear_jacobian_matches_block_form(K, L, alpha, beta):
+    # weights not exact in binary or zero, and mobilities that change with the state
+    mob = Mobility(kind="degenerate", m0=0.5, m1=2.0)
+    p = _params(K=K, L=L, coupling=CouplingParams(K=K, L=L, alpha=alpha, beta=beta),
+                mob_bulk=mob, mob_surf=mob, velocity=ROTATION)
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    phase, chem, f = stepper.spaces.phase, stepper.spaces.chem, stepper.forms
+    M_LK, M_KL = reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem)
+    state = initial_state(mesh, p, stepper.forms)
+    for _ in range(2):  # the J0 of each step is the one at the state it starts from
+        K_pair = sp.block_diag([assemble_mobility_stiffness(mesh, mob, state.phi),
+                                assemble_mobility_stiffness(mesh, mob, state.psi)])
+        A1 = reduce(chem, K_pair, chem) + reduce(chem, stepper.spaces.B_L, chem)
+        ref = sp.bmat([[A1, M_LK / p.tau], [M_KL, -stepper.A_K]], format="csr")
+        state, _ = stepper.step(state)
+        J0 = stepper.linear[2]
+        assert J0.shape == ref.shape
+        assert abs(J0 - ref).max() <= 1e-14 * abs(ref).max()
 
 
 def test_half_step_after_full_step_equals_fresh_stepper():
