@@ -96,6 +96,10 @@ def _cases():
         yield (f"elliptic-mms-K{K}", ["elliptic-mms", "--K", K, "--levels", "2"], None)
     for K in ("0", "1"):
         yield (f"poincare-K{K}", ["poincare", "--K", K, "--nb", "16", "--nr", "4"], None)
+    # a mean weight (beta) that differs from the space weight (alpha)
+    for K in ("0", "1"):
+        yield (f"poincare-K{K}-a0.5-b2", ["poincare", "--K", K, "--alpha", "0.5", "--beta", "2",
+                                          "--nb", "16", "--nr", "4"], None)
 
 
 def _digest(argv, cfg):

@@ -49,7 +49,6 @@ from .stepper import (
     RunResult,
     State,
     Stepper,
-    make_initial_data,
     run,
 )
 

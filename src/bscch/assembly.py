@@ -24,8 +24,8 @@ from .mesh import CsrPattern, TriMesh
 def sigma(value):
     """Case weight: 1/x on (0,inf), 0 at the Dirichlet/Neumann endpoints."""
     v = float(value)
-    if v < 0:
-        raise InvalidArgument("coupling parameters must be nonnegative")
+    if not v >= 0:  # also rejects nan
+        raise InvalidArgument(f"extended parameter must be in [0, inf], got {v}")
     if v == 0.0 or math.isinf(v):
         return 0.0
     return 1.0 / v
@@ -41,10 +41,11 @@ class CouplingParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("K", "L"):
-            v = getattr(self, name)
-            if not (v >= 0.0):  # also rejects nan
-                raise InvalidArgument(f"{name} must be in [0, inf], got {v}")
+        for name in ("K", "L", "alpha", "beta"):
+            v, extended = getattr(self, name), name in ("K", "L")
+            if not (v >= 0.0 if extended else math.isfinite(v)):  # also rejects nan
+                bound = "in [0, inf]" if extended else "finite"
+                raise InvalidArgument(f"model.{name} must be {bound}, got {v}")
 
     @property
     def sigma_K(self):
@@ -53,10 +54,6 @@ class CouplingParams:
     @property
     def sigma_L(self):
         return sigma(self.L)
-
-    def validate_measures(self, area, perimeter):
-        if abs(self.alpha * self.beta * area + perimeter) < 1e-12 * (area + perimeter):
-            raise InvalidArgument("alpha*beta*|Omega| + |Gamma| must be nonzero")
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,8 @@ class VelocityField:
 
     The bulk field v = omega*(-y, x) is divergence-free with v.n = 0 on the
     unit circle; the surface field is tangent to each boundary edge by
-    construction.  ``ramp`` > 0 scales both fields by min(1, t/ramp).
+    construction.  ``ramp`` > 0 scales both fields by ``factor(t)`` =
+    min(1, t/ramp).
     """
 
     bulk_kind: str = "none"  # none | rigid_rotation
@@ -117,18 +115,6 @@ class VelocityField:
         if self.ramp > 0:
             return min(1.0, t / self.ramp)
         return 1.0
-
-    def bulk_at(self, points, t):
-        if self.bulk_kind == "none":
-            return np.zeros_like(points)
-        w = self.omega * self.factor(t)
-        return w * np.stack([-points[:, 1], points[:, 0]], axis=1)
-
-    def surf_at(self, points, t):
-        if self.surf_kind == "none":
-            return np.zeros_like(points)
-        s = self.speed * self.factor(t)
-        return s * np.stack([-points[:, 1], points[:, 0]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -160,6 +146,40 @@ class FormsBundle:
     @cached_property
     def A_pair(self):
         return sp.block_diag([self.A_bulk, self.A_surf], format="csr")
+
+    @cached_property
+    def lump_pair(self):
+        return np.concatenate([self.lump_bulk, self.lump_surf])
+
+    def mean_functionals(self, weight, separate):
+        """Pair-space columns c whose products c @ (u, v) are the conserved
+        integrals: int u and int v when ``separate``, else the
+        ``weight``-combined weight * int u + int v."""
+        if separate:
+            return [np.concatenate([self.lump_bulk, np.zeros(self.n_surf)]),
+                    np.concatenate([np.zeros(self.n_bulk), self.lump_surf])]
+        return [np.concatenate([weight * self.lump_bulk, self.lump_surf])]
+
+    def means(self, bulk, surf, weight, separate):
+        """The constant pair (c_b, c_s) carrying the means of (bulk, surf):
+        the separate means, or m * (weight, 1) for the ``weight``-combined
+        mean m, so that (bulk - c_b, surf - c_s) has zero conserved integrals."""
+        if separate:
+            return (self.lump_bulk @ bulk) / self.area, (self.lump_surf @ surf) / self.perimeter
+        m = ((weight * self.lump_bulk) @ bulk + self.lump_surf @ surf) / (
+            weight**2 * self.area + self.perimeter)
+        return weight * m, m
+
+    def validate_measures(self, weight, mean_weight):
+        """Reject a combined mean that vanishes on the constant pairs (weight, 1)."""
+        a, p = self.area, self.perimeter
+        if abs(weight * mean_weight * a + p) < 1e-12 * (a + p):
+            raise InvalidArgument("alpha*beta*|Omega| + |Gamma| must be nonzero")
+
+    def mismatch_sq(self, bulk, surf, weight):
+        """|weight * surf - bulk|_Gamma|^2 in the M_Gamma norm, the form of ``coupling_block``."""
+        gap = weight * surf - self.trace @ bulk
+        return float(gap @ (self.M_surf @ gap))
 
     def coupling_block(self, weight):
         """Pair-space matrix of the boundary mismatch form.
@@ -241,8 +261,8 @@ def assemble_mobility_stiffness(mesh: TriMesh, mob: Mobility, fld):
     raise InvalidArgument("field length matches neither bulk nor surface node count")
 
 
-def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
-    """Convection operators with centroid quadrature.
+def assemble_convection(mesh: TriMesh, vel: VelocityField):
+    """Convection operators with centroid quadrature, at unit ramp factor.
 
     Returns ``(C_bulk, C_surf)`` with C[i, j] = integral of N_j (vel . grad
     N_i); pairing any field with a constant test vector gives zero exactly.
@@ -253,7 +273,7 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
     if vel.bulk_kind == "none":
         C_bulk = sp.csr_matrix((n, n))
     else:
-        vc = vel.bulk_at(g.centroids, t)
+        vc = vel.omega * np.stack([-g.centroids[:, 1], g.centroids[:, 0]], axis=1)
         # vals[t, i, j] = area/3 * v.gradN_i; trial index j enters only
         # through N_j(centroid) = 1/3
         vdotg = np.einsum("td,tid->ti", vc, g.grads)
@@ -266,7 +286,8 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField, t: float):
         pe = g.edge_pos
         pts = mesh.vertices[mesh.boundary_loop]
         mid = 0.5 * (pts[pe[:, 0]] + pts[pe[:, 1]])
-        wt = np.einsum("ed,ed->e", vel.surf_at(mid, t), g.tangents / g.lengths[:, None])
+        v_mid = vel.speed * np.stack([-mid[:, 1], mid[:, 0]], axis=1)
+        wt = np.einsum("ed,ed->e", v_mid, g.tangents / g.lengths[:, None])
         # dN/ds = (-1/h, +1/h), N_j(mid) = 1/2, edge length h
         dn = np.stack([-np.ones(b), np.ones(b)], axis=1)
         vals = (0.5 * wt)[:, None, None] * dn[:, :, None] * np.ones((1, 1, 2))
@@ -344,29 +365,30 @@ class CaseSpaces:
         return self.phase.P
 
 
-def _case_space(mesh: TriMesh, dirichlet: bool, weight) -> CaseSpace:
-    """The full pair space, or the Dirichlet space: the interior bulk dofs
-    and the surface dofs, each boundary bulk dof slaved to ``weight`` times
-    its surface dof."""
-    n, b = mesh.n_vertices, mesh.n_boundary
-    if not dirichlet:
+def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
+    """The case of one extended parameter (K with alpha, or L with beta):
+    ``(space, sigma(value) * coupling_block(weight))``, the block a zero
+    matrix where sigma vanishes.  The space is the full pair space, or at
+    value = 0 the Dirichlet space: the interior bulk dofs and the surface
+    dofs, each boundary bulk dof slaved to ``weight`` times its surface dof."""
+    s, n, b = sigma(value), mesh.n_vertices, mesh.n_boundary
+    block = s * forms.coupling_block(weight) if s > 0 else sp.csr_matrix((n + b, n + b))
+    if value != 0.0:
         none = np.zeros(0, dtype=np.intp)
-        return CaseSpace(n + b, np.arange(n + b), none, none, float(weight))
+        return CaseSpace(n + b, np.arange(n + b), none, none, float(weight)), block
     is_bnd = np.zeros(n, dtype=bool)
     is_bnd[mesh.boundary_loop] = True
     interior = np.flatnonzero(~is_bnd)
     idx = np.concatenate([interior, n + np.arange(b)])
-    return CaseSpace(n + b, idx, mesh.boundary_loop, len(interior) + np.arange(b), float(weight))
+    masters = len(interior) + np.arange(b)
+    return CaseSpace(n + b, idx, mesh.boundary_loop, masters, float(weight)), block
 
 
 def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None) -> CaseSpaces:
     """Case spaces and coupling blocks realizing the four K/L case families."""
     if forms is None:
         forms = assemble_core(mesh)
-    cp.validate_measures(forms.area, forms.perimeter)
-    m = forms.n_bulk + forms.n_surf
-    zero = sp.csr_matrix((m, m))
-    B_K = cp.sigma_K * forms.coupling_block(cp.alpha) if cp.sigma_K > 0 else zero
-    B_L = cp.sigma_L * forms.coupling_block(cp.beta) if cp.sigma_L > 0 else zero
-    return CaseSpaces(phase=_case_space(mesh, cp.K == 0.0, cp.alpha),
-                      chem=_case_space(mesh, cp.L == 0.0, cp.beta), B_K=B_K, B_L=B_L)
+    forms.validate_measures(cp.alpha, cp.beta)
+    phase, B_K = case_space(mesh, forms, cp.K, cp.alpha)
+    chem, B_L = case_space(mesh, forms, cp.L, cp.beta)
+    return CaseSpaces(phase=phase, chem=chem, B_K=B_K, B_L=B_L)

@@ -64,8 +64,7 @@ def energy(phi, psi, forms: FormsBundle, params, resolvents=None) -> float:
     val = 0.5 * float(phi @ (forms.A_bulk @ phi)) + float(forms.lump_bulk @ F)
     val += 0.5 * float(psi @ (forms.A_surf @ psi)) + float(forms.lump_surf @ G)
     if cp.sigma_K > 0.0:
-        gap = cp.alpha * psi - forms.trace @ phi
-        val += 0.5 * cp.sigma_K * float(gap @ (forms.M_surf @ gap))
+        val += 0.5 * cp.sigma_K * forms.mismatch_sq(phi, psi, cp.alpha)
     return val
 
 
@@ -231,8 +230,7 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
             return res.robin_gap_sq_integral, None
         if parameter == "L->inf":
             return cp.sigma_L**2 * res.robin_gap_sq_integral, _mass_drift(res)
-        gap = cp.alpha * final.psi - forms.trace @ final.phi
-        gap_norm = float(np.sqrt(gap @ (forms.M_surf @ gap)))
+        gap_norm = float(np.sqrt(forms.mismatch_sq(final.phi, final.psi, cp.alpha)))
         if parameter == "K->0":
             return gap_norm, None
         return 0.5 * cp.sigma_K * gap_norm**2, None

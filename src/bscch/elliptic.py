@@ -15,12 +15,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .assembly import (CaseSpace, CouplingParams, FormsBundle, assemble_core, build_case_spaces,
-                       reduce)
+from .assembly import CouplingParams, FormsBundle, assemble_core, case_space, reduce
 from .errors import InvalidArgument, SolverFailure
 from .mesh import TriMesh
 
 MEAN_TOL = 1e-10
+# inverse power iteration of the Poincare constant: relative eigenvalue change
+# at which it stops, its iteration cap and the seed of its start vector
+POINCARE_TOL = 1e-8
+POINCARE_MAX_ITER = 500
+POINCARE_SEED = 0
 # The package's one sparse LU: both factored systems (the bordered ones here,
 # the stepper's Newton Jacobian) have a symmetric sparsity pattern, so it takes
 # a minimum-degree ordering on A^T + A and prefers diagonal pivots down to
@@ -46,34 +50,43 @@ class BulkSurfacePair:
 
 
 class BorderedSolver:
-    """Energy form ``op`` on a case space under mean constraints: ``A`` is
-    the reduced P^T op P, ``cols`` the constraint columns on the full pair
-    space (the two plain integrals when ``separate``, else the
-    ``weight``-combined one).  One LU factor of [[A, C], [C^T, 0]], C the
-    restricted columns, serves every right-hand side."""
+    """The energy form ``op`` = A_pair + sigma(value) * coupling_block(weight)
+    on the case space of one extended parameter ``value`` with trace weight
+    ``weight``, under the conserved mean constraints: the separate means
+    at value = inf, else the ``mean_weight``-combined one.  ``A`` is the
+    reduced P^T op P, ``cols`` the constraint columns on the full pair
+    space.  One LU factor of [[A, C], [C^T, 0]], C the restricted columns,
+    serves every right-hand side."""
 
-    def __init__(self, forms: FormsBundle, space: CaseSpace, op, weight, separate):
-        mb, ms = forms.lump_bulk, forms.lump_surf
-        if separate:
-            self.cols = [np.concatenate([mb, np.zeros(forms.n_surf)]),
-                         np.concatenate([np.zeros(forms.n_bulk), ms])]
-        else:
-            self.cols = [np.concatenate([weight * mb, ms])]
-        self.space = space
-        self.A = reduce(space, op, space)
-        C = sp.csr_matrix(np.column_stack([space.restrict(c) for c in self.cols]))
+    def __init__(self, mesh: TriMesh, forms: FormsBundle, value, weight, mean_weight):
+        self.forms = forms
+        self.space, block = case_space(mesh, forms, value, weight)
+        forms.validate_measures(weight, mean_weight)
+        self.cols = forms.mean_functionals(mean_weight, np.isinf(value))
+        self.op = forms.A_pair + block
+        self.A = reduce(self.space, self.op, self.space)
+        C = sp.csr_matrix(np.column_stack([self.space.restrict(c) for c in self.cols]))
         try:
             self.lu = splu(sp.bmat([[self.A, C], [C.T, None]], format="csc"))
         except RuntimeError as exc:
             raise SolverFailure(f"singular bordered system: {exc}") from exc
 
+    def check_mean_free(self, rhs):
+        """Reject a full pair right-hand side whose constraint integrals do not vanish."""
+        scale = max(1.0, float(np.linalg.norm(rhs)))
+        for c in self.cols:
+            m = c @ rhs
+            if abs(m) > MEAN_TOL * scale:
+                raise InvalidArgument(f"right-hand side is not mean-free (residual mean {m:.3e})")
+
     def solve_reduced(self, rhs):
         """Reduced solution for reduced right-hand side ``rhs``."""
         return self.lu.solve(np.concatenate([rhs, np.zeros(len(self.cols))]))[: len(rhs)]
 
-    def solve(self, rhs):
+    def solve(self, rhs) -> BulkSurfacePair:
         """Full pair solution for full pair right-hand side ``rhs``."""
-        return self.space.prolong(self.solve_reduced(self.space.restrict(rhs)))
+        x = self.space.prolong(self.solve_reduced(self.space.restrict(rhs)))
+        return BulkSurfacePair(*self.forms.split(x))
 
 
 class InverseCoupledOperator:
@@ -85,28 +98,16 @@ class InverseCoupledOperator:
     """
 
     def __init__(self, mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None):
-        self.forms = forms if forms is not None else assemble_core(mesh)
-        spaces = build_case_spaces(mesh, cp, self.forms)
-        self.op = self.forms.A_pair + spaces.B_L
-        self.solver = BorderedSolver(self.forms, spaces.chem, self.op, cp.beta, np.isinf(cp.L))
-
-    def _check_mean_free(self, pair: BulkSurfacePair):
-        scale = max(1.0, float(np.linalg.norm(pair.concat())))
-        for c in self.solver.cols:
-            m = c @ pair.concat()
-            if abs(m) > MEAN_TOL * scale:
-                raise InvalidArgument(
-                    f"right-hand side is not mean-free (residual mean {m:.3e})"
-                )
+        forms = forms if forms is not None else assemble_core(mesh)
+        self.solver = BorderedSolver(mesh, forms, cp.L, cp.beta, cp.beta)
 
     def apply(self, pair: BulkSurfacePair) -> BulkSurfacePair:
-        self._check_mean_free(pair)
-        b, s = self.forms.split(self.solver.solve(-(self.forms.M_pair @ pair.concat())))
-        return BulkSurfacePair(bulk=b, surf=s)
+        self.solver.check_mean_free(pair.concat())
+        return self.solver.solve(-(self.solver.forms.M_pair @ pair.concat()))
 
     def energy_product(self, p1: BulkSurfacePair, p2: BulkSurfacePair):
         """<p1, p2>_{L,beta} with the assembled form."""
-        return float(p1.concat() @ (self.op @ p2.concat()))
+        return float(p1.concat() @ (self.solver.op @ p2.concat()))
 
     def dual_norm(self, pair: BulkSurfacePair) -> float:
         s = self.apply(pair)
@@ -114,8 +115,7 @@ class InverseCoupledOperator:
         return float(np.sqrt(max(val, 0.0)))
 
 
-def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g,
-                          forms: FormsBundle | None = None) -> BulkSurfacePair:
+def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g, forms: FormsBundle) -> BulkSurfacePair:
     """Discrete weak solution of the coupled Poisson system.
 
     Solves <(u,v), (zeta,xi)>_{K,alpha} = <(f,g), (zeta,xi)>_{L2} on the
@@ -123,37 +123,15 @@ def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g,
     (combined for K finite, separate means for the Neumann endpoint).  The
     returned pair has zero generalized mean(s).
     """
-    forms = forms if forms is not None else assemble_core(mesh)
-    K = float(K)
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if f.shape != (forms.n_bulk,) or g.shape != (forms.n_surf,):
+    data = BulkSurfacePair(f, g)
+    if data.bulk.shape != (forms.n_bulk,) or data.surf.shape != (forms.n_surf,):
         raise InvalidArgument("data length does not match mesh")
-
-    separate = np.isinf(K)
-    int_f = forms.lump_bulk @ f
-    int_g = forms.lump_surf @ g
-    scale = max(1.0, float(np.linalg.norm(f)), float(np.linalg.norm(g)))
-    if separate:
-        if abs(int_f) > MEAN_TOL * scale or abs(int_g) > MEAN_TOL * scale:
-            raise InvalidArgument("incompatible data: separate means must vanish")
-    else:
-        if abs(alpha * int_f + int_g) > MEAN_TOL * scale:
-            raise InvalidArgument("incompatible data: alpha*|Omega|<f> + |Gamma|<g> must vanish")
-
-    # the (K, alpha) case space plays the role of the trial/test space;
-    # reuse the phase-space reduction machinery with beta := alpha
-    cp = CouplingParams(K=K, L=np.inf, alpha=alpha, beta=alpha)
-    spaces = build_case_spaces(mesh, cp, forms)
-    solver = BorderedSolver(forms, spaces.phase, forms.A_pair + spaces.B_K, alpha, separate)
-    b, s = forms.split(solver.solve(forms.M_pair @ np.concatenate([f, g])))
-    return BulkSurfacePair(bulk=b, surf=s)
+    solver = BorderedSolver(mesh, forms, float(K), alpha, alpha)
+    solver.check_mean_free(data.concat())
+    return solver.solve(forms.M_pair @ data.concat())
 
 
-def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta,
-                               forms: FormsBundle | None = None,
-                               tol: float = 1e-8, max_iter: int = 500,
-                               seed: int = 0) -> float:
+def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta) -> float:
     """Discrete Poincare constant 1/sqrt(lambda_min).
 
     lambda_min is the smallest eigenvalue of the (K, alpha) energy form
@@ -163,30 +141,28 @@ def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta,
     K = float(K)
     if np.isinf(K):
         raise InvalidArgument("Poincare constant is defined for K in [0, inf)")
-    forms = forms if forms is not None else assemble_core(mesh)
-    cp = CouplingParams(K=K, L=np.inf, alpha=alpha, beta=beta)
-    spaces = build_case_spaces(mesh, cp, forms)
-    solver = BorderedSolver(forms, spaces.phase, forms.A_pair + spaces.B_K, beta, False)
-    A_red, M_red = solver.A, reduce(spaces.phase, forms.M_pair, spaces.phase)
-    c = spaces.phase.restrict(solver.cols[0])
+    forms = assemble_core(mesh)
+    solver = BorderedSolver(mesh, forms, K, alpha, beta)
+    A_red, M_red = solver.A, reduce(solver.space, forms.M_pair, solver.space)
+    c = solver.space.restrict(solver.cols[0])
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(POINCARE_SEED)
     x = rng.standard_normal(A_red.shape[0])
     x -= c * (c @ x) / (c @ c)
     lam_old = np.inf
-    for _ in range(max_iter):
+    for _ in range(POINCARE_MAX_ITER):
         y = solver.solve_reduced(M_red @ x)
         norm = float(np.sqrt(y @ (M_red @ y)))
         if norm == 0.0:
             raise SolverFailure("inverse iteration collapsed to zero")
         x = y / norm
         lam = float(x @ (A_red @ x)) / float(x @ (M_red @ x))
-        if abs(lam - lam_old) <= tol * abs(lam):
+        if abs(lam - lam_old) <= POINCARE_TOL * abs(lam):
             if lam <= 0:
                 raise SolverFailure("nonpositive smallest eigenvalue")
             return 1.0 / np.sqrt(lam)
         lam_old = lam
-    raise SolverFailure(f"inverse power iteration did not converge in {max_iter} iterations")
+    raise SolverFailure(f"inverse power iteration did not converge in {POINCARE_MAX_ITER} iterations")
 
 
 # -- manufactured solutions -------------------------------------------------
@@ -250,22 +226,15 @@ def manufactured_errors(K, mesh_sizes=((32, 8), (64, 16), (128, 32))):
         f_data, g_data = f_ex(x, y), g_ex(ang)
         if np.isinf(K):
             # the continuous means vanish; remove the quadrature defect
-            f_data = f_data - (forms.lump_bulk @ f_data) / forms.area
-            g_data = g_data - (forms.lump_surf @ g_data) / forms.perimeter
+            c_f, c_g = forms.means(f_data, g_data, alpha, True)
+            f_data, g_data = f_data - c_f, g_data - c_g
         sol = solve_coupled_poisson(mesh, K, alpha, f_data, g_data, forms=forms)
         du = sol.bulk - u_ex(x, y)
         dv = sol.surf - v_ex(ang)
-        if np.isinf(K):
-            # separate gauges: match bulk and surface means independently
-            du -= (forms.lump_bulk @ du) / forms.area
-            dv -= (forms.lump_surf @ dv) / forms.perimeter
-        else:
-            # one-dimensional kernel along (alpha, 1): match the combined mean
-            c_b = alpha * forms.lump_bulk
-            c_s = forms.lump_surf
-            shift = (c_b @ du + c_s @ dv) / (alpha**2 * forms.area + forms.perimeter)
-            du -= alpha * shift
-            dv -= shift
+        # separate gauges at K = inf, else the kernel along (alpha, 1): match the means
+        c_u, c_v = forms.means(du, dv, alpha, np.isinf(K))
+        du -= c_u
+        dv -= c_v
         err = np.sqrt(du @ (forms.M_bulk @ du) + dv @ (forms.M_surf @ dv))
         errors.append(float(err))
     return errors

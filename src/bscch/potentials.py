@@ -18,7 +18,7 @@ functions, safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,6 +34,13 @@ DEFAULT_THETA_C = 1.6
 _EDGE_MARGIN = 1e-15  # least distance of the log resolvent from +-1
 
 
+def _check_finite_parameters(part):
+    """Reject a non-finite well parameter: every field of ``part`` after ``kind``."""
+    for name in (f.name for f in fields(part)[1:]):
+        if not math.isfinite(getattr(part, name)):
+            raise InvalidArgument(f"potential.{name} must be finite, got {getattr(part, name)}")
+
+
 def _xlogx(x):
     """x log x, 0 at x = 0; NaN for x < 0 (both branches of np.where are
     evaluated, so the warnings of the unused one are silenced)."""
@@ -43,11 +50,11 @@ def _xlogx(x):
 
 @dataclass(frozen=True)
 class ConvexPart:
-    """Convex component of a well, with its effective domains.
+    """Convex component of a well.
 
-    ``domain`` is the effective domain of the function itself,
-    ``prime_domain`` the domain of its subdifferential.  ``(-inf, inf)``
-    is encoded with math.inf endpoints.
+    ``prime_domain`` holds the endpoints of the domain of its
+    subdifferential, which the effective domain of the function itself
+    shares.  ``(-inf, inf)`` is encoded with math.inf endpoints.
     """
 
     kind: str
@@ -57,16 +64,11 @@ class ConvexPart:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidArgument(f"unknown convex part kind {self.kind!r}")
+        _check_finite_parameters(self)
         if self.kind == "reg" and self.c <= 0:
             raise InvalidArgument("quartic coefficient must be positive")
         if self.kind == "log" and self.theta <= 0:
             raise InvalidArgument("temperature must be positive")
-
-    @property
-    def domain(self):
-        if self.kind == "reg":
-            return (-math.inf, math.inf)
-        return (-1.0, 1.0)
 
     @property
     def prime_domain(self):
@@ -126,6 +128,9 @@ class SmoothPart:
     kind: str
     c: float = DEFAULT_C
     theta_c: float = DEFAULT_THETA_C
+
+    def __post_init__(self):
+        _check_finite_parameters(self)
 
     def value(self, r):
         r = np.asarray(r, dtype=float)

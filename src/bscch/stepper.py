@@ -79,8 +79,8 @@ class NewtonParams:
         # max_iter = 0 is allowed: the step then fails unless already converged
         for name in ("tol_abs", "tol_rel", "max_iter", "max_tau_halvings"):
             value = getattr(self, name)
-            if not value >= 0:  # also rejects NaN
-                raise InvalidArgument(f"newton.{name} must be >= 0, got {value}")
+            if not 0 <= value < np.inf:  # also rejects NaN; an infinite tolerance passes any state
+                raise InvalidArgument(f"newton.{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,11 @@ class InitialDataSpec:
     def __post_init__(self):
         if self.mode not in ("constant", "random", "bubbles"):
             raise InvalidArgument(f"unknown initial data mode {self.mode!r}")
-        if not (0.0 < self.margin < 1.0):
-            raise InvalidArgument("clamp margin must lie in (0,1)")
+        bounds = {"margin": (0.0, 1.0), "mean": (-1.0, 1.0)}  # |mean| >= 1: a clamped constant
+        for name in ("margin", "mean", "amplitude", "radius", "separation"):
+            value, (lo, hi) = getattr(self, name), bounds.get(name, (-np.inf, np.inf))
+            if not lo < value < hi:  # also rejects nan
+                raise InvalidArgument(f"init.{name} must lie in ({lo:g}, {hi:g}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -178,70 +181,6 @@ class RunResult:
     robin_gap_sq_integral: float = 0.0
 
 
-def make_initial_data(spec: InitialDataSpec, mesh: TriMesh, cp: CouplingParams,
-                      pot_bulk: Potential, pot_surf: Potential,
-                      forms: FormsBundle | None = None):
-    """Construct admissible nodal initial data (phi0, psi0).
-
-    Values are clamped into [-1 + margin, 1 - margin]; the K=0 trace
-    constraint is imposed exactly; the mean conditions of the relevant
-    L-case are checked against the interiors of the derivative domains.
-    """
-    forms = forms if forms is not None else assemble_core(mesh)
-    n, b = mesh.n_vertices, mesh.n_boundary
-    lo, hi = -1.0 + spec.margin, 1.0 - spec.margin
-
-    if spec.mode == "constant":
-        phi = np.full(n, float(spec.mean))
-        psi = np.full(b, float(spec.mean))
-    elif spec.mode == "random":
-        rng = np.random.default_rng(spec.seed)
-        phi = spec.mean + spec.amplitude * (2.0 * rng.random(n) - 1.0)
-        psi = spec.mean + spec.amplitude * (2.0 * rng.random(b) - 1.0)
-    else:  # bubbles
-        centers = np.array([[-spec.separation / 2, 0.0], [spec.separation / 2, 0.0]])
-        d = np.min(np.linalg.norm(mesh.vertices[:, None, :] - centers[None], axis=2), axis=1)
-        phi = np.tanh((spec.radius - d) / 0.1)
-        psi = phi[mesh.boundary_loop]
-
-    phi = np.clip(phi, lo, hi)
-    psi = np.clip(psi, lo, hi)
-
-    if cp.K == 0.0:
-        # trace constraint phi|_Gamma = alpha * psi, imposed exactly
-        if cp.alpha == 0.0:
-            phi[mesh.boundary_loop] = 0.0
-        else:
-            psi = phi[mesh.boundary_loop] / cp.alpha
-            if np.any(np.abs(psi) > hi):
-                raise InvalidArgument("slaved surface values exceed the clamp margin")
-
-    _check_mean_admissibility(phi, psi, cp, pot_bulk, pot_surf, forms)
-    return phi, psi
-
-
-def _check_mean_admissibility(phi, psi, cp, pot_bulk, pot_surf, forms):
-    def in_interior(value, convex):
-        lo, hi = convex.prime_domain
-        return lo < value < hi
-
-    mean_b = (forms.lump_bulk @ phi) / forms.area
-    mean_s = (forms.lump_surf @ psi) / forms.perimeter
-    if np.isinf(cp.L):
-        if not in_interior(mean_b, pot_bulk.convex):
-            raise InvalidArgument("initial bulk mean outside int D(f1) (separate-mean condition)")
-        if not in_interior(mean_s, pot_surf.convex):
-            raise InvalidArgument("initial surface mean outside int D(g1) (separate-mean condition)")
-    else:
-        combined = (cp.beta * forms.area * mean_b + forms.perimeter * mean_s) / (
-            cp.beta**2 * forms.area + forms.perimeter
-        )
-        if not in_interior(cp.beta * combined, pot_bulk.convex):
-            raise InvalidArgument("beta * combined mean outside int D(f1) (combined-mean condition)")
-        if not in_interior(combined, pot_surf.convex):
-            raise InvalidArgument("combined mean outside int D(g1) (combined-mean condition)")
-
-
 class Stepper:
     """Holds the assembled operators and advances states in time.
 
@@ -256,9 +195,9 @@ class Stepper:
     Newton iterations and steps, and each correction is solved by GMRES
     preconditioned with it, applying the Jacobian as J0 minus D.  A new
     factor is taken (lazily, in the first Newton iteration that needs one)
-    when GMRES misses its tolerance, or when the step's tau is not the
-    ``factor_tau`` the factor was built for; the correction is then the
-    direct solve with the new factor.
+    when GMRES misses its tolerance, or when J0 is rebuilt for a new tau
+    (J0 holds M_LK / tau); the correction is then the direct solve with the
+    new factor.
     """
 
     def __init__(self, mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None):
@@ -280,14 +219,13 @@ class Stepper:
         self.linear_map = _linear_jacobian_map(mesh, chem, reduce(chem, self.spaces.B_L, chem),
                                                reduce(chem, f.M_pair, phase),
                                                reduce(phase, f.M_pair, chem), self.A_K)
-        self.lump_pair = np.concatenate([f.lump_bulk, f.lump_surf])
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
         vel = params.velocity  # unit-ramp operators: vel.factor(vel.ramp) = 1
-        self.convection = None if vel.is_zero else assemble_convection(mesh, vel, vel.ramp)
+        self.convection = None if vel.is_zero else assemble_convection(mesh, vel)
         self.linear = (None, None, None)  # (tau, K_b, J0) of the last J0 built
-        self.factor, self.factor_tau = None, None
+        self.factor = None
 
     def _mobility_blocks(self, phi, psi):
         """Mobility stiffnesses K_b, K_s at (phi, psi)."""
@@ -319,6 +257,8 @@ class Stepper:
         x_n = np.concatenate([state.phi, state.psi])[phase.idx]
         K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
         if self.linear[0] != tau or self.linear[1] is not K_b:  # J0 without diag(0, D)
+            if self.linear[0] != tau:  # the kept factor holds M_LK over the old tau
+                self.factor = None
             pattern, linear, over_tau, coef = self.linear_map
             data = [np.where(over_tau, (1.0 / tau) * linear, linear),
                     coef * np.concatenate([K_b.data, K_s.data])]
@@ -345,7 +285,7 @@ class Stepper:
                     raise failure("non-finite phase iterate", np.nan)
                 nonlinear = self._nonlinear(phase_full)
             g = J0 @ np.concatenate([y_red, x_red - x_n]) - lin_n
-            g[ny:] -= phase.restrict(self.lump_pair * (nonlinear[0] + smooth_n))
+            g[ny:] -= phase.restrict(f.lump_pair * (nonlinear[0] + smooth_n))
             return g, float(np.abs(g).max()), nonlinear
 
         x = x_n
@@ -354,14 +294,12 @@ class Stepper:
         g, res, nonlinear = residual(x, y, state.nonlinear)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
         iters = linear_iters = factorizations = 0
-        if tau != self.factor_tau:  # J0 holds M_LK / tau: a factor for another tau is dropped
-            self.factor = None
         while not res <= tol:  # a NaN residual must fail, not pass as converged
             if not np.isfinite(res):
                 raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
                 raise failure("Newton did not converge", res)
-            D = phase.lumped(self.lump_pair * nonlinear[1])
+            D = phase.lumped(f.lump_pair * nonlinear[1])
 
             def apply_jacobian(v):
                 w = J0 @ v
@@ -379,7 +317,6 @@ class Stepper:
                     self.factor = splu(J)
                 except RuntimeError as exc:  # exactly singular Jacobian
                     raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
-                self.factor_tau = tau
                 factorizations += 1
                 delta = self.factor.solve(-g)
                 if not np.all(np.isfinite(delta)):
@@ -397,12 +334,11 @@ class Stepper:
 
         new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear)
         mu, theta = new.mu, new.theta
-        gap = p.coupling.beta * theta - f.trace @ mu
         report = StepReport(newton_iters=iters, residual=res, linear_iters=linear_iters,
                             factorizations=factorizations,
                             diss_bulk=float(mu @ (K_b @ mu)),
                             diss_surf=float(theta @ (K_s @ theta)),
-                            robin_gap_sq=float(gap @ (f.M_surf @ gap)))
+                            robin_gap_sq=f.mismatch_sq(mu, theta, p.coupling.beta))
         report.diss_robin = p.coupling.sigma_L * report.robin_gap_sq
         if not p.velocity.is_zero:
             conv_b, conv_s = f.split(conv)
@@ -484,13 +420,50 @@ def _attempt_step(stepper: Stepper, state: State, tau: float, halvings_left: int
 
 
 def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None) -> State:
-    """Initial state with chemical potentials from the stationary identity."""
+    """Admissible initial state, with zero chemical potentials.
+
+    The phase fields are clamped into [-1 + margin, 1 - margin]; the K=0
+    trace constraint is imposed exactly; the conserved means of the L-case
+    are checked against the interiors of the derivative domains.
+    """
     forms = forms if forms is not None else assemble_core(mesh)
-    phi0, psi0 = make_initial_data(
-        params.init, mesh, params.coupling, params.pot_bulk, params.pot_surf, forms
-    )
-    return State(t=0.0, phi=phi0, psi=psi0,
-                 mu=np.zeros(mesh.n_vertices), theta=np.zeros(mesh.n_boundary))
+    spec, cp = params.init, params.coupling
+    n, b = mesh.n_vertices, mesh.n_boundary
+    lo, hi = -1.0 + spec.margin, 1.0 - spec.margin
+
+    if spec.mode == "constant":
+        phi = np.full(n, float(spec.mean))
+        psi = np.full(b, float(spec.mean))
+    elif spec.mode == "random":
+        rng = np.random.default_rng(spec.seed)
+        phi = spec.mean + spec.amplitude * (2.0 * rng.random(n) - 1.0)
+        psi = spec.mean + spec.amplitude * (2.0 * rng.random(b) - 1.0)
+    else:  # bubbles
+        centers = np.array([[-spec.separation / 2, 0.0], [spec.separation / 2, 0.0]])
+        d = np.min(np.linalg.norm(mesh.vertices[:, None, :] - centers[None], axis=2), axis=1)
+        phi = np.tanh((spec.radius - d) / 0.1)
+        psi = phi[mesh.boundary_loop]
+
+    phi = np.clip(phi, lo, hi)
+    psi = np.clip(psi, lo, hi)
+
+    if cp.K == 0.0:
+        # trace constraint phi|_Gamma = alpha * psi, imposed exactly
+        if cp.alpha == 0.0:
+            phi[mesh.boundary_loop] = 0.0
+        else:
+            psi = phi[mesh.boundary_loop] / cp.alpha
+            if np.any(np.abs(psi) > hi):
+                raise InvalidArgument("slaved surface values exceed the clamp margin")
+
+    separate = np.isinf(cp.L)  # else the combined mean m, carried by (beta * m, m)
+    for mean, pot, where in zip(forms.means(phi, psi, cp.beta, separate),
+                                (params.pot_bulk, params.pot_surf), ("bulk", "surface")):
+        lo, hi = pot.convex.prime_domain
+        if not lo < mean < hi:
+            raise InvalidArgument(f"initial {where} mean {mean:g} outside its domain's interior "
+                                  f"({'separate' if separate else 'combined'}-mean condition)")
+    return State(t=0.0, phi=phi, psi=psi, mu=np.zeros(n), theta=np.zeros(b))
 
 
 def run(config: RunConfig, mesh: TriMesh | None = None) -> RunResult:

@@ -104,7 +104,7 @@ def test_mobility_bounds(s):
 def test_convection_mass_neutral(mesh):
     vel = VelocityField(bulk_kind="rigid_rotation", omega=1.3,
                         surf_kind="rotation", speed=0.7)
-    C_b, C_s = assemble_convection(mesh, vel, t=0.0)
+    C_b, C_s = assemble_convection(mesh, vel)
     one_b = np.ones(C_b.shape[0])
     one_s = np.ones(C_s.shape[0])
     rng = np.random.default_rng(3)
@@ -121,7 +121,7 @@ def test_convection_radial_orthogonality_converges():
     for nb, nr in [(32, 8), (64, 16)]:
         mesh = generate_disk_mesh(nb, nr)
         vel = VelocityField(bulk_kind="rigid_rotation", omega=1.0)
-        C_b, _ = assemble_convection(mesh, vel, t=0.0)
+        C_b, _ = assemble_convection(mesh, vel)
         r4 = (mesh.vertices**2).sum(axis=1) ** 2
         phi = np.exp(mesh.vertices[:, 0])
         errs.append(abs(r4 @ (C_b @ phi)))
@@ -189,6 +189,39 @@ def test_coupling_block_kernel(mesh, forms):
     x = np.concatenate([phi, psi])
     # compliant pairs are in the kernel of the Robin penalty block
     assert np.abs(spaces.B_K @ x).max() < 1e-13
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.8, 1.2])
+def test_pairing_helpers_bitwise_equal_to_the_formulas_they_replace(mesh, forms, weight):
+    rng = np.random.default_rng(11)
+    u, v = rng.standard_normal(forms.n_bulk), rng.standard_normal(forms.n_surf)
+    mb, ms = forms.lump_bulk, forms.lump_surf
+
+    def same(a, b):
+        return np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    # the boundary mismatch of the K energy term, the Robin gap and the K-limit gap
+    gap = weight * v - forms.trace @ u
+    assert same(forms.mismatch_sq(u, v, weight), float(gap @ (forms.M_surf @ gap)))
+    # the pair lumping of the stepper and the constraint columns of the bordered solver
+    assert same(forms.lump_pair, np.concatenate([mb, ms]))
+    cols = forms.mean_functionals(weight, True)
+    assert same(cols[0], np.concatenate([mb, np.zeros(forms.n_surf)]))
+    assert same(cols[1], np.concatenate([np.zeros(forms.n_bulk), ms]))
+    (col,) = forms.mean_functionals(weight, False)
+    assert same(col, np.concatenate([weight * mb, ms]))
+    # the separate centring and the combined gauge of the manufactured-solution errors
+    c_b, c_s = forms.means(u, v, weight, True)
+    assert same(c_b, (mb @ u) / forms.area) and same(c_s, (ms @ v) / forms.perimeter)
+    shift = ((weight * mb) @ u + ms @ v) / (weight**2 * forms.area + forms.perimeter)
+    c_b, c_s = forms.means(u, v, weight, False)
+    assert same(c_b, weight * shift) and same(c_s, shift)
+    # the constant pair carries the means: what is left has zero constraint integrals
+    for separate in (True, False):
+        c_b, c_s = forms.means(u, v, weight, separate)
+        rest = np.concatenate([u - c_b, v - c_s])
+        for c in forms.mean_functionals(weight, separate):
+            assert abs(c @ rest) <= 1e-13 * np.abs(c).sum() * np.abs(rest).max()
 
 
 def test_velocity_ramp():

@@ -158,6 +158,45 @@ def test_non_finite_mobility_exits_1(tmp_path, capsys, where, lines):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value", [("init.mean", "inf"), ("init.mean", "1.5"),
+                                       ("init.mean", "-1"), ("init.mean", "nan"),
+                                       ("init.amplitude", "inf"), ("init.radius", "inf"),
+                                       ("init.separation", "nan")])
+def test_invalid_initial_data_exits_1(tmp_path, capsys, key, value):
+    # |mean| >= 1 and the infinite values ran as data clamped to +-(1 - margin)
+    p = tmp_path / "i.cfg"
+    p.write_text(SHORT_CFG.replace(f"{key} = ", "# ") + f"{key} = {value}\n"
+                 f"output.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["newton.tol_abs", "newton.tol_rel"])
+def test_infinite_newton_tolerance_exits_1(tmp_path, capsys, key):
+    # an infinite tolerance counted every step as converged before its first iteration
+    p = tmp_path / "n.cfg"
+    p.write_text(SHORT_CFG + f"{key} = inf\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind,key,value", [
+    ("reg", "potential.c", "inf"), ("reg", "potential.c", "nan"),
+    ("log", "potential.theta", "nan"), ("log", "potential.theta_c", "inf"),
+    ("log", "model.alpha", "nan"), ("log", "model.beta", "inf"),
+])
+def test_non_finite_model_parameter_exits_1(tmp_path, capsys, kind, key, value):
+    # these ran to a NaN or -inf energy, or ended in a solver failure (c = nan)
+    p = tmp_path / "p.cfg"
+    text = SHORT_CFG.replace("= log", f"= {kind}").replace("model.K = 1", "model.K = inf")
+    p.write_text(text + f"{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # -- subcommands ----------------------------------------------------------------
 
 def test_mesh_subcommand(tmp_path, capsys):
@@ -299,6 +338,22 @@ def test_thread_count_checked_before_any_run(tmp_path, capsys, monkeypatch, argv
     p.write_text(SHORT_CFG + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
     assert main([argv[0], "--config", str(p), *argv[1:]]) == 1
     assert "BSCCH_THREADS" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cont-dep", "--amplitudes", "0,1e-3,2e-3"],
+    ["limit-study", "--parameter", "L->0", "--schedule", "1,0.5,0.25"],
+])
+def test_threaded_sweep_prints_the_sequential_output(tmp_path, capsys, monkeypatch, argv):
+    p = tmp_path / "c.cfg"
+    p.write_text(SHORT_CFG.replace("init.mode = random", "init.mode = bubbles")
+                 + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n")
+    outs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BSCCH_THREADS", threads)
+        assert main([argv[0], "--config", str(p), *argv[1:]]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and outs[0].count("\n") >= 3
 
 
 def test_singular_jacobian_exits_2(cfg_file, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import scipy.sparse.linalg
 
 import bscch.elliptic
 import bscch.stepper
-from bscch.assembly import CouplingParams, assemble_core
+from bscch.assembly import CouplingParams, FormsBundle, assemble_core
 from bscch.elliptic import (
     BulkSurfacePair,
     InverseCoupledOperator,
@@ -73,6 +73,16 @@ def test_non_mean_free_rejected(mesh, forms):
     op = InverseCoupledOperator(mesh, cp, forms=forms)
     with pytest.raises(InvalidArgument):
         op.apply(BulkSurfacePair(np.ones(forms.n_bulk), np.ones(forms.n_surf)))
+
+
+def test_inverse_operator_assembles_only_the_l_block(monkeypatch, mesh, forms):
+    # the (L, beta) case alone: no B_K block that the operator never reads
+    calls = []
+    block = FormsBundle.coupling_block
+    monkeypatch.setattr(FormsBundle, "coupling_block",
+                        lambda self, w: calls.append(w) or block(self, w))
+    InverseCoupledOperator(mesh, CouplingParams(K=1.0, L=1.0, alpha=0.8, beta=1.2), forms=forms)
+    assert calls == [1.2]
 
 
 def test_bordered_factor_is_accurate_and_sparse(monkeypatch):

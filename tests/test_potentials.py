@@ -106,7 +106,7 @@ def test_envelope_matches_direct_minimization(kind):
     # independent oracle: minimize |r-s|^2/(2 eps) + F1(s) over a fine grid
     cp = make_potential(kind).convex
     eps = 0.1
-    lo, hi = cp.domain
+    lo, hi = cp.prime_domain
     s = np.linspace(max(lo, -3.0) + 1e-12, min(hi, 3.0) - 1e-12, 600001)
     vals = cp.value(s)
     for r in (-1.5, -0.4, 0.0, 0.7, 2.0):
@@ -161,7 +161,7 @@ def test_envelope_below_potential(kind, eps, r):
 @given(kind=st.sampled_from(KINDS), r=finite)
 def test_resolvent_stays_in_domain(kind, r):
     cp = make_potential(kind).convex
-    lo, hi = cp.domain
+    lo, hi = cp.prime_domain
     j = resolvent(cp, 0.1, r)
     assert lo - 1e-12 <= j <= hi + 1e-12
 

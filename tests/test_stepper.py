@@ -27,7 +27,6 @@ from bscch.stepper import (
     Stepper,
     StepReport,
     initial_state,
-    make_initial_data,
     run,
 )
 
@@ -114,7 +113,8 @@ def test_initial_data_respects_clamp_and_trace():
     mesh = generate_disk_mesh(16, 4)
     cp = CouplingParams(K=0.0, L=1.0, alpha=2.0, beta=1.0)
     spec = InitialDataSpec(mode="random", mean=0.0, amplitude=0.4, seed=3, margin=0.01)
-    phi, psi = make_initial_data(spec, mesh, cp, LOG, LOG)
+    state = initial_state(mesh, _params(coupling=cp, init=spec))
+    phi, psi = state.phi, state.psi
     assert np.abs(phi).max() <= 0.99 + 1e-15
     np.testing.assert_allclose(phi[mesh.boundary_loop], cp.alpha * psi, atol=1e-15)
 
@@ -125,15 +125,15 @@ def test_initial_data_mean_admissibility():
     cp = CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=5.0)
     spec = InitialDataSpec(mode="constant", mean=0.9)
     with pytest.raises(InvalidArgument):
-        make_initial_data(spec, mesh, cp, LOG, LOG)
+        initial_state(mesh, _params(coupling=cp, init=spec))
 
 
 def test_initial_data_bubbles_deterministic():
     mesh = generate_disk_mesh(16, 4)
     cp = CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0)
     spec = InitialDataSpec(mode="bubbles")
-    phi1, _ = make_initial_data(spec, mesh, cp, LOG, LOG)
-    phi2, _ = make_initial_data(spec, mesh, cp, LOG, LOG)
+    phi1 = initial_state(mesh, _params(coupling=cp, init=spec)).phi
+    phi2 = initial_state(mesh, _params(coupling=cp, init=spec)).phi
     np.testing.assert_array_equal(phi1, phi2)
 
 
@@ -256,7 +256,7 @@ def test_lumped_diagonal_equals_triple_product(K):
     mesh = generate_disk_mesh(16, 4)
     st = Stepper(mesh, p)
     phase = st.spaces.phase
-    d = st.lump_pair * np.random.default_rng(1).random(len(st.lump_pair))
+    d = st.forms.lump_pair * np.random.default_rng(1).random(len(st.forms.lump_pair))
     # zero surface entries leave no sum to round a slaved product's last bit away
     bulk_only = np.where(np.arange(len(d)) < st.forms.n_bulk, d, 0.0)
     for dd in (d, bulk_only):
@@ -332,9 +332,9 @@ def test_new_tau_refactors():
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p)
     mid, first = stepper.step(state, p.tau)
-    assert first.factorizations == 1 and stepper.factor_tau == p.tau
+    assert first.factorizations == 1 and stepper.linear[0] == p.tau
     _, half = stepper.step(state, p.tau / 2)
-    assert half.factorizations == 1 and stepper.factor_tau == p.tau / 2
+    assert half.factorizations == 1 and stepper.linear[0] == p.tau / 2
     _, again = stepper.step(mid, p.tau / 2)
     assert again.factorizations == 0 and again.linear_iters > 0
 
@@ -425,7 +425,9 @@ def test_ramped_convection_matches_per_step_assembly():
     C_b, C_s = stepper.convection
     for t in (1e-4, 2e-4, 3e-4, 5e-4):
         scaled = vel.factor(t) * np.concatenate([C_b @ state.phi, C_s @ state.psi])
-        D_b, D_s = bscch.stepper.assemble_convection(mesh, vel, t)
+        f = vel.factor(t)  # an independent reference: the field scaled by the ramp factor
+        D_b, D_s = bscch.stepper.assemble_convection(
+            mesh, replace(vel, omega=f * vel.omega, speed=f * vel.speed))
         direct = np.concatenate([D_b @ state.phi, D_s @ state.psi])
         assert np.abs(scaled - direct).max() <= 1e-15 * np.abs(direct).max()
     # the step uses the unit-ramp operators scaled by the ramp at the new time
@@ -442,7 +444,7 @@ def _first_newton_iterate(stepper, p):
     phase = stepper.spaces.phase
     x_n = np.concatenate([state.phi, state.psi])[phase.idx]
     _, derivative, _ = stepper._nonlinear(phase.prolong(x_n))
-    D = phase.lumped(stepper.lump_pair * derivative)
+    D = phase.lumped(stepper.forms.lump_pair * derivative)
     chem, f = stepper.spaces.chem, stepper.forms
     K_pair = sp.block_diag(stepper.run_mobility, format="csr")
     A1 = reduce(chem, K_pair, chem) + reduce(chem, stepper.spaces.B_L, chem)
@@ -470,7 +472,8 @@ def test_apply_jacobian_matches_block_application(monkeypatch, K, L):
     state, (A1, J11, M_KL, A_K, D) = _first_newton_iterate(stepper, p)
     # a kept factor sends the first iteration to GMRES, whose operator is applied
     # there (its D changes with the iteration)
-    stepper.factor, stepper.factor_tau = _NonFiniteFactor(A1), p.tau
+    stepper.step(state)  # builds J0 for p.tau, so the factor kept below is not dropped
+    stepper.factor = _NonFiniteFactor(A1)
     ny = A1.shape[0]
     vs = [np.random.default_rng(seed).standard_normal(ny + len(D)) for seed in range(3)]
     applied = []
