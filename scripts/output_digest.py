@@ -100,6 +100,11 @@ def _cases():
     for K in ("0", "1"):
         yield (f"poincare-K{K}-a0.5-b2", ["poincare", "--K", K, "--alpha", "0.5", "--beta", "2",
                                           "--nb", "16", "--nr", "4"], None)
+    for (bulk, surf), alpha in itertools.product(itertools.product(("reg", "log", "obst"), repeat=2),
+                                                 ("-1", "0", "0.5", "0.99", "1", "1.1")):
+        yield (f"potential-check-{bulk}-{surf}-a{alpha}",
+               ["potential-check", "--pair", f"{bulk},{surf}", "--alpha", alpha], None)
+    yield ("mesh-16-4", ["mesh", "--nb", "16", "--nr", "4", "--out", "disk.mesh"], None)
 
 
 def _digest(argv, cfg):
@@ -121,7 +126,7 @@ def _digest(argv, cfg):
             os.chdir(cwd)
         h = hashlib.sha256()
         h.update(out.getvalue().encode() + b"\0" + err.getvalue().encode() + b"\0")
-        for path in sorted(p for p in (root / "out").rglob("*") if p.is_file()):
+        for path in sorted(p for p in root.rglob("*") if p.is_file() and p.name != "case.cfg"):
             h.update(str(path.relative_to(root)).encode() + b"\0" + path.read_bytes())
         return rc, h.hexdigest()
 

@@ -11,6 +11,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,6 +20,10 @@ import scipy.sparse as sp
 
 from .errors import InvalidArgument
 from .mesh import CsrPattern, TriMesh
+
+# Largest trace weight: its cube, the highest power of a weight the package
+# forms, stays a finite double.
+WEIGHT_MAX = sys.float_info.max ** (1 / 3)
 
 
 def sigma(value):
@@ -31,6 +36,12 @@ def sigma(value):
     return 1.0 / v
 
 
+def check_weight(name, value):
+    """Reject a trace weight ``name`` that is not finite or exceeds WEIGHT_MAX in modulus."""
+    if not abs(value) <= WEIGHT_MAX:  # also rejects nan
+        raise InvalidArgument(f"{name} must be finite, at most {WEIGHT_MAX:.3g} in modulus, got {value}")
+
+
 @dataclass(frozen=True)
 class CouplingParams:
     """Extended coupling parameters (K, L) and trace weights (alpha, beta)."""
@@ -41,11 +52,11 @@ class CouplingParams:
     beta: float
 
     def __post_init__(self):
-        for name in ("K", "L", "alpha", "beta"):
-            v, extended = getattr(self, name), name in ("K", "L")
-            if not (v >= 0.0 if extended else math.isfinite(v)):  # also rejects nan
-                bound = "in [0, inf]" if extended else "finite"
-                raise InvalidArgument(f"model.{name} must be {bound}, got {v}")
+        for name in ("K", "L"):
+            if not getattr(self, name) >= 0.0:  # also rejects nan
+                raise InvalidArgument(f"model.{name} must be in [0, inf], got {getattr(self, name)}")
+        for name in ("alpha", "beta"):
+            check_weight(f"model.{name}", getattr(self, name))
 
     @property
     def sigma_K(self):
@@ -218,13 +229,12 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
 
     mass_local = (np.ones((3, 3)) + np.eye(3)) / 12.0
     M_bulk = scatter(g.tri_pattern, g.areas[:, None, None] * mass_local[None, :, :])
-    A_bulk = scatter(g.tri_pattern, g.areas[:, None, None] * g.gdot)
-
     h = g.lengths
     m_loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
-    a_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
     M_surf = scatter(g.edge_pattern, h[:, None, None] * m_loc)
-    A_surf = scatter(g.edge_pattern, a_loc[None] / h[:, None, None])
+    # at the unit mobility, bitwise the unweighted stiffnesses
+    A_bulk = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(n))
+    A_surf = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(b))
 
     trace = sp.coo_matrix((np.ones(b), (np.arange(b), mesh.boundary_loop)), shape=(b, n)).tocsr()
 
@@ -384,10 +394,8 @@ def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
     return CaseSpace(n + b, idx, mesh.boundary_loop, masters, float(weight)), block
 
 
-def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None) -> CaseSpaces:
+def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle) -> CaseSpaces:
     """Case spaces and coupling blocks realizing the four K/L case families."""
-    if forms is None:
-        forms = assemble_core(mesh)
     forms.validate_measures(cp.alpha, cp.beta)
     phase, B_K = case_space(mesh, forms, cp.K, cp.alpha)
     chem, B_L = case_space(mesh, forms, cp.L, cp.beta)

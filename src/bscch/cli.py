@@ -12,14 +12,20 @@ import sys
 
 import numpy as np
 
-from .config import _extended, load_run_config
-from .diagnostics import continuous_dependence_experiment, limit_study
+from .assembly import check_weight
+from .config import load_run_config
+from .diagnostics import LIMITS, continuous_dependence_experiment, limit_study
 from .elliptic import estimate_poincare_constant, manufactured_errors
-from .errors import BscchError, SolverFailure, StepFailure, ValidationError
+from .errors import BscchError, SolverFailure, ValidationError
 from .mesh import generate_disk_mesh, mesh_stats, write_mesh
 from .output import write_series, write_snapshots
 from .potentials import check_domination, make_potential
 from .stepper import run as run_simulation
+
+
+def _floats(text):
+    """Comma-separated numbers; empty items are skipped."""
+    return [float(v) for v in text.split(",") if v.strip()]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,11 +50,11 @@ def _build_parser():
     pc.add_argument("--alpha", type=float, required=True)
 
     mm = sub.add_parser("elliptic-mms", help="manufactured-solution convergence study")
-    mm.add_argument("--K", type=_extended, required=True)
+    mm.add_argument("--K", type=float, required=True)
     mm.add_argument("--levels", type=int, default=3)
 
     po = sub.add_parser("poincare", help="estimate the bulk-surface Poincare constant")
-    po.add_argument("--K", type=_extended, required=True)
+    po.add_argument("--K", type=float, required=True)
     po.add_argument("--alpha", type=float, default=1.0)
     po.add_argument("--beta", type=float, default=1.0)
     po.add_argument("--nb", type=int, default=64)
@@ -56,13 +62,12 @@ def _build_parser():
 
     ls = sub.add_parser("limit-study", help="coupling/regularization limit trends")
     ls.add_argument("--config", required=True)
-    ls.add_argument("--parameter", required=True,
-                    choices=["L->0", "L->inf", "K->0", "K->inf", "eps->0"])
-    ls.add_argument("--schedule", required=True, metavar="V1,V2,...")
+    ls.add_argument("--parameter", required=True, choices=LIMITS)
+    ls.add_argument("--schedule", type=_floats, required=True, metavar="V1,V2,...")
 
     cd = sub.add_parser("cont-dep", help="continuous dependence experiment")
     cd.add_argument("--config", required=True)
-    cd.add_argument("--amplitudes", default="0,1e-3,2e-3", metavar="A1,A2,...")
+    cd.add_argument("--amplitudes", type=_floats, default="0,1e-3,2e-3", metavar="A1,A2,...")
     return p
 
 
@@ -96,6 +101,7 @@ def _cmd_potential_check(args):
     parts = [s.strip() for s in args.pair.split(",")]
     if len(parts) != 2:
         raise ValidationError("--pair expects BULK,SURF")
+    check_weight("--alpha", args.alpha)
     bulk, surf = (make_potential(k) for k in parts)
     grid = np.linspace(-0.999, 0.999, 999)
     rep = check_domination(bulk.convex, surf.convex, args.alpha, grid,
@@ -109,6 +115,8 @@ def _cmd_potential_check(args):
 
 
 def _cmd_elliptic_mms(args):
+    if args.levels < 1:
+        raise ValidationError(f"--levels must be >= 1, got {args.levels}")
     sizes = [(32 * 2**k, 8 * 2**k) for k in range(args.levels)]
     errors = manufactured_errors(args.K, sizes)
     for (nb, nr), e in zip(sizes, errors):
@@ -119,6 +127,8 @@ def _cmd_elliptic_mms(args):
 
 
 def _cmd_poincare(args):
+    check_weight("--alpha", args.alpha)
+    check_weight("--beta", args.beta)
     mesh = generate_disk_mesh(args.nb, args.nr)
     cp = estimate_poincare_constant(mesh, args.K, args.alpha, args.beta)
     print(f"C_P = {cp:.9g}")
@@ -127,21 +137,18 @@ def _cmd_poincare(args):
 
 def _cmd_limit_study(args):
     config, _ = load_run_config(args.config)
-    schedule = [float(v) for v in args.schedule.split(",") if v.strip()]
-    rep = limit_study(config, args.parameter, schedule)
+    rep = limit_study(config, args.parameter, args.schedule)
     for v, obs in zip(rep.schedule, rep.values):
         print(f"{args.parameter}  value={v:g}  observable={obs:.9e}")
-    if rep.extra:
-        for v, d in zip(rep.schedule, rep.extra):
-            print(f"{args.parameter}  value={v:g}  mass_drift={d:.9e}")
+    for v, d in zip(rep.schedule, rep.extra):  # empty unless L->inf
+        print(f"{args.parameter}  value={v:g}  mass_drift={d:.9e}")
     print(f"decreasing: {rep.decreasing}")
     return 0
 
 
 def _cmd_cont_dep(args):
     config, _ = load_run_config(args.config)
-    amps = [float(v) for v in args.amplitudes.split(",") if v.strip()]
-    rep = continuous_dependence_experiment(config, amps)
+    rep = continuous_dependence_experiment(config, args.amplitudes)
     for a, d in zip(rep.amplitudes, rep.max_distances):
         print(f"amplitude={a:g}  max_dual_distance={d:.9e}")
     ratio = rep.first_order_ratio
@@ -166,18 +173,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (SolverFailure, StepFailure) as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
+    except (BscchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        parser.print_usage(sys.stderr)
-        return 1
-    except BscchError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ValidationError):
+            parser.print_usage(sys.stderr)
         return 1
 
 

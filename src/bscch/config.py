@@ -6,8 +6,6 @@ dataclasses."""
 
 from __future__ import annotations
 
-import math
-
 from .assembly import CouplingParams, Mobility, VelocityField
 from .errors import InvalidArgument, ValidationError
 from .potentials import KINDS, make_potential
@@ -43,12 +41,6 @@ def _float(value: str) -> float:
         raise ValidationError(f"not a number: {value!r}") from None
 
 
-def _extended(value: str) -> float:
-    if value.strip().lower() == "inf":
-        return math.inf
-    return _float(value)
-
-
 def _int(value: str) -> int:
     try:
         return int(value)
@@ -77,8 +69,8 @@ def _choice(options):
 KEY_REGISTRY = {
     "mesh.nb": (_int, "64"),
     "mesh.nr": (_int, "16"),
-    "model.K": (_extended, "1"),
-    "model.L": (_extended, "1"),
+    "model.K": (_float, "1"),
+    "model.L": (_float, "1"),
     "model.alpha": (_float, "1"),
     "model.beta": (_float, "1"),
     "potential.bulk": (_choice(KINDS), "log"),
@@ -165,9 +157,8 @@ def build_run_config(cfg: dict) -> RunConfig:
                              margin=r["init.margin"], radius=r["init.radius"],
                              separation=r["init.separation"]),
     )
-    for key in ("output.every", "newton.max_iter"):
-        if r[key] < 1:
-            raise ValidationError(f"{key} must be >= 1, got {r[key]}")
+    if r["newton.max_iter"] < 1:
+        raise ValidationError(f"newton.max_iter must be >= 1, got {r['newton.max_iter']}")
     if params.t_final > 0 and params.n_steps == 0:
         raise ValidationError(f"time.T = {params.t_final:g} is less than half a step "
                               f"(time.tau = {params.tau:g}) and would run no steps")

@@ -15,14 +15,6 @@ from .errors import InvalidArgument, ValidationError
 from .mesh import generate_disk_mesh
 from .potentials import moreau_envelope
 
-CSV_FIELDS = (
-    "t", "mass_bulk", "mass_surf", "mass_combined", "energy",
-    "diss_bulk", "diss_surf", "diss_robin",
-    "conv_power_bulk", "conv_power_surf", "energy_residual",
-    "sep_margin_bulk", "sep_margin_surf", "newton_iters",
-)
-
-
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     t: float
@@ -44,7 +36,7 @@ class DiagnosticsRecord:
         return [getattr(self, f) for f in CSV_FIELDS]
 
 
-assert tuple(f.name for f in dc_fields(DiagnosticsRecord)) == CSV_FIELDS
+CSV_FIELDS = tuple(f.name for f in dc_fields(DiagnosticsRecord))  # series.csv columns
 
 
 def masses(phi, psi, forms: FormsBundle, cp: CouplingParams):
@@ -86,14 +78,10 @@ def make_record(state, forms: FormsBundle, params, report, prev_energy, tau) -> 
     en = energy(state.phi, state.psi, forms, params, state.nonlinear and state.nonlinear[2])
     resid = 0.0 if prev_energy is None else energy_residual(en, prev_energy, tau, report)
     db, ds = separation_margin(state.phi, state.psi)
-    return DiagnosticsRecord(
+    return DiagnosticsRecord(  # the step's rates and Newton count under their StepReport names
         t=state.t, mass_bulk=mb, mass_surf=ms, mass_combined=mc, energy=en,
-        diss_bulk=report.diss_bulk, diss_surf=report.diss_surf,
-        diss_robin=report.diss_robin,
-        conv_power_bulk=report.conv_power_bulk,
-        conv_power_surf=report.conv_power_surf,
         energy_residual=resid, sep_margin_bulk=db, sep_margin_surf=ds,
-        newton_iters=report.newton_iters,
+        **{name: getattr(report, name) for name in CSV_FIELDS if hasattr(report, name)},
     )
 
 
@@ -176,6 +164,9 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
     return CDReport(tuple(amps), tuple(maxima), zero_ok, monotone, ratio)
 
 
+LIMITS = ("L->0", "L->inf", "K->0", "K->inf", "eps->0")
+
+
 @dataclass(frozen=True)
 class LimitReport:
     parameter: str
@@ -192,21 +183,41 @@ def _mass_drift(result):
     return max(db, ds)
 
 
+def _observables(parameter, results):
+    """The observable named in the convergence statement of ``parameter``, one
+    per member run; for "eps->0" one per consecutive pair of members: the L2
+    gap of their final bulk phase fields."""
+    if parameter == "eps->0":
+        gaps = [(r1.forms.M_bulk, r1.final_state.phi - r2.final_state.phi)
+                for r1, r2 in zip(results, results[1:])]
+        return [float(np.sqrt(d @ (M_bulk @ d))) for M_bulk, d in gaps]
+
+    def observable(res):
+        final, cp = res.final_state, res.params.coupling
+        if parameter == "L->0":
+            return res.robin_gap_sq_integral
+        if parameter == "L->inf":
+            return cp.sigma_L**2 * res.robin_gap_sq_integral
+        gap_norm = float(np.sqrt(res.forms.mismatch_sq(final.phi, final.psi, cp.alpha)))
+        return gap_norm if parameter == "K->0" else 0.5 * cp.sigma_K * gap_norm**2
+
+    return [observable(res) for res in results]
+
+
 def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     """Trend check for the coupling and regularization limits.
 
-    parameter is one of "L->0", "L->inf", "K->0", "K->inf", "eps->0"; the
-    schedule must move monotonically toward the limit.  Every member runs on
-    one shared mesh and keeps no states (only its records and final state
-    are read).  The report carries the observable named in the
-    corresponding convergence statement; for "eps->0" these are the L2 gaps
-    of the final bulk phase fields between consecutive levels.
+    parameter is one of LIMITS; the schedule must move monotonically toward
+    the limit.  Every member runs on one shared mesh and keeps no states
+    (only its records and final state are read).  The report carries the
+    observables of ``_observables``; for "L->inf" the trend is that of the
+    mass drift in ``extra``.
     """
     from .stepper import run  # local import to avoid a cycle
 
     schedule = [float(v) for v in schedule]
-    toward_zero = parameter in ("L->0", "K->0", "eps->0")
-    if parameter not in ("L->0", "L->inf", "K->0", "K->inf", "eps->0"):
+    toward_zero = parameter.endswith("->0")
+    if parameter not in LIMITS:
         raise InvalidArgument(f"unknown limit parameter {parameter!r}")
     steps_ok = all(
         (b < a) if toward_zero else (b > a) for a, b in zip(schedule, schedule[1:])
@@ -222,32 +233,11 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     def member(v):
         p = (replace(params, eps=v) if name == "eps"
              else replace(params, coupling=replace(params.coupling, **{name: v})))
-        res = run(replace(config_base, params=p, keep_states=False), mesh=mesh)
-        final, forms, cp = res.final_state, res.forms, p.coupling
-        if name == "eps":
-            return final.phi, forms.M_bulk
-        if parameter == "L->0":
-            return res.robin_gap_sq_integral, None
-        if parameter == "L->inf":
-            return cp.sigma_L**2 * res.robin_gap_sq_integral, _mass_drift(res)
-        gap_norm = float(np.sqrt(forms.mismatch_sq(final.phi, final.psi, cp.alpha)))
-        if parameter == "K->0":
-            return gap_norm, None
-        return 0.5 * cp.sigma_K * gap_norm**2, None
+        return run(replace(config_base, params=p, keep_states=False), mesh=mesh)
 
-    members = _map_runs(member, schedule, workers)
-
-    if parameter == "eps->0":
-        distances = []
-        for (phi1, M_bulk), (phi2, _) in zip(members, members[1:]):
-            d = phi1 - phi2
-            distances.append(float(np.sqrt(d @ (M_bulk @ d))))
-        dec = all(d2 <= d1 for d1, d2 in zip(distances, distances[1:]))
-        return LimitReport(parameter, tuple(schedule), tuple(distances), (), dec)
-
-    values = [v for v, _ in members]
-    extra = [e for _, e in members if e is not None]
-
+    results = _map_runs(member, schedule, workers)
+    values = _observables(parameter, results)
+    extra = [_mass_drift(res) for res in results] if parameter == "L->inf" else []
     seq = extra if parameter == "L->inf" else values
-    dec = all(b < a for a, b in zip(seq, seq[1:])) if len(seq) > 1 else True
+    dec = all((b <= a) if parameter == "eps->0" else (b < a) for a, b in zip(seq, seq[1:]))
     return LimitReport(parameter, tuple(schedule), tuple(values), tuple(extra), dec)

@@ -17,7 +17,7 @@ import scipy.sparse.linalg
 
 from .assembly import CouplingParams, FormsBundle, assemble_core, case_space, reduce
 from .errors import InvalidArgument, SolverFailure
-from .mesh import TriMesh
+from .mesh import TriMesh, generate_disk_mesh
 
 MEAN_TOL = 1e-10
 # inverse power iteration of the Poincare constant: relative eigenvalue change
@@ -174,7 +174,6 @@ def manufactured_case(K):
     constructed so that the interface condition of the chosen K holds
     identically for the exact pair.
     """
-    K = float(K)
     if np.isinf(K):
         # pure Neumann: d_n u* = 0 on r = 1
         return (
@@ -211,8 +210,6 @@ def manufactured_errors(K, mesh_sizes=((32, 8), (64, 16), (128, 32))):
     pair before the error is measured (the operator fixes its own gauge
     through the solvability constraints).
     """
-    from .mesh import generate_disk_mesh
-
     K = float(K)
     alpha, u_ex, v_ex, f_ex, g_ex = manufactured_case(K)
     errors = []

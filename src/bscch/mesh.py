@@ -225,36 +225,29 @@ def read_mesh(path) -> TriMesh:
             raise MeshParseError("unexpected end of file", line=idx + 1)
         return lines[idx]
 
+    def section(start, count, width, conv, what):
+        """``count`` lines from index ``start`` of ``width`` numbers each, as an array."""
+        out = np.empty((count, width), dtype=conv)
+        for i in range(count):
+            toks = need(start + i).split()
+            try:
+                if len(toks) != width:
+                    raise ValueError(f"expected {width} numbers, got {len(toks)}")
+                out[i] = [conv(tok) for tok in toks]
+            except ValueError as exc:
+                raise MeshParseError(f"bad {what}: {exc}", line=start + i + 1) from exc
+        return out
+
     if need(0).strip() != FORMAT_HEADER:
         raise MeshParseError(f"expected header {FORMAT_HEADER!r}", line=1)
+    toks = need(1).split()
     try:
-        nv, nt, nb = (int(tok) for tok in need(1).split())
+        nv, nt, nb = (int(tok) for tok in toks)
+        if min(nv, nt, nb) < 0:
+            raise ValueError(f"negative count in {toks}")
     except ValueError as exc:
         raise MeshParseError(f"bad counts line: {exc}", line=2) from exc
 
-    idx = 2
-    verts = np.empty((nv, 2))
-    for i in range(nv):
-        toks = need(idx).split()
-        try:
-            verts[i] = [float(toks[0]), float(toks[1])]
-        except (IndexError, ValueError) as exc:
-            raise MeshParseError(f"bad vertex line: {exc}", line=idx + 1) from exc
-        idx += 1
-    tris = np.empty((nt, 3), dtype=np.int64)
-    for i in range(nt):
-        toks = need(idx).split()
-        try:
-            tris[i] = [int(toks[0]), int(toks[1]), int(toks[2])]
-        except (IndexError, ValueError) as exc:
-            raise MeshParseError(f"bad triangle line: {exc}", line=idx + 1) from exc
-        idx += 1
-    loop = np.empty(nb, dtype=np.int64)
-    for i in range(nb):
-        try:
-            loop[i] = int(need(idx).strip())
-        except ValueError as exc:
-            raise MeshParseError(f"bad boundary index: {exc}", line=idx + 1) from exc
-        idx += 1
-
-    return TriMesh(vertices=verts, triangles=tris, boundary_loop=loop)
+    return TriMesh(vertices=section(2, nv, 2, float, "vertex line"),
+                   triangles=section(2 + nv, nt, 3, int, "triangle line"),
+                   boundary_loop=section(2 + nv + nt, nb, 1, int, "boundary index").ravel())

@@ -39,7 +39,8 @@ def _surface_geometry(mesh):
             f"DATASET POLYDATA\nPOINTS {b} double\n"
             + "".join("%.17g %.17g 0\n" % (x, y)
                       for x, y in mesh.vertices[mesh.boundary_loop].tolist())
-            + f"LINES {b} {3 * b}\n" + "".join(f"2 {k} {(k + 1) % b}\n" for k in range(b))
+            + f"LINES {b} {3 * b}\n" + "".join("2 %d %d\n" % (i, j)
+                                                for i, j in mesh.geometry.edge_pos.tolist())
             + f"POINT_DATA {b}\n")
 
 

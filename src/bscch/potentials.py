@@ -155,7 +155,6 @@ class Potential:
 
     convex: ConvexPart
     smooth: SmoothPart
-    name: str = ""
 
     def __post_init__(self):
         if self.convex.kind != self.smooth.kind:
@@ -173,7 +172,6 @@ def make_potential(kind, c=DEFAULT_C, theta=DEFAULT_THETA, theta_c=DEFAULT_THETA
     return Potential(
         convex=ConvexPart(kind, c=c, theta=theta),
         smooth=SmoothPart(kind, c=c, theta_c=theta_c),
-        name=kind,
     )
 
 
@@ -334,7 +332,6 @@ def verify_scalar_properties(cp: ConvexPart, eps_list, grid):
     halvings on interior points.
     """
     grid = np.sort(np.asarray(grid, dtype=float))
-    eps_list = sorted(float(_as_eps(e)) for e in eps_list)
     report = PropertyReport(passed=True)
 
     lo, hi = cp.prime_domain
@@ -344,7 +341,7 @@ def verify_scalar_properties(cp: ConvexPart, eps_list, grid):
 
     prev_env = None
     prev_gap = None
-    for e in sorted(eps_list, reverse=True):
+    for e in sorted(map(_as_eps, eps_list), reverse=True):
         val, _ = yosida(cp, e, grid)
         report.record(np.abs(val) <= np.abs(f_min) * (1 + 1e-10) + 1e-12, "bound_vs_minimal_section", e, grid)
         report.record(np.abs(val) <= np.abs(grid) / e * (1 + 1e-10) + 1e-12, "bound_vs_linear", e, grid)
@@ -379,27 +376,19 @@ class DominationReport:
     regularized_ok: bool = True
 
 
-def _domain_transfer_ok(f_kind, g_kind, alpha):
-    """Whether alpha * D(g1) is contained in D(f1), and a reason if not."""
-    if f_kind == "reg":
+def _domain_transfer_ok(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
+    """Whether alpha * D(g1) is contained in D(f1), and a reason if not.
+    Each domain is R, (-1, 1) or [-1, 1], told apart by ``prime_domain`` and
+    ``prime_domain_open``."""
+    if math.isinf(f_cp.prime_domain[1]):
         return True, ""
-    if g_kind == "reg":
-        # D(g1) = R; fits into a bounded D(f1) only for alpha = 0
-        if alpha == 0.0:
-            return True, ""
-        return False, "inadmissible: alpha * D(g1) not contained in D(f1) (requires alpha = 0)"
-    if f_kind == "log":
-        # D(f1) = (-1,1) open
-        if g_kind == "log":
-            ok = abs(alpha) <= 1.0
-            reason = "" if ok else "inadmissible: |alpha| > 1"
-        else:  # g obstacle: D(g1) = [-1,1] closed
-            ok = abs(alpha) < 1.0
-            reason = "" if ok else "inadmissible: |alpha| >= 1"
-        return ok, reason
-    # f obstacle: D(f1) = [-1,1] closed
-    ok = abs(alpha) <= 1.0
-    return ok, "" if ok else "inadmissible: |alpha| > 1"
+    if math.isinf(g_cp.prime_domain[1]):
+        ok, reason = alpha == 0.0, "alpha * D(g1) not contained in D(f1) (requires alpha = 0)"
+    elif f_cp.prime_domain_open and not g_cp.prime_domain_open:  # alpha * [-1,1] in (-1,1)
+        ok, reason = abs(alpha) < 1.0, "|alpha| >= 1"
+    else:
+        ok, reason = abs(alpha) <= 1.0, "|alpha| > 1"
+    return ok, "" if ok else f"inadmissible: {reason}"
 
 
 def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid, eps_list=()):
@@ -413,7 +402,7 @@ def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid, eps_list=(
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise InvalidArgument("grid must be nonempty")
-    ok, reason = _domain_transfer_ok(f_cp.kind, g_cp.kind, float(alpha))
+    ok, reason = _domain_transfer_ok(f_cp, g_cp, float(alpha))
     if not ok:
         return DominationReport(admissible=False, reason=reason)
 

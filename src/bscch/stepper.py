@@ -139,6 +139,10 @@ class RunConfig:
     output_every: int = 1
     keep_states: bool = True
 
+    def __post_init__(self):
+        if self.output_every < 1:
+            raise InvalidArgument(f"output.every must be >= 1, got {self.output_every}")
+
 
 _COUNTS = ("newton_iters", "linear_iters", "factorizations")
 

@@ -224,6 +224,37 @@ def test_elliptic_mms_subcommand(capsys):
     assert ratios and all(r >= 3.4 for r in ratios)
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+def test_elliptic_mms_without_levels_exits_1(capsys, levels):
+    # printed nothing and exited 0
+    assert main(["elliptic-mms", "--K", "1", "--levels", levels]) == 1
+    assert "--levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,args,name", [
+    ("run", ["reg", "model.alpha = 1e200"], "model.alpha"),
+    ("run", ["log", "model.beta = 1e200"], "model.beta"),
+    ("run", ["log", "model.beta = 1e200\nmodel.L = inf"], "model.beta"),
+    ("poincare", ["--K", "1", "--alpha", "1e308"], "--alpha"),
+    ("potential-check", ["--pair", "reg,reg", "--alpha", "1e200"], "--alpha"),
+    ("poincare", ["--K", "1", "--alpha", "nan"], "--alpha"),
+    ("poincare", ["--K", "1", "--beta", "inf"], "--beta"),
+])
+def test_trace_weight_whose_cube_overflows_exits_1(tmp_path, capsys, command, args, name):
+    # an OverflowError traceback, NaN columns in series.csv (model.L = inf), or
+    # exit 2 with "singular bordered system" (nan/inf poincare weights)
+    if command == "run":  # args: the potential kind, then config lines
+        p = tmp_path / "w.cfg"
+        text = SHORT_CFG.replace("= log", f"= {args[0]}").replace("model.L = 1\n", "")
+        p.write_text(text + f"{args[1]}\noutput.dir = {tmp_path / 'out'}\n")
+        args = ["--config", str(p)]
+    elif command == "poincare":
+        args = args + ["--nb", "16", "--nr", "4"]
+    assert main([command, *args]) == 1
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_poincare_subcommand(capsys):
     assert main(["poincare", "--K", "0", "--nb", "16", "--nr", "4"]) == 0
     assert "C_P" in capsys.readouterr().out
@@ -289,6 +320,16 @@ def test_limit_study_members_keep_no_states(cfg_file, capsys, monkeypatch):
         outs.append(capsys.readouterr().out)
     assert kept == [False, False]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["limit-study", "--parameter", "K->0", "--schedule", "1,abc"],
+    ["cont-dep", "--amplitudes", "0,x"],
+])
+def test_non_numeric_list_exits_1(cfg_file, capsys, argv):
+    # a ValueError traceback once the config was read
+    assert main([argv[0], "--config", cfg_file, *argv[1:]]) == 1
+    assert argv[-2] in capsys.readouterr().err
 
 
 def test_cont_dep_subcommand(tmp_path, capsys):

@@ -67,6 +67,27 @@ def test_parse_error_truncated(tmp_path):
         read_mesh(p)
 
 
+def test_parse_error_negative_count(tmp_path):
+    # numpy's "negative dimensions are not allowed" escaped as a bare ValueError
+    p = tmp_path / "m.mesh"
+    p.write_text(FORMAT_HEADER + "\n-1 0 0\n")
+    with pytest.raises(MeshParseError) as exc:
+        read_mesh(p)
+    assert exc.value.line == 2
+
+
+def test_truncated_boundary_section_names_its_line_once(tmp_path):
+    m = generate_disk_mesh(8, 2)
+    p = tmp_path / "m.mesh"
+    write_mesh(m, p)
+    lines = p.read_text().splitlines()
+    p.write_text("\n".join(lines[:-2]) + "\n")
+    with pytest.raises(MeshParseError) as exc:
+        read_mesh(p)
+    assert exc.value.line == len(lines) - 1
+    assert str(exc.value) == f"line {len(lines) - 1}: unexpected end of file"
+
+
 def test_parse_error_bad_index(tmp_path):
     p = tmp_path / "m.mesh"
     p.write_text(FORMAT_HEADER + "\n3 1 3\n0 0\n1 0\n0 1\n0 1 99\n0\n1\n2\n")

@@ -555,3 +555,10 @@ def test_each_resolvent_evaluated_once(monkeypatch):
         calls.clear()
         make_record(state, stepper.forms, p, report, 0.0, p.tau)
         assert calls == []
+
+
+@pytest.mark.parametrize("every", [0, -1])
+def test_output_every_below_one_rejected(every):
+    # run divided by it: a ZeroDivisionError at 0, and every step recorded at -1
+    with pytest.raises(InvalidArgument, match="output.every"):
+        run(RunConfig(nb=16, nr=4, params=_params(t_final=3e-4), output_every=every))
