@@ -24,8 +24,11 @@ from .stepper import run as run_simulation
 
 
 def _floats(text):
-    """Comma-separated numbers; empty items are skipped."""
-    return [float(v) for v in text.split(",") if v.strip()]
+    """Comma-separated numbers, at least one; empty items are skipped."""
+    values = [float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return values
 
 
 class _Parser(argparse.ArgumentParser):

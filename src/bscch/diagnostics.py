@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace, fields as dc_fields
 
 import numpy as np
 
-from .assembly import CouplingParams, FormsBundle
+from .assembly import CouplingParams, FormsBundle, assemble_core
 from .elliptic import InverseCoupledOperator, BulkSurfacePair
 from .errors import InvalidArgument, ValidationError
 from .mesh import generate_disk_mesh
@@ -118,9 +118,10 @@ class CDReport:
 def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CDReport:
     """Perturb the rigid-rotation speed and measure trajectory divergence.
 
-    Each member run uses the same initial data and omega + a; distances are
-    dual norms of the pair differences against the unperturbed trajectory,
-    maximized over the recorded times.
+    Each member run uses the same initial data and omega + a, on the base
+    run's mesh and core operators; distances are dual norms of the pair
+    differences against the unperturbed trajectory, maximized over the
+    recorded times.
     """
     from .stepper import run  # local import to avoid a cycle
 
@@ -144,7 +145,7 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
             config_base,
             params=replace(params, velocity=replace(vel, omega=vel.omega + a)),
         )
-        res = run(cfg, mesh=base.mesh)
+        res = run(cfg, mesh=base.mesh, forms=base.forms)
         dmax = 0.0
         for s_base, s_pert in zip(base.states, res.states):
             pair = BulkSurfacePair(s_pert.phi - s_base.phi, s_pert.psi - s_base.psi)
@@ -208,10 +209,10 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     """Trend check for the coupling and regularization limits.
 
     parameter is one of LIMITS; the schedule must move monotonically toward
-    the limit.  Every member runs on one shared mesh and keeps no states
-    (only its records and final state are read).  The report carries the
-    observables of ``_observables``; for "L->inf" the trend is that of the
-    mass drift in ``extra``.
+    the limit.  Every member runs on one shared mesh and its core operators,
+    and keeps no states (only its records and final state are read).  The
+    report carries the observables of ``_observables``; for "L->inf" the
+    trend is that of the mass drift in ``extra``.
     """
     from .stepper import run  # local import to avoid a cycle
 
@@ -228,12 +229,13 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     workers = _thread_count()
     params = config_base.params
     mesh = generate_disk_mesh(config_base.nb, config_base.nr)
+    forms = assemble_core(mesh)
     name = parameter.split("->")[0]  # eps, K or L
 
     def member(v):
         p = (replace(params, eps=v) if name == "eps"
              else replace(params, coupling=replace(params.coupling, **{name: v})))
-        return run(replace(config_base, params=p, keep_states=False), mesh=mesh)
+        return run(replace(config_base, params=p, keep_states=False), mesh=mesh, forms=forms)
 
     results = _map_runs(member, schedule, workers)
     values = _observables(parameter, results)

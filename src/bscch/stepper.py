@@ -124,6 +124,9 @@ class RunParams:
             raise InvalidArgument(f"final time time.T must be >= 0 and finite, got {self.t_final}")
         if not (0.0 < self.eps < 1.0):
             raise InvalidArgument("regularization parameter must lie in (0,1)")
+        if self.t_final / self.tau == np.inf:
+            raise InvalidArgument(f"time.T / time.tau = {self.t_final:g} / {self.tau:g} "
+                                  "overflows the step count")
 
     @property
     def n_steps(self):
@@ -210,10 +213,8 @@ class Stepper:
         self.forms = forms if forms is not None else assemble_core(mesh)
         cp = params.coupling
         if not np.isinf(cp.K):
-            rep = check_domination(
-                params.pot_bulk.convex, params.pot_surf.convex, cp.alpha,
-                np.linspace(-0.99, 0.99, 199), eps_list=[params.eps],
-            )
+            rep = check_domination(params.pot_bulk.convex, params.pot_surf.convex, cp.alpha,
+                                   np.linspace(-0.99, 0.99, 199))
             if not rep.admissible:
                 raise InvalidArgument(f"potential pairing {rep.reason or 'fails domination'}")
         self.spaces = build_case_spaces(mesh, cp, self.forms)
@@ -470,15 +471,17 @@ def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = 
     return State(t=0.0, phi=phi, psi=psi, mu=np.zeros(n), theta=np.zeros(b))
 
 
-def run(config: RunConfig, mesh: TriMesh | None = None) -> RunResult:
+def run(config: RunConfig, mesh: TriMesh | None = None,
+        forms: FormsBundle | None = None) -> RunResult:
     """Run the scheme to the final time, recording diagnostics.
 
     Deterministic for a fixed configuration (including the initial-data
     seed).  A diagnostics record is kept every ``output_every`` steps plus
-    at the initial and final time.
+    at the initial and final time.  ``forms``, when given, are the core
+    operators of ``mesh``.
     """
     mesh = mesh if mesh is not None else generate_disk_mesh(config.nb, config.nr)
-    forms = assemble_core(mesh)
+    forms = forms if forms is not None else assemble_core(mesh)
     params = config.params
     stepper = Stepper(mesh, params, forms)
     state = initial_state(mesh, params, forms)

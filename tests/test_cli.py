@@ -10,6 +10,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import bscch
+import bscch.diagnostics
 import bscch.stepper
 from bscch.cli import main
 from bscch.config import (
@@ -46,6 +47,26 @@ def cfg_file(tmp_path):
     p = tmp_path / "short.cfg"
     p.write_text(SHORT_CFG + f"output.dir = {tmp_path / 'out'}\n")
     return str(p)
+
+
+@pytest.fixture()
+def rotating_cfg(tmp_path):
+    # valid for cont-dep: bubbles under a rigid rotation
+    p = tmp_path / "rotating.cfg"
+    p.write_text(SHORT_CFG.replace("init.mode = random", "init.mode = bubbles")
+                 + "velocity.bulk = rigid_rotation\nvelocity.omega = 1\n"
+                 + f"output.dir = {tmp_path / 'out'}\n")
+    return str(p)
+
+
+def _python(*args):
+    """Stdout of a fresh interpreter that imports bscch from this checkout."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 # -- config --------------------------------------------------------------------
@@ -332,6 +353,48 @@ def test_non_numeric_list_exits_1(cfg_file, capsys, argv):
     assert argv[-2] in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["limit-study", "--parameter", "K->0", "--schedule", ""],
+    ["limit-study", "--parameter", "K->0", "--schedule", " , "],
+    ["cont-dep", "--amplitudes", ""],
+])
+def test_empty_list_exits_1(rotating_cfg, capsys, argv):
+    # an empty list ran no member and printed vacuous verdicts with exit 0
+    assert main([argv[0], "--config", rotating_cfg, *argv[1:]]) == 1
+    assert argv[-2] in capsys.readouterr().err
+
+
+def test_step_count_overflow_exits_1(tmp_path, capsys):
+    # an OverflowError traceback: T / tau is inf, and RunParams.n_steps rounded it
+    p = tmp_path / "o.cfg"
+    p.write_text(SHORT_CFG.replace("time.tau = 1e-4", "time.tau = 1e-10")
+                 .replace("time.T = 5e-4", "time.T = 1e300"))
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "time.T" in err and "time.tau" in err
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("argv", [
+    ["cont-dep", "--amplitudes", "0,1e-3,2e-3"],
+    ["limit-study", "--parameter", "L->0", "--schedule", "1,0.5,0.25"],
+])
+def test_sweep_assembles_core_operators_once(rotating_cfg, capsys, monkeypatch, argv, threads):
+    # every member shares the mesh, so its core operators are assembled once
+    calls = []
+    assemble = bscch.stepper.assemble_core
+
+    def counting(mesh):
+        calls.append(mesh)
+        return assemble(mesh)
+
+    monkeypatch.setenv("BSCCH_THREADS", threads)
+    monkeypatch.setattr(bscch.stepper, "assemble_core", counting)
+    monkeypatch.setattr(bscch.diagnostics, "assemble_core", counting, raising=False)
+    assert main([argv[0], "--config", rotating_cfg, *argv[1:]]) == 0
+    assert len(calls) == 1
+
+
 def test_cont_dep_subcommand(tmp_path, capsys):
     p = tmp_path / "c.cfg"
     p.write_text(SHORT_CFG.replace("init.mode = random", "init.mode = bubbles")
@@ -423,13 +486,38 @@ def test_benchmark_setup_calls(tmp_path):
 
 
 def test_module_entry_point(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = tmp_path / "m.mesh"
-    proc = subprocess.run([sys.executable, "-m", "bscch.cli", "mesh", "--nb", "8", "--nr", "1",
-                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    _python("-m", "bscch.cli", "mesh", "--nb", "8", "--nr", "1", "--out", str(out))
     assert read_mesh(out).n_vertices == 9
+
+
+def test_cli_import_leaves_unused_numpy_submodules_unexecuted():
+    # scipy.sparse reads every numpy attribute; executing these cost about 0.16 s of start-up
+    code = ("import sys, bscch.cli; print([m for m in ('numpy.f2py.crackfortran', "
+            "'numpy.testing._private.utils', 'numpy.ma.core', 'numpy.polynomial.polynomial') "
+            "if m in sys.modules])")
+    assert _python("-c", code) == "[]"
+
+
+def test_deferred_numpy_submodules_work_after_import():
+    code = """
+import bscch.cli
+import numpy as np
+np.testing.assert_allclose([1.0], [1.0])
+from numpy.testing import assert_array_equal
+assert_array_equal([1, 2], [1, 2])
+assert np.ma.masked_array([1, 2]).sum() == 3
+assert np.polynomial.Polynomial([1, 2])(2.0) == 5.0
+import numpy.f2py
+print(numpy.f2py.crackfortran.__name__)
+"""
+    assert _python("-c", code) == "numpy.f2py.crackfortran"
+
+
+def test_numpy_testing_imported_first_is_kept():
+    code = ("import sys, numpy.testing as first, bscch.cli, numpy; "
+            "print(sys.modules['numpy.testing'] is first and numpy.testing is first)")
+    assert _python("-c", code) == "True"
 
 
 _EXTENDED = st.sampled_from(["0", "1", "inf"])

@@ -173,6 +173,15 @@ def test_inadmissible_pairing_rejected():
         Stepper(mesh, p)
 
 
+def test_stepper_runs_no_regularized_domination_pass(monkeypatch):
+    # the pairing check's Yosida pass (two calls per Stepper) had no reader
+    calls = []
+    yosida = bscch.potentials.yosida
+    monkeypatch.setattr(bscch.potentials, "yosida", lambda *a: calls.append(1) or yosida(*a))
+    Stepper(generate_disk_mesh(16, 4), _params())
+    assert calls == []
+
+
 def test_run_params_validation():
     with pytest.raises(InvalidArgument):
         _params(tau=-1.0)
