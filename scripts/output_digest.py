@@ -79,6 +79,11 @@ def _cases():
     yield ("run-bubbles-log-eps1e-3", run,
            _config(model__K="1", model__L="1", init__mode="bubbles", yosida__eps="1e-3",
                    **_pair("log")))
+    # the obstacle pair on the same data: its active set moves, so the kept Jacobian
+    # factor goes stale and GMRES misses, and the Newton system refactors
+    yield ("run-bubbles-obst-eps1e-3", run,
+           _config(model__K="1", model__L="1", init__mode="bubbles", yosida__eps="1e-3",
+                   **_pair("obst")))
     short = _config(time__T="5e-4")
     yield ("limit-study-L->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "L->0", "--schedule", "1,0.5,0.25"],

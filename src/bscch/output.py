@@ -53,16 +53,6 @@ def _write_vtk(path, geometry, scalars):
             fh.write("".join("%.17g\n" % v for v in vals.tolist()))
 
 
-def write_vtk_bulk(path, mesh, phi, mu):
-    """Legacy ASCII VTK unstructured grid with nodal scalars phi and mu."""
-    _write_vtk(path, _bulk_geometry(mesh), (("phi", phi), ("mu", mu)))
-
-
-def write_vtk_surface(path, mesh, psi, theta):
-    """Legacy ASCII VTK polydata: the boundary loop with scalars psi, theta."""
-    _write_vtk(path, _surface_geometry(mesh), (("psi", psi), ("theta", theta)))
-
-
 def write_snapshots(outdir, mesh, states):
     """One bulk + one surface VTK file per recorded state (mesh text formatted once)."""
     os.makedirs(outdir, exist_ok=True)

@@ -39,17 +39,11 @@ from .mesh import TriMesh, csr_pattern, generate_disk_mesh
 from .potentials import Potential, check_domination, yosida
 
 DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
-# Krylov solve of each Newton correction, preconditioned by the kept LU factor:
-# it must reach KRYLOV_RTOL in the true residual within KRYLOV_MAX_ITER
-# iterations, or the Jacobian is factored afresh.  The first block row of the
-# system is linear, so its linear residual is the step's mass defect: the
-# tolerance is tight and fixed.
+# GMRES budget of each Newton correction (see _NewtonSystem).  The first block row
+# of the system is linear, so its linear residual is the step's mass defect: the
+# tolerance on the true residual is tight and fixed.
 KRYLOV_RTOL = 1e-12
 KRYLOV_MAX_ITER = 10
-# The Newton unknowns are ordered (y, x), chemical potentials first, so the
-# Jacobian J0 - diag(0, D), J0 = [[A1, M_LK/tau], [M_KL, -A_K]], has square
-# diagonal blocks and a symmetric sparsity pattern, which the package's `splu`
-# (a symmetric fill-reducing ordering with diagonal pivoting) is set for.
 
 
 @dataclass
@@ -76,11 +70,12 @@ class NewtonParams:
     max_tau_halvings: int = 0
 
     def __post_init__(self):
-        # max_iter = 0 is allowed: the step then fails unless already converged
+        # max_iter = 0 is allowed: the step then fails unless already converged.  Past 52
+        # halvings, t + tau / 2**53 no longer resolves the sub-step (tau underflows near 1075)
         for name in ("tol_abs", "tol_rel", "max_iter", "max_tau_halvings"):
-            value = getattr(self, name)
-            if not 0 <= value < np.inf:  # also rejects NaN; an infinite tolerance passes any state
-                raise InvalidArgument(f"newton.{name} must be finite and >= 0, got {value}")
+            value, hi = getattr(self, name), 53 if name == "max_tau_halvings" else np.inf
+            if not 0 <= value < hi:  # also rejects NaN; an infinite tolerance passes any state
+                raise InvalidArgument(f"newton.{name} must lie in [0, {hi:g}), got {value}")
 
 
 @dataclass(frozen=True)
@@ -124,9 +119,9 @@ class RunParams:
             raise InvalidArgument(f"final time time.T must be >= 0 and finite, got {self.t_final}")
         if not (0.0 < self.eps < 1.0):
             raise InvalidArgument("regularization parameter must lie in (0,1)")
-        if self.t_final / self.tau == np.inf:
+        if self.t_final / self.tau > 2**53:  # t + tau stops resolving tau; also overflow
             raise InvalidArgument(f"time.T / time.tau = {self.t_final:g} / {self.tau:g} "
-                                  "overflows the step count")
+                                  "exceeds 2**53 steps")
 
     @property
     def n_steps(self):
@@ -192,19 +187,10 @@ class Stepper:
     """Holds the assembled operators and advances states in time.
 
     Each piece of the Newton system is built at the rate it changes: the
-    case-space blocks, unit-ramp convection operators and J0's CSR pattern
-    once per run; the mobility blocks and the data of J0, the Jacobian's
-    linear part, once per step (one scatter, ``linear_map``), or once per
-    run and tau when both mobilities are constant (a constant mobility
-    ignores the field); the lumped diagonal D and the resolvent per iterate.
-
-    The Jacobian is factored rarely: ``factor`` is one LU factor kept across
-    Newton iterations and steps, and each correction is solved by GMRES
-    preconditioned with it, applying the Jacobian as J0 minus D.  A new
-    factor is taken (lazily, in the first Newton iteration that needs one)
-    when GMRES misses its tolerance, or when J0 is rebuilt for a new tau
-    (J0 holds M_LK / tau); the correction is then the direct solve with the
-    new factor.
+    case-space blocks and unit-ramp convection operators once per run; the
+    mobility blocks once per step, or once per run when both mobilities are
+    constant (a constant mobility ignores the field); the lumped diagonal D
+    and the resolvent per iterate; J0 and its kept LU factor in ``system``.
     """
 
     def __init__(self, mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None):
@@ -221,16 +207,14 @@ class Stepper:
         f = self.forms
         phase, chem = self.spaces.phase, self.spaces.chem
         self.A_K = reduce(phase, f.A_pair + self.spaces.B_K, phase)
-        self.linear_map = _linear_jacobian_map(mesh, chem, reduce(chem, self.spaces.B_L, chem),
-                                               reduce(chem, f.M_pair, phase),
-                                               reduce(phase, f.M_pair, chem), self.A_K)
+        self.system = _NewtonSystem(mesh, chem, reduce(chem, self.spaces.B_L, chem),
+                                    reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
+                                    self.A_K)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
         vel = params.velocity  # unit-ramp operators: vel.factor(vel.ramp) = 1
         self.convection = None if vel.is_zero else assemble_convection(mesh, vel)
-        self.linear = (None, None, None)  # (tau, K_b, J0) of the last J0 built
-        self.factor = None
 
     def _mobility_blocks(self, phi, psi):
         """Mobility stiffnesses K_b, K_s at (phi, psi)."""
@@ -261,14 +245,8 @@ class Stepper:
 
         x_n = np.concatenate([state.phi, state.psi])[phase.idx]
         K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
-        if self.linear[0] != tau or self.linear[1] is not K_b:  # J0 without diag(0, D)
-            if self.linear[0] != tau:  # the kept factor holds M_LK over the old tau
-                self.factor = None
-            pattern, linear, over_tau, coef = self.linear_map
-            data = [np.where(over_tau, (1.0 / tau) * linear, linear),
-                    coef * np.concatenate([K_b.data, K_s.data])]
-            self.linear = (tau, K_b, scatter(pattern, np.concatenate(data)))
-        J0 = self.linear[2]
+        J0 = self.system.jacobian(tau, K_b, K_s)
+        counted = self.system.linear_iters, self.system.factorizations  # before this step
 
         if self.convection is None:
             conv = np.zeros(f.n_bulk + f.n_surf)
@@ -298,34 +276,18 @@ class Stepper:
         ny = len(y)  # Newton unknowns (y, x); the residual rows stay (g1, g2)
         g, res, nonlinear = residual(x, y, state.nonlinear)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
-        iters = linear_iters = factorizations = 0
+        iters = 0
         while not res <= tol:  # a NaN residual must fail, not pass as converged
             if not np.isfinite(res):
                 raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
                 raise failure("Newton did not converge", res)
-            D = phase.lumped(f.lump_pair * nonlinear[1])
-
-            def apply_jacobian(v):
-                w = J0 @ v
-                w[ny:] -= D * v[ny:]
-                return w
-
-            delta = None
-            if self.factor is not None:
-                delta, n_krylov = _krylov(apply_jacobian, self.factor.solve, -g)
-                linear_iters += n_krylov
-            if delta is None:  # refactor; the old factor goes first, two alive would double memory
-                self.factor = None
-                J = (J0 - sp.diags(np.concatenate([np.zeros(ny), D]))).tocsc()
-                try:
-                    self.factor = splu(J)
-                except RuntimeError as exc:  # exactly singular Jacobian
-                    raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
-                factorizations += 1
-                delta = self.factor.solve(-g)
-                if not np.all(np.isfinite(delta)):
-                    raise failure("non-finite Newton correction", res)
+            try:
+                delta = self.system.solve(phase.lumped(f.lump_pair * nonlinear[1]), -g)
+            except RuntimeError as exc:  # exactly singular Jacobian
+                raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
+            if not np.all(np.isfinite(delta)):
+                raise failure("non-finite Newton correction", res)
             dy, dx = delta[:ny], delta[ny:]
 
             # damped update: the first factor that lowers the residual, else the last one
@@ -339,8 +301,9 @@ class Stepper:
 
         new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear)
         mu, theta = new.mu, new.theta
-        report = StepReport(newton_iters=iters, residual=res, linear_iters=linear_iters,
-                            factorizations=factorizations,
+        report = StepReport(newton_iters=iters, residual=res,
+                            linear_iters=self.system.linear_iters - counted[0],
+                            factorizations=self.system.factorizations - counted[1],
                             diss_bulk=float(mu @ (K_b @ mu)),
                             diss_surf=float(theta @ (K_s @ theta)),
                             robin_gap_sq=f.mismatch_sq(mu, theta, p.coupling.beta))
@@ -352,20 +315,66 @@ class Stepper:
         return new, report
 
 
-def _linear_jacobian_map(mesh, chem, BL_red, M_LK, M_KL, A_K):
-    """J0 = [[A1, M_LK/tau], [M_KL, -A_K]], A1 = P^T diag(K_b, K_s) P + BL_red
-    for the chem space's P, as one pattern and the scatter into it of [the
-    data of F = [[BL_red, M_LK], [M_KL, -A_K]], its M_LK block over tau;
-    coef * (K_b, K_s data)].  Returns (pattern, F data, M_LK mask, coef)."""
-    g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
-    c, w = chem.P.indices, chem.P.data  # P holds one entry per row: w[i] in column c[i]
-    k_rows = np.concatenate([np.repeat(np.arange(p.n), np.diff(p.indptr)) + off
-                             for p, off in ((g.tri_pattern, 0), (g.edge_pattern, n))])
-    k_cols = np.concatenate([g.tri_pattern.indices, n + g.edge_pattern.indices])
-    F = sp.bmat([[BL_red, M_LK], [M_KL, -A_K]], format="coo")
-    pattern = csr_pattern(np.concatenate([F.row, c[k_rows]]), np.concatenate([F.col, c[k_cols]]),
-                          F.shape[0])
-    return pattern, F.data, (F.row < ny) & (F.col >= ny), w[k_rows] * w[k_cols]
+class _NewtonSystem:
+    """The Newton linear algebra of a stepper: J0 = [[A1, M_LK/tau], [M_KL, -A_K]],
+    the Jacobian's linear part (A1 = P^T diag(K_b, K_s) P + BL_red for the chem
+    space's P), as one CSR pattern and the scatter into it of [the data of
+    [[BL_red, M_LK], [M_KL, -A_K]], M_LK over tau; coef * (K_b, K_s data)].
+    The unknowns are ordered (y, x), chemical potentials first, so the Jacobian
+    J0 - diag(0, D) has square diagonal blocks and a symmetric sparsity pattern,
+    which the package's `splu` (symmetric ordering, diagonal pivots) is set for.
+
+    It is factored rarely: ``factor`` is kept across Newton iterations and steps
+    and preconditions the GMRES solve of each correction.  When GMRES misses its
+    tolerance within KRYLOV_MAX_ITER iterations, the correction is the direct
+    solve with a new factor, taken then; a new tau drops the factor (J0 holds
+    M_LK / tau).  ``linear_iters`` and ``factorizations`` count from the start.
+    """
+
+    def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K):
+        g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
+        c, w = chem.P.indices, chem.P.data  # P holds one entry per row: w[i] in column c[i]
+        k_rows = np.concatenate([np.repeat(np.arange(p.n), np.diff(p.indptr)) + off
+                                 for p, off in ((g.tri_pattern, 0), (g.edge_pattern, n))])
+        k_cols = np.concatenate([g.tri_pattern.indices, n + g.edge_pattern.indices])
+        F = sp.bmat([[BL_red, M_LK], [M_KL, -A_K]], format="coo")
+        self.pattern = csr_pattern(np.concatenate([F.row, c[k_rows]]),
+                                   np.concatenate([F.col, c[k_cols]]), F.shape[0])
+        self.F_data, self.over_tau = F.data, (F.row < ny) & (F.col >= ny)
+        self.coef, self.ny = w[k_rows] * w[k_cols], ny
+        self.tau = self.K_b = self.J0 = self.D = self.factor = None
+        self.linear_iters = self.factorizations = 0
+
+    def jacobian(self, tau, K_b, K_s):
+        """J0 for step size tau and mobility blocks (K_b, K_s), built anew when either changed."""
+        if self.tau != tau or self.K_b is not K_b:
+            if self.tau != tau:  # the kept factor holds M_LK over the old tau
+                self.factor = None
+            data = [np.where(self.over_tau, (1.0 / tau) * self.F_data, self.F_data),
+                    self.coef * np.concatenate([K_b.data, K_s.data])]
+            self.tau, self.K_b, self.J0 = tau, K_b, scatter(self.pattern, np.concatenate(data))
+        return self.J0
+
+    def solve(self, D, rhs):
+        """The correction delta with (J0 - diag(0, D)) delta = rhs: GMRES
+        preconditioned by the kept factor, else the direct solve with a new
+        factor.  An exactly singular Jacobian raises RuntimeError."""
+        self.D = D
+        if self.factor is not None:
+            delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs)
+            self.linear_iters += n_krylov
+            if delta is not None:
+                return delta
+        self.factor = None  # the old factor goes first, two alive would double memory
+        self.factor = splu((self.J0 - sp.diags(np.concatenate([np.zeros(self.ny), D]))).tocsc())
+        self.factorizations += 1
+        return self.factor.solve(rhs)
+
+    def _apply(self, v):
+        """The Jacobian J0 - diag(0, D) applied to v."""
+        w = self.J0 @ v
+        w[self.ny:] -= self.D * v[self.ny:]
+        return w
 
 
 def _krylov(apply_jacobian, precondition, b):
@@ -460,6 +469,7 @@ def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = 
             psi = phi[mesh.boundary_loop] / cp.alpha
             if np.any(np.abs(psi) > hi):
                 raise InvalidArgument("slaved surface values exceed the clamp margin")
+            phi[mesh.boundary_loop] = cp.alpha * psi  # phi / alpha * alpha may differ from phi
 
     separate = np.isinf(cp.L)  # else the combined mean m, carried by (beta * m, m)
     for mean, pot, where in zip(forms.means(phi, psi, cp.beta, separate),

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import os
 import re
@@ -6,8 +7,9 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import bscch
 import bscch.diagnostics
@@ -22,7 +24,7 @@ from bscch.config import (
     serialize_config,
 )
 from bscch.errors import ValidationError
-from bscch.mesh import read_mesh
+from bscch.mesh import generate_disk_mesh, read_mesh
 from bscch.stepper import initial_state
 
 SHORT_CFG = """
@@ -132,13 +134,23 @@ def test_final_time_rounding_to_zero_steps_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("key,value", [("newton.tol_abs", "-1"), ("newton.tol_rel", "-1e-10"),
                                        ("newton.max_iter", "0"), ("newton.max_iter", "-3"),
-                                       ("newton.max_tau_halvings", "-1")])
+                                       ("newton.max_tau_halvings", "-1"),
+                                       ("newton.max_tau_halvings", "53")])
 def test_invalid_newton_parameter_exits_1(tmp_path, capsys, key, value):
     p = tmp_path / "n.cfg"
     p.write_text(SHORT_CFG + f"{key} = {value}\noutput.dir = {tmp_path / 'out'}\n")
     assert main(["run", "--config", str(p)]) == 1
     assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_deepest_tau_halving_of_a_failing_newton_exits_2(tmp_path, capsys):
+    # 980 halvings ended in a RecursionError; the deepest allowed one fails cleanly
+    p = tmp_path / "h.cfg"
+    p.write_text(SHORT_CFG + "newton.max_iter = 1\nnewton.tol_abs = 0\nnewton.tol_rel = 0\n"
+                 f"newton.max_tau_halvings = 52\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key,value", [("velocity.ramp", "-1"), ("velocity.ramp", "nan"),
@@ -365,13 +377,15 @@ def test_empty_list_exits_1(rotating_cfg, capsys, argv):
 
 
 def test_step_count_overflow_exits_1(tmp_path, capsys):
-    # an OverflowError traceback: T / tau is inf, and RunParams.n_steps rounded it
-    p = tmp_path / "o.cfg"
-    p.write_text(SHORT_CFG.replace("time.tau = 1e-4", "time.tau = 1e-10")
-                 .replace("time.T = 5e-4", "time.T = 1e300"))
-    assert main(["run", "--config", str(p)]) == 1
-    err = capsys.readouterr().err
-    assert "time.T" in err and "time.tau" in err
+    # 1e300: an OverflowError traceback, T / tau is inf and RunParams.n_steps rounded it;
+    # 1e20: 1e30 steps, a run that never ends (t + tau stops resolving tau past 2**53 steps)
+    for T in ("1e300", "1e20"):
+        p = tmp_path / "o.cfg"
+        p.write_text(SHORT_CFG.replace("time.tau = 1e-4", "time.tau = 1e-10")
+                     .replace("time.T = 5e-4", f"time.T = {T}"))
+        assert main(["run", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert "time.T" in err and "time.tau" in err
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -528,34 +542,90 @@ _INVALID = [("time.tau", "0"), ("time.tau", "-1e-4"), ("time.T", "4e-5"), ("time
             ("mesh.nb", "6"), ("mesh.nr", "0"), ("init.amplitude", "3")]
 
 
+_VALUES = st.fixed_dictionaries({
+    "mesh.nb": st.sampled_from(["8", "16"]), "mesh.nr": st.sampled_from(["2", "4"]),
+    "model.K": _EXTENDED, "model.L": _EXTENDED,
+    "model.alpha": st.sampled_from(["0", "0.3", "0.5", "1"]),
+    "potential.bulk": _POTENTIAL, "potential.surf": _POTENTIAL,
+    "mobility.bulk.kind": _MOBILITY, "mobility.surf.kind": _MOBILITY,
+    "velocity.bulk": st.sampled_from(["none", "rigid_rotation"]),
+    "velocity.omega": st.just("1"),
+    "time.tau": st.sampled_from(["1e-4", "2e-4"]),
+    "time.T": st.sampled_from(["3e-4", "5e-4"]),
+    "yosida.eps": st.sampled_from(["0.05", "0.02"]),
+    "newton.max_iter": st.sampled_from(["50", "2"]),
+    "newton.max_tau_halvings": st.sampled_from(["0", "2"]),
+    "init.amplitude": st.sampled_from(["0.2", "0.6"]),
+    "output.every": st.sampled_from(["1", "2"]),
+    "output.vtk": st.sampled_from(["false", "true"]),
+})
+
+
 @settings(max_examples=25, deadline=None)
 @given(command=st.sampled_from(["run", "limit-study", "cont-dep"]),
-       values=st.fixed_dictionaries({
-           "mesh.nb": st.sampled_from(["8", "16"]), "mesh.nr": st.sampled_from(["2", "4"]),
-           "model.K": _EXTENDED, "model.L": _EXTENDED,
-           "model.alpha": st.sampled_from(["0", "0.5", "1"]),
-           "potential.bulk": _POTENTIAL, "potential.surf": _POTENTIAL,
-           "mobility.bulk.kind": _MOBILITY, "mobility.surf.kind": _MOBILITY,
-           "velocity.bulk": st.sampled_from(["none", "rigid_rotation"]),
-           "velocity.omega": st.just("1"),
-           "time.tau": st.sampled_from(["1e-4", "2e-4"]),
-           "time.T": st.sampled_from(["3e-4", "5e-4"]),
-           "yosida.eps": st.sampled_from(["0.05", "0.02"]),
-           "newton.max_iter": st.sampled_from(["50", "2"]),
-           "newton.max_tau_halvings": st.sampled_from(["0", "2"]),
-           "init.amplitude": st.sampled_from(["0.2", "0.6"]),
-           "output.every": st.sampled_from(["1", "2"]),
-           "output.vtk": st.sampled_from(["false", "true"]),
-       }),
+       values=_VALUES,
        invalid=st.one_of(st.none(), st.sampled_from(_INVALID)))
 def test_generated_configs_end_in_a_documented_exit(command, values, invalid):
     # any config ends in a correct run (0), a message (1) or a solver failure (2)
     extra = {"run": [], "limit-study": ["--parameter", "L->0", "--schedule", "1,0.5"],
              "cont-dep": ["--amplitudes", "0,1e-3"]}[command]
+    values = {**values, **dict([invalid] if invalid else [])}
+    assert _generated_exit(command, values, extra) in (0, 1, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(values=_VALUES)
+@example(values={  # alpha = 0.3 at K = 0: an initial state off the trace constraint
+    "mesh.nb": "16", "mesh.nr": "4", "model.K": "0", "model.L": "1", "model.alpha": "0.3",
+    "potential.bulk": "log", "potential.surf": "log", "mobility.bulk.kind": "constant",
+    "mobility.surf.kind": "constant", "velocity.bulk": "none", "velocity.omega": "1",
+    "time.tau": "1e-4", "time.T": "3e-4", "yosida.eps": "0.05", "newton.max_iter": "50",
+    "newton.max_tau_halvings": "0", "init.amplitude": "0.2", "output.every": "1",
+    "output.vtk": "true"})
+def test_generated_runs_keep_their_invariants(values):
+    # every valid run, with snapshots, that ends in exit 0 meets the discrete invariants
+    assert _generated_exit("run", {**values, "output.vtk": "true"}) in (0, 1, 2)
+
+
+def _generated_exit(command, values, extra=()):
+    """Exit code of ``command`` on the config ``values``; a run that exits 0 must
+    also meet its invariants."""
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "g.cfg"
-        cfg.write_text(serialize_config({**values, **dict([invalid] if invalid else []),
-                                         "output.dir": str(Path(tmp) / "out")}))
+        cfg.write_text(serialize_config({**values, "output.dir": str(Path(tmp) / "out")}))
         rc = main([command, "--config", str(cfg), *extra])
+        if command == "run" and rc == 0:
+            _check_run_invariants(values, Path(tmp) / "out")
     event(f"{command} exit {rc}")
-    assert rc in (0, 1, 2)
+    return rc
+
+
+def _vtk_scalars(path, name):
+    lines = path.read_text().splitlines()
+    i = lines.index(f"SCALARS {name} double 1")
+    count = int(next(ln for ln in lines if ln.startswith("POINT_DATA")).split()[1])
+    return np.array([float(v) for v in lines[i + 2 : i + 2 + count]])
+
+
+def _check_run_invariants(values, outdir):
+    """A correct run's invariants, read from its outputs: the conserved masses of
+    series.csv drift by at most 1e-10 (criterion 06), the energy does not rise by
+    more than 1e-9 without convection (criterion 07), and at K = 0 every snapshot
+    meets phi|_Gamma = alpha * psi bitwise."""
+    with open(outdir / "series.csv") as fh:
+        rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
+    conserved = ["mass_combined"] + (["mass_bulk", "mass_surf"] if values["model.L"] == "inf"
+                                     else [])
+    for name in conserved:
+        assert max(abs(r[name] - rows[0][name]) for r in rows) <= 1e-10, name
+    if values["velocity.bulk"] == "none":
+        assert all(b["energy"] <= a["energy"] + 1e-9 for a, b in zip(rows, rows[1:]))
+    if values["model.K"] == "0" and values["output.vtk"] == "true":
+        loop = generate_disk_mesh(int(values["mesh.nb"]), int(values["mesh.nr"])).boundary_loop
+        bulk = sorted(outdir.glob("bulk_*.vtk"))
+        assert bulk
+        for path in bulk:
+            phi = _vtk_scalars(path, "phi")
+            psi = _vtk_scalars(outdir / path.name.replace("bulk", "surf"), "psi")
+            np.testing.assert_array_equal(phi[loop], float(values["model.alpha"]) * psi)
+        event("run exit 0 at K = 0 with snapshots")

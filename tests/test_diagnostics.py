@@ -15,7 +15,7 @@ from bscch.diagnostics import (
 )
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
-from bscch.output import write_snapshots, write_vtk_bulk, write_vtk_surface
+from bscch.output import write_snapshots
 from bscch.potentials import make_potential, moreau_envelope
 from bscch.stepper import InitialDataSpec, RunConfig, RunParams, State, run
 
@@ -79,9 +79,8 @@ def test_energy_recomputed_from_vtk_snapshot(tmp_path, mesh, forms):
     p = _params(t_final=5e-4)
     res = run(RunConfig(nb=16, nr=4, params=p), mesh=mesh)
     s = res.final_state
-    bpath, spath = tmp_path / "b.vtk", tmp_path / "s.vtk"
-    write_vtk_bulk(bpath, mesh, s.phi, s.mu)
-    write_vtk_surface(spath, mesh, s.psi, s.theta)
+    write_snapshots(str(tmp_path), mesh, [s])
+    bpath, spath = tmp_path / "bulk_00000.vtk", tmp_path / "surf_00000.vtk"
 
     def scalars(path, name, count):
         lines = path.read_text().splitlines()
@@ -146,9 +145,6 @@ def test_vtk_writers_match_value_by_value_writer(tmp_path, mesh):
         for bulk, name, fields in ((True, "bulk", (s.phi, s.mu)), (False, "surf", (s.psi, s.theta))):
             ref = tmp_path / f"ref_{name}_{k}.vtk"
             _reference_vtk(ref, mesh, bulk, *fields)
-            single = tmp_path / f"one_{name}_{k}.vtk"
-            (write_vtk_bulk if bulk else write_vtk_surface)(single, mesh, *fields)
-            assert single.read_bytes() == ref.read_bytes()
             assert (tmp_path / "snap" / f"{name}_{k:05d}.vtk").read_bytes() == ref.read_bytes()
 
 

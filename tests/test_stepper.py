@@ -119,6 +119,15 @@ def test_initial_data_respects_clamp_and_trace():
     np.testing.assert_allclose(phi[mesh.boundary_loop], cp.alpha * psi, atol=1e-15)
 
 
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7, 0.9])
+def test_initial_trace_constraint_holds_bitwise(alpha):
+    # psi = phi|_Gamma / alpha alone left alpha * psi off phi|_Gamma in the last bit
+    mesh = generate_disk_mesh(16, 4)
+    cp = CouplingParams(K=0.0, L=1.0, alpha=alpha, beta=1.0)
+    state = initial_state(mesh, _params(coupling=cp, init=InitialDataSpec(seed=0)))
+    np.testing.assert_array_equal(state.phi[mesh.boundary_loop], alpha * state.psi)
+
 def test_initial_data_mean_admissibility():
     # beta = 5 inflates the conserved combined mean past the log domain edge
     mesh = generate_disk_mesh(16, 4)
@@ -341,9 +350,9 @@ def test_new_tau_refactors():
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p)
     mid, first = stepper.step(state, p.tau)
-    assert first.factorizations == 1 and stepper.linear[0] == p.tau
+    assert first.factorizations == 1 and stepper.system.tau == p.tau
     _, half = stepper.step(state, p.tau / 2)
-    assert half.factorizations == 1 and stepper.linear[0] == p.tau / 2
+    assert half.factorizations == 1 and stepper.system.tau == p.tau / 2
     _, again = stepper.step(mid, p.tau / 2)
     assert again.factorizations == 0 and again.linear_iters > 0
 
@@ -360,14 +369,14 @@ def test_non_finite_kept_factor_refactors(monkeypatch, factor):
     stepper = Stepper(mesh, p)
     state, _ = stepper.step(initial_state(mesh, p))
     jacobian_shape = sp.eye(len(stepper.spaces.phase.idx) + len(stepper.spaces.chem.idx))
-    stepper.factor = factor(jacobian_shape)
+    stepper.system.factor = factor(jacobian_shape)
     calls = _count_splu(monkeypatch)
     new, report = stepper.step(state)
     assert len(calls) == 1 and report.factorizations == 1
     assert all(np.all(np.isfinite(getattr(new, f))) for f in ("phi", "psi", "mu", "theta"))
     # a refactor that is no better ends in a StepFailure, not in a NaN state
     monkeypatch.setattr(bscch.stepper, "splu", factor)
-    stepper.factor = factor(jacobian_shape)
+    stepper.system.factor = factor(jacobian_shape)
     with pytest.raises(StepFailure):
         stepper.step(new)
 
@@ -482,7 +491,7 @@ def test_apply_jacobian_matches_block_application(monkeypatch, K, L):
     # a kept factor sends the first iteration to GMRES, whose operator is applied
     # there (its D changes with the iteration)
     stepper.step(state)  # builds J0 for p.tau, so the factor kept below is not dropped
-    stepper.factor = _NonFiniteFactor(A1)
+    stepper.system.factor = _NonFiniteFactor(A1)
     ny = A1.shape[0]
     vs = [np.random.default_rng(seed).standard_normal(ny + len(D)) for seed in range(3)]
     applied = []
@@ -513,7 +522,7 @@ def test_refreshed_linear_jacobian_matches_block_form(K, L, alpha, beta):
         A1 = reduce(chem, K_pair, chem) + reduce(chem, stepper.spaces.B_L, chem)
         ref = sp.bmat([[A1, M_LK / p.tau], [M_KL, -stepper.A_K]], format="csr")
         state, _ = stepper.step(state)
-        J0 = stepper.linear[2]
+        J0 = stepper.system.J0
         assert J0.shape == ref.shape
         assert abs(J0 - ref).max() <= 1e-14 * abs(ref).max()
 
@@ -525,7 +534,7 @@ def test_half_step_after_full_step_equals_fresh_stepper():
     state = initial_state(mesh, p, stepper.forms)
     stepper.step(state, p.tau)
     half, half_report = stepper.step(state, p.tau / 2)
-    assert stepper.linear[0] == p.tau / 2
+    assert stepper.system.tau == p.tau / 2
     fresh, fresh_report = Stepper(mesh, p).step(state, p.tau / 2)
     assert half_report == fresh_report
     for name in ("phi", "psi", "mu", "theta"):
