@@ -88,9 +88,15 @@ def _cases():
     yield ("limit-study-L->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "L->0", "--schedule", "1,0.5,0.25"],
            short)
+    yield ("limit-study-L->inf",  # the only limit that prints the mass_drift lines
+           ["limit-study", "--config", "CONFIG", "--parameter", "L->inf", "--schedule", "1,2,4"],
+           short)
     yield ("limit-study-K->0",  # the last member is the K = 0 (Dirichlet) case
            ["limit-study", "--config", "CONFIG", "--parameter", "K->0", "--schedule", "1,0.5,0"],
            _config(time__T="5e-4", model__alpha="0.8", model__beta="1.2"))
+    yield ("limit-study-K->inf",  # the last member is the K = inf case
+           ["limit-study", "--config", "CONFIG", "--parameter", "K->inf", "--schedule", "1,2,inf"],
+           short)
     yield ("limit-study-eps->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "eps->0",
             "--schedule", "0.1,0.05,0.025"], short)

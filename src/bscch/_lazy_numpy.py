@@ -2,8 +2,8 @@
 
 Importing scipy.sparse reads every public attribute of numpy, which would
 execute these (f2py pulls in charset_normalizer, testing pulls in unittest).
-A LazyLoader module runs on its first attribute access instead; on Python
-3.11 that first access is not thread-safe, and bscch's threads never make it.
+A LazyLoader module runs on its first attribute access instead, which
+bscch never makes.
 """
 
 import importlib.util

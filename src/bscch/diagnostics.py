@@ -3,15 +3,13 @@ separation margins, and the continuous-dependence and limit experiments."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace, fields as dc_fields
 
 import numpy as np
 
 from .assembly import CouplingParams, FormsBundle, assemble_core
 from .elliptic import InverseCoupledOperator, BulkSurfacePair
-from .errors import InvalidArgument, ValidationError
+from .errors import InvalidArgument
 from .mesh import generate_disk_mesh
 from .potentials import moreau_envelope
 
@@ -87,25 +85,6 @@ def make_record(state, forms: FormsBundle, params, report, prev_energy, tau) -> 
 
 # -- experiments -----------------------------------------------------------
 
-def _thread_count():
-    """Worker cap from BSCCH_THREADS (default 1 = sequential); experiments
-    read it before their first run, so a bad value costs no simulation."""
-    raw = os.environ.get("BSCCH_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"BSCCH_THREADS must be an integer, got {raw!r}") from None
-
-
-def _map_runs(fn, items, workers):
-    """Run independent member simulations, in parallel when workers > 1;
-    results keep the order of ``items`` either way."""
-    if workers == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 @dataclass(frozen=True)
 class CDReport:
     amplitudes: tuple
@@ -133,10 +112,11 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
     if vel.bulk_kind != "rigid_rotation":
         raise InvalidArgument("continuous dependence experiment requires a rigid_rotation velocity")
     amps = [float(a) for a in perturbation_amplitudes]
+    if not np.all(np.isfinite(amps)):  # checked first: NaN defeats the sorted check
+        raise InvalidArgument(f"perturbation amplitudes must be finite, got {amps}")
     if sorted(amps) != amps:
         raise InvalidArgument("perturbation amplitudes must be sorted ascending")
 
-    workers = _thread_count()
     base = run(config_base)
     op = InverseCoupledOperator(base.mesh, params.coupling, forms=base.forms)
 
@@ -152,7 +132,7 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
             dmax = max(dmax, op.dual_norm(pair))
         return dmax
 
-    maxima = _map_runs(member, amps, workers)
+    maxima = [member(a) for a in amps]
 
     zero_ok = all(d <= 1e-12 for a, d in zip(amps, maxima) if a == 0.0)
     monotone = all(d1 <= d2 + 1e-14 for d1, d2 in zip(maxima, maxima[1:]))
@@ -225,8 +205,9 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
     )
     if not steps_ok:
         raise InvalidArgument("schedule must be monotone toward the limit")
+    if len(schedule) < 2:  # every observable's trend compares consecutive members
+        raise InvalidArgument(f"schedule must list at least two values, got {schedule}")
 
-    workers = _thread_count()
     params = config_base.params
     mesh = generate_disk_mesh(config_base.nb, config_base.nr)
     forms = assemble_core(mesh)
@@ -237,7 +218,7 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
              else replace(params, coupling=replace(params.coupling, **{name: v})))
         return run(replace(config_base, params=p, keep_states=False), mesh=mesh, forms=forms)
 
-    results = _map_runs(member, schedule, workers)
+    results = [member(v) for v in schedule]
     values = _observables(parameter, results)
     extra = [_mass_drift(res) for res in results] if parameter == "L->inf" else []
     seq = extra if parameter == "L->inf" else values

@@ -4,8 +4,7 @@ The generator is fully deterministic: a polar construction with one center
 vertex, ``nr`` concentric rings of ``nb`` vertices each, a fan of triangles
 around the center and two triangles per angular sector between rings.  The
 outermost ring, in counterclockwise angular order, is the discrete surface.
-
-Meshes are immutable after construction and safe to share across threads.
+Meshes are immutable after construction.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ supported:
   smooth part 1 - s^2
 
 All evaluation routines accept scalars or numpy arrays and are pure
-functions, safe to call concurrently.
+functions.
 """
 
 from __future__ import annotations

@@ -96,6 +96,8 @@ class InitialDataSpec:
             value, (lo, hi) = getattr(self, name), bounds.get(name, (-np.inf, np.inf))
             if not lo < value < hi:  # also rejects nan
                 raise InvalidArgument(f"init.{name} must lie in ({lo:g}, {hi:g}), got {value}")
+        if self.seed < 0:  # np.random.default_rng takes non-negative seeds only
+            raise InvalidArgument(f"init.seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

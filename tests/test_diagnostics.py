@@ -168,9 +168,11 @@ def test_stationary_energy_residual_zero():
 
 
 def test_limit_study_degenerate_schedule():
+    # fewer than two members leave no consecutive pair, so no trend to report
     cfg = RunConfig(nb=16, nr=4, params=_params(t_final=3e-4), keep_states=False)
-    rep = limit_study(cfg, "K->0", [1.0])
-    assert len(rep.values) == 1 and rep.decreasing
+    for schedule in ([1.0], []):
+        with pytest.raises(InvalidArgument, match="at least two"):
+            limit_study(cfg, "K->0", schedule)
 
 
 def test_limit_study_rejects_bad_schedule():
