@@ -74,6 +74,8 @@ def _cases():
     yield ("run-tau-halving", run,
            _config(time__T="2e-4", yosida__eps="0.02", init__amplitude="0.6",
                    init__margin="0.02", newton__max_iter="2", newton__max_tau_halvings="6"))
+    # a one-iteration Newton budget without halving: exit 2, the failure message pinned
+    yield ("run-newton-max-iter-1", run, _config(newton__max_iter="1"))
     # a separated state: two bubbles at +-1 and log at small eps, where the resolvent's
     # root lies within rounding of +-1
     yield ("run-bubbles-log-eps1e-3", run,

@@ -3,9 +3,9 @@
 Operators act on nodal coefficient vectors.  Bulk matrices are indexed by
 vertex; surface matrices by position along the boundary loop.  Pair vectors
 concatenate (bulk, surface) blocks.  The case-dependent trial/test space
-reductions (Dirichlet couplings K=0 / L=0) are realized by index maps
-that slave boundary bulk values to surface values, so constraints hold
-exactly.
+reductions (Dirichlet couplings K=0 / L=0) are realized by the rows of a
+prolongation that slave boundary bulk values to surface values, so
+constraints hold exactly.
 """
 
 from __future__ import annotations
@@ -308,50 +308,39 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField):
 
 @dataclass(frozen=True)
 class CaseSpace:
-    """One case space in index form: ``idx`` holds the positions of the
-    reduced coordinates in the full pair vector of length ``size``; in a
-    Dirichlet case (K = 0 or L = 0) each boundary bulk row ``slaved[i]`` is
-    ``weight`` times the reduced surface slot ``masters[i]`` (both empty
-    otherwise).  ``prolong`` is P x, ``restrict`` P^T v and ``lumped`` the
-    diagonal of P^T diag(d) P, as index operations bitwise equal to the
-    sparse products; the sparse ``P`` only builds reduced operators.  Like
-    the sparse kernels, each sum starts from +0.0, so a zero result is +0.0
-    (0.0 * x is -0.0 for x < 0)."""
+    """One case space as the rows of its prolongation P, one entry each: full
+    row i is ``scale[i]`` times reduced slot ``col[i]``.  ``idx`` holds the
+    positions of the reduced coordinates in the full pair vector; in a
+    Dirichlet case (K = 0 or L = 0) each boundary bulk row is the weight
+    times its surface slot.  ``prolong`` is P x, ``restrict`` P^T v and
+    ``lumped`` the diagonal of P^T diag(d) P, as one gather or bincount each,
+    bitwise equal to the sparse products (a slot sums at most two terms);
+    the sparse ``P`` only builds reduced operators.  Like the sparse kernels, each sum
+    starts from +0.0, so a zero result is +0.0 (0.0 * x is -0.0 for x < 0)."""
 
-    size: int
     idx: np.ndarray
-    slaved: np.ndarray
-    masters: np.ndarray
-    weight: float
+    col: np.ndarray
+    scale: np.ndarray
 
     def prolong(self, x):
-        full = np.zeros(self.size)
-        full[self.idx] += x
-        full[self.slaved] += self.weight * x[self.masters]
-        return full
+        return 0.0 + self.scale * x[self.col]
 
     def restrict(self, v):
-        out = 0.0 + v[self.idx]
-        out[self.masters] += self.weight * v[self.slaved]
-        return out
+        return np.bincount(self.col, self.scale * v, len(self.idx))
 
-    def lumped(self, d):  # each row of P holds one entry
-        out = 0.0 + d[self.idx]
-        out[self.masters] += self.weight * (self.weight * d[self.slaved])
-        return out
+    def lumped(self, d):
+        return np.bincount(self.col, self.scale * (self.scale * d), len(self.idx))
 
     @cached_property
     def P(self):
-        n_red = len(self.idx)
-        rows = np.concatenate([self.idx, self.slaved])
-        cols = np.concatenate([np.arange(n_red), self.masters])
-        vals = np.concatenate([np.ones(n_red), np.full(len(self.slaved), self.weight)])
-        return sp.coo_matrix((vals, (rows, cols)), shape=(self.size, n_red)).tocsr()
+        size = len(self.col)
+        return sp.csr_matrix((self.scale, self.col, np.arange(size + 1)),
+                             shape=(size, len(self.idx)))
 
 
 def reduce(test: CaseSpace, op, trial: CaseSpace):
     """P_test^T op P_trial, or ``op`` itself (as CSR) when both spaces are full."""
-    full = len(test.idx) == test.size and len(trial.idx) == trial.size
+    full = len(test.idx) == len(test.col) and len(trial.idx) == len(trial.col)
     return (op if full else test.P.T @ op @ trial.P).tocsr()
 
 
@@ -370,10 +359,6 @@ class CaseSpaces:
     B_K: sp.csr_matrix
     B_L: sp.csr_matrix
 
-    @property
-    def P_phase(self):
-        return self.phase.P
-
 
 def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
     """The case of one extended parameter (K with alpha, or L with beta):
@@ -383,15 +368,15 @@ def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
     dofs, each boundary bulk dof slaved to ``weight`` times its surface dof."""
     s, n, b = sigma(value), mesh.n_vertices, mesh.n_boundary
     block = s * forms.coupling_block(weight) if s > 0 else sp.csr_matrix((n + b, n + b))
+    col, scale = np.arange(n + b), np.ones(n + b)
     if value != 0.0:
-        none = np.zeros(0, dtype=np.intp)
-        return CaseSpace(n + b, np.arange(n + b), none, none, float(weight)), block
+        return CaseSpace(col, col, scale), block
     is_bnd = np.zeros(n, dtype=bool)
     is_bnd[mesh.boundary_loop] = True
-    interior = np.flatnonzero(~is_bnd)
-    idx = np.concatenate([interior, n + np.arange(b)])
-    masters = len(interior) + np.arange(b)
-    return CaseSpace(n + b, idx, mesh.boundary_loop, masters, float(weight)), block
+    idx = np.concatenate([np.flatnonzero(~is_bnd), n + np.arange(b)])
+    col[idx] = np.arange(len(idx))
+    col[mesh.boundary_loop], scale[mesh.boundary_loop] = col[n:], weight
+    return CaseSpace(idx, col, scale), block
 
 
 def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle) -> CaseSpaces:

@@ -107,8 +107,7 @@ def _cmd_potential_check(args):
     check_weight("--alpha", args.alpha)
     bulk, surf = (make_potential(k) for k in parts)
     grid = np.linspace(-0.999, 0.999, 999)
-    rep = check_domination(bulk.convex, surf.convex, args.alpha, grid,
-                           eps_list=[0.1, 0.05])
+    rep = check_domination(bulk.convex, surf.convex, args.alpha, grid)
     if rep.admissible:
         print(f"admissible: ({parts[0]},{parts[1]}) alpha={args.alpha:g} "
               f"kappa1={rep.kappa1:g} kappa2={rep.kappa2:g}")

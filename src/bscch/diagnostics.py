@@ -74,11 +74,11 @@ def energy_residual(e_new, e_old, tau, report) -> float:
 def make_record(state, forms: FormsBundle, params, report, prev_energy, tau) -> DiagnosticsRecord:
     mb, ms, mc = masses(state.phi, state.psi, forms, params.coupling)
     en = energy(state.phi, state.psi, forms, params, state.nonlinear and state.nonlinear[2])
-    resid = 0.0 if prev_energy is None else energy_residual(en, prev_energy, tau, report)
+    defect = 0.0 if prev_energy is None else energy_residual(en, prev_energy, tau, report)
     db, ds = separation_margin(state.phi, state.psi)
     return DiagnosticsRecord(  # the step's rates and Newton count under their StepReport names
         t=state.t, mass_bulk=mb, mass_surf=ms, mass_combined=mc, energy=en,
-        energy_residual=resid, sep_margin_bulk=db, sep_margin_surf=ds,
+        energy_residual=defect, sep_margin_bulk=db, sep_margin_surf=ds,
         **{name: getattr(report, name) for name in CSV_FIELDS if hasattr(report, name)},
     )
 

@@ -28,9 +28,4 @@ class SolverFailure(BscchError, RuntimeError):
 
 
 class StepFailure(SolverFailure):
-    """Newton divergence inside a time step. Carries the last residual."""
-
-    def __init__(self, message, residual=None, t=None):
-        super().__init__(message)
-        self.residual = residual
-        self.t = t
+    """Newton divergence or a non-finite state inside a time step."""

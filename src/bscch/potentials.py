@@ -18,6 +18,7 @@ functions.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -67,6 +68,9 @@ class ConvexPart:
         _check_finite_parameters(self)
         if self.kind == "reg" and self.c <= 0:
             raise InvalidArgument("quartic coefficient must be positive")
+        if self.kind == "reg" and 12.0 * self.c == math.inf:  # F1'' = 12 c r^2 must stay finite
+            raise InvalidArgument(f"potential.c must be at most {sys.float_info.max / 12:.4g} "
+                                  f"for the reg well, got {self.c}")
         if self.kind == "log" and self.theta <= 0:
             raise InvalidArgument("temperature must be positive")
 
@@ -373,7 +377,6 @@ class DominationReport:
     reason: str = ""
     kappa1: float = float("nan")
     kappa2: float = float("nan")
-    regularized_ok: bool = True
 
 
 def _domain_transfer_ok(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
@@ -391,13 +394,12 @@ def _domain_transfer_ok(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
     return ok, "" if ok else f"inadmissible: {reason}"
 
 
-def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid, eps_list=()):
+def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid):
     """Decide admissibility of the pairing and produce domination witnesses.
 
     Checks alpha*D(g1) subset of D(f1) plus the graph-level domination
-    |f1_circle(alpha r)| <= kappa1 |g1_circle(r)| + kappa2, returning the
-    witness constants.  When admissible and eps_list is nonempty, the
-    regularized transfer with the same constants is verified on the grid.
+    |f1_circle(alpha r)| <= kappa1 |g1_circle(r)| + kappa2 on the grid,
+    returning the witness constants.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
@@ -421,25 +423,14 @@ def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid, eps_list=(
     else:  # log vs reg, alpha = 0
         kappa1, kappa2 = 1.0, 0.0
 
-    report = DominationReport(admissible=True, kappa1=kappa1, kappa2=kappa2)
-
     # graph-level check on the grid (restricted to D(g1))
     glo, ghi = g_cp.prime_domain
     mask = (grid > glo) & (grid < ghi) if g_cp.prime_domain_open else (grid >= glo) & (grid <= ghi)
     pts = grid[mask]
-    if pts.size:
-        # the masks keep every argument inside the open log domain
-        fmin = np.abs(f_cp.minimal_section(a * pts))
-        gmin = np.abs(g_cp.minimal_section(pts))
-        if not np.all(fmin <= kappa1 * gmin + kappa2 + 1e-10):
-            report.regularized_ok = False
-            report.admissible = False
-            report.reason = "domination witnesses violated on grid"
-            return report
-
-    for e in eps_list:
-        fval, _ = yosida(f_cp, e, a * grid)
-        gval, _ = yosida(g_cp, e, grid)
-        if not np.all(np.abs(fval) <= kappa1 * np.abs(gval) + kappa2 + 1e-10):
-            report.regularized_ok = False
-    return report
+    # the masks keep every argument inside the open log domain
+    fmin = np.abs(f_cp.minimal_section(a * pts))
+    gmin = np.abs(g_cp.minimal_section(pts))
+    if np.all(fmin <= kappa1 * gmin + kappa2 + 1e-10):
+        return DominationReport(admissible=True, kappa1=kappa1, kappa2=kappa2)
+    return DominationReport(admissible=False, reason="domination witnesses violated on grid",
+                            kappa1=kappa1, kappa2=kappa2)

@@ -9,7 +9,7 @@ every step mass-conservative to roundoff and energy-decreasing without
 convection.
 
 Dirichlet couplings (K=0, L=0) are eliminated exactly through the case
-spaces' index maps, so slaved boundary values satisfy their constraints
+spaces' prolongation rows, so slaved boundary values satisfy their constraints
 bitwise.
 """
 
@@ -149,11 +149,10 @@ _COUNTS = ("newton_iters", "linear_iters", "factorizations")
 
 @dataclass
 class StepReport:
-    """Newton, Krylov and factorization counts, final residual and the step's
-    rates (per unit time)."""
+    """Newton, Krylov and factorization counts and the step's rates (per unit
+    time)."""
 
     newton_iters: int
-    residual: float
     linear_iters: int = 0
     factorizations: int = 0
     diss_bulk: float = 0.0
@@ -165,11 +164,10 @@ class StepReport:
 
     def followed_by(self, later: "StepReport") -> "StepReport":
         """Report of this half step followed by an equally long ``later`` one:
-        the counts add up, the residual is the later one, the rates average,
-        i.e. are tau-weighted."""
+        the counts add up, the rates average, i.e. are tau-weighted."""
         def merge(name):
             a, b = getattr(self, name), getattr(later, name)
-            return a + b if name in _COUNTS else b if name == "residual" else 0.5 * (a + b)
+            return a + b if name in _COUNTS else 0.5 * (a + b)
 
         return StepReport(**{f.name: merge(f.name) for f in fields(self)})
 
@@ -261,7 +259,7 @@ class Stepper:
                                    p.pot_surf.smooth.derivative(state.psi)])
 
         def failure(why, res):
-            return StepFailure(f"{why} (residual {res:.3e})", residual=res, t=t_new)
+            return StepFailure(f"{why} (residual {res:.3e})")
 
         def residual(x_red, y_red, nonlinear=None):
             if nonlinear is None:
@@ -303,7 +301,7 @@ class Stepper:
 
         new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear)
         mu, theta = new.mu, new.theta
-        report = StepReport(newton_iters=iters, residual=res,
+        report = StepReport(newton_iters=iters,
                             linear_iters=self.system.linear_iters - counted[0],
                             factorizations=self.system.factorizations - counted[1],
                             diss_bulk=float(mu @ (K_b @ mu)),
@@ -335,7 +333,7 @@ class _NewtonSystem:
 
     def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K):
         g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
-        c, w = chem.P.indices, chem.P.data  # P holds one entry per row: w[i] in column c[i]
+        c, w = chem.col, chem.scale  # P holds one entry per row: w[i] in column c[i]
         k_rows = np.concatenate([np.repeat(np.arange(p.n), np.diff(p.indptr)) + off
                                  for p, off in ((g.tri_pattern, 0), (g.edge_pattern, n))])
         k_cols = np.concatenate([g.tri_pattern.indices, n + g.edge_pattern.indices])
@@ -468,9 +466,11 @@ def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = 
         if cp.alpha == 0.0:
             phi[mesh.boundary_loop] = 0.0
         else:
-            psi = phi[mesh.boundary_loop] / cp.alpha
+            with np.errstate(over="ignore"):  # a tiny alpha overflows to inf, rejected next
+                psi = phi[mesh.boundary_loop] / cp.alpha
             if np.any(np.abs(psi) > hi):
-                raise InvalidArgument("slaved surface values exceed the clamp margin")
+                raise InvalidArgument(f"slaved surface values phi / model.alpha exceed the clamp "
+                                      f"margin (model.alpha = {cp.alpha})")
             phi[mesh.boundary_loop] = cp.alpha * psi  # phi / alpha * alpha may differ from phi
 
     separate = np.isinf(cp.L)  # else the combined mean m, carried by (beta * m, m)
@@ -490,7 +490,8 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
     Deterministic for a fixed configuration (including the initial-data
     seed).  A diagnostics record is kept every ``output_every`` steps plus
     at the initial and final time.  ``forms``, when given, are the core
-    operators of ``mesh``.
+    operators of ``mesh``.  A step whose energy is not finite raises
+    StepFailure.
     """
     mesh = mesh if mesh is not None else generate_disk_mesh(config.nb, config.nr)
     forms = forms if forms is not None else assemble_core(mesh)
@@ -498,7 +499,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
     stepper = Stepper(mesh, params, forms)
     state = initial_state(mesh, params, forms)
 
-    records = [diag.make_record(state, forms, params, StepReport(newton_iters=0, residual=0.0),
+    records = [diag.make_record(state, forms, params, StepReport(newton_iters=0),
                                 prev_energy=None, tau=params.tau)]
     states = [state.copy()] if config.keep_states else []
     robin_sq = 0.0
@@ -511,6 +512,8 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
         robin_sq += params.tau * report.robin_gap_sq
         rec = diag.make_record(state, forms, params, report,
                                prev_energy=prev_energy, tau=params.tau)
+        if not np.isfinite(rec.energy):  # a blown-up state is a failure, not a result
+            raise StepFailure(f"non-finite energy at t = {state.t:.6g}")
         prev_energy = rec.energy
         if k % config.output_every == 0 or k == n_steps:
             records.append(rec)

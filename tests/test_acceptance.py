@@ -89,7 +89,7 @@ def test_criterion_02_domination_taxonomy(report):
     def verdict(bulk, surf, alpha):
         return check_domination(make_potential(bulk).convex,
                                 make_potential(surf).convex,
-                                alpha, grid, eps_list=[0.1, 0.05]).admissible
+                                alpha, grid).admissible
 
     expected = [
         all(verdict("log", "log", a) for a in (-1.0, -0.5, 0.0, 1.0)),
@@ -156,7 +156,7 @@ def test_criterion_05_poincare(report):
 
         cp = CouplingParams(K=K, L=np.inf, alpha=1.0, beta=1.0)
         spaces = build_case_spaces(mesh, cp, forms)
-        P = spaces.P_phase
+        P = spaces.phase.P
         A = (P.T @ (forms.A_pair + spaces.B_K) @ P).tocsr()
         M = (P.T @ forms.M_pair @ P).tocsr()
         c = P.T @ np.concatenate([forms.lump_bulk, forms.lump_surf])

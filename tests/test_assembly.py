@@ -132,8 +132,8 @@ def test_case_space_dirichlet_phase_constraint(mesh, forms):
     cp = CouplingParams(K=0.0, L=1.0, alpha=2.0, beta=1.0)
     spaces = build_case_spaces(mesh, cp, forms)
     rng = np.random.default_rng(0)
-    x_red = rng.standard_normal(spaces.P_phase.shape[1])
-    full = spaces.P_phase @ x_red
+    x_red = rng.standard_normal(spaces.phase.P.shape[1])
+    full = spaces.phase.P @ x_red
     phi, psi = full[: forms.n_bulk], full[forms.n_bulk :]
     np.testing.assert_allclose(phi[mesh.boundary_loop], cp.alpha * psi, atol=1e-14)
 
@@ -156,22 +156,24 @@ def _loop_prolongation(mesh, dirichlet, weight):
 
 @pytest.mark.parametrize("K,L", list(itertools.product((0.0, 1.0, np.inf), repeat=2)))
 def test_case_space_restriction_inverts_prolongation(mesh, forms, K, L):
-    cp = CouplingParams(K=K, L=L, alpha=0.8, beta=1.2)
-    spaces = build_case_spaces(mesh, cp, forms)
     rng = np.random.default_rng(1)
-    for space, dirichlet, weight in ((spaces.phase, K == 0.0, cp.alpha),
-                                     (spaces.chem, L == 0.0, cp.beta)):
-        P = space.P
-        assert np.array_equal(P.toarray(), _loop_prolongation(mesh, dirichlet, weight))
-        x = rng.standard_normal(P.shape[1])
-        assert np.array_equal((P @ x)[space.idx], x)
-        # the index form is bitwise the sparse product in both directions,
-        # signed zeros included
-        x[::7] = -0.0
-        assert space.prolong(x).tobytes() == (P @ x).tobytes()
-        v = rng.standard_normal(P.shape[0])
-        v[::7] = -0.0
-        assert space.restrict(v).tobytes() == (P.T @ v).tobytes()
+    # weights that are not exact in binary, and zero weights (rows of scale 0)
+    for alpha, beta in ((0.8, 1.2), (0.0, 0.0)):
+        spaces = build_case_spaces(mesh, CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
+        for space, dirichlet, weight in ((spaces.phase, K == 0.0, alpha),
+                                         (spaces.chem, L == 0.0, beta)):
+            P = space.P
+            assert np.array_equal(P.toarray(), _loop_prolongation(mesh, dirichlet, weight))
+            x = rng.standard_normal(P.shape[1])
+            assert np.array_equal((P @ x)[space.idx], x)
+            # the row form is bitwise the sparse product in both directions and
+            # for the lumped diagonal, signed zeros included
+            x[::7] = -0.0
+            assert space.prolong(x).tobytes() == (P @ x).tobytes()
+            v = rng.standard_normal(P.shape[0])
+            v[::7] = -0.0
+            assert space.restrict(v).tobytes() == (P.T @ v).tobytes()
+            assert space.lumped(v).tobytes() == (P.T @ sp.diags(v) @ P).diagonal().tobytes()
 
 
 def test_core_measures_match_mesh_stats(mesh, forms):

@@ -139,7 +139,7 @@ def test_poincare_inequality_and_mesh_stability(K):
     from bscch.assembly import build_case_spaces
 
     spaces = build_case_spaces(m, cp, f)
-    P = spaces.P_phase
+    P = spaces.phase.P
     A = (P.T @ (f.A_pair + spaces.B_K) @ P).tocsr()
     M = (P.T @ f.M_pair @ P).tocsr()
     c = P.T @ np.concatenate([f.lump_bulk, f.lump_surf])

@@ -173,8 +173,7 @@ GRID = np.linspace(-0.999, 0.999, 999)
 
 def _verdict(bulk, surf, alpha):
     return check_domination(make_potential(bulk).convex,
-                            make_potential(surf).convex, alpha, GRID,
-                            eps_list=[0.1, 0.05])
+                            make_potential(surf).convex, alpha, GRID)
 
 
 @pytest.mark.parametrize("alpha,ok", [(-1.0, True), (-0.5, True), (0.0, True),

@@ -408,13 +408,13 @@ def test_jacobian_factor_is_accurate_and_sparse(monkeypatch, K, L, alpha, beta):
 
 
 def test_followed_by_adds_counts_and_averages_rates():
-    a = StepReport(newton_iters=2, residual=1e-3, linear_iters=5, factorizations=1,
+    a = StepReport(newton_iters=2, linear_iters=5, factorizations=1,
                    diss_bulk=2.0, robin_gap_sq=1.0)
-    b = StepReport(newton_iters=3, residual=1e-12, linear_iters=7, factorizations=0,
+    b = StepReport(newton_iters=3, linear_iters=7, factorizations=0,
                    diss_bulk=4.0, robin_gap_sq=3.0)
     m = a.followed_by(b)
     assert (m.newton_iters, m.linear_iters, m.factorizations) == (5, 12, 1)
-    assert (m.residual, m.diss_bulk, m.robin_gap_sq) == (1e-12, 3.0, 2.0)
+    assert (m.diss_bulk, m.robin_gap_sq) == (3.0, 2.0)
 
 
 # -- each piece built at its rate -------------------------------------------------
@@ -563,7 +563,7 @@ def test_each_resolvent_evaluated_once(monkeypatch):
     resolve = bscch.potentials.resolvent
     monkeypatch.setattr(bscch.potentials, "resolvent", lambda *a: calls.append(1) or resolve(*a))
     monkeypatch.setattr(bscch.stepper, "DAMPING_FACTORS", (1.0,))  # one trial per iteration
-    make_record(state, stepper.forms, p, StepReport(newton_iters=0, residual=0.0), None, p.tau)
+    make_record(state, stepper.forms, p, StepReport(newton_iters=0), None, p.tau)
     assert len(calls) == 2  # a hand-built state has no resolvents yet
     for k in range(3):
         calls.clear()
