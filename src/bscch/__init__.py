@@ -27,19 +27,17 @@ from .elliptic import (
 from .errors import (
     BscchError,
     InvalidArgument,
-    MeshParseError,
     SolverFailure,
     StepFailure,
     ValidationError,
 )
-from .mesh import TriMesh, generate_disk_mesh, mesh_stats, read_mesh, write_mesh
+from .mesh import TriMesh, generate_disk_mesh, mesh_stats, write_mesh
 from .potentials import (
     Potential,
     check_domination,
     make_potential,
     moreau_envelope,
     resolvent,
-    verify_scalar_properties,
     yosida,
 )
 from .stepper import (

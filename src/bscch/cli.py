@@ -10,8 +10,6 @@ import dataclasses
 import os
 import sys
 
-import numpy as np
-
 from .assembly import check_weight
 from .config import load_run_config
 from .diagnostics import LIMITS, continuous_dependence_experiment, limit_study
@@ -106,8 +104,7 @@ def _cmd_potential_check(args):
         raise ValidationError("--pair expects BULK,SURF")
     check_weight("--alpha", args.alpha)
     bulk, surf = (make_potential(k) for k in parts)
-    grid = np.linspace(-0.999, 0.999, 999)
-    rep = check_domination(bulk.convex, surf.convex, args.alpha, grid)
+    rep = check_domination(bulk.convex, surf.convex, args.alpha)
     if rep.admissible:
         print(f"admissible: ({parts[0]},{parts[1]}) alpha={args.alpha:g} "
               f"kappa1={rep.kappa1:g} kappa2={rep.kappa2:g}")

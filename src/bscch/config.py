@@ -30,10 +30,6 @@ def parse_config(text: str) -> dict:
     return out
 
 
-def serialize_config(cfg: dict) -> str:
-    return "".join(f"{k} = {v}\n" for k, v in cfg.items())
-
-
 def _float(value: str) -> float:
     try:
         return float(value)
@@ -168,6 +164,9 @@ def build_run_config(cfg: dict) -> RunConfig:
 
 def load_run_config(path: str):
     """Read a config file; returns (RunConfig, resolved map)."""
-    with open(path) as fh:
-        cfg = parse_config(fh.read())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = parse_config(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     return build_run_config(cfg), resolve(cfg)

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidArgument, MeshParseError, ValidationError
+from .errors import InvalidArgument, ValidationError
 
 FORMAT_HEADER = "bscch-mesh 1"
 
@@ -214,39 +214,3 @@ def write_mesh(mesh: TriMesh, path):
         for i in mesh.boundary_loop:
             fh.write(f"{i}\n")
 
-
-def read_mesh(path) -> TriMesh:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-
-    def need(idx):
-        if idx >= len(lines):
-            raise MeshParseError("unexpected end of file", line=idx + 1)
-        return lines[idx]
-
-    def section(start, count, width, conv, what):
-        """``count`` lines from index ``start`` of ``width`` numbers each, as an array."""
-        out = np.empty((count, width), dtype=conv)
-        for i in range(count):
-            toks = need(start + i).split()
-            try:
-                if len(toks) != width:
-                    raise ValueError(f"expected {width} numbers, got {len(toks)}")
-                out[i] = [conv(tok) for tok in toks]
-            except ValueError as exc:
-                raise MeshParseError(f"bad {what}: {exc}", line=start + i + 1) from exc
-        return out
-
-    if need(0).strip() != FORMAT_HEADER:
-        raise MeshParseError(f"expected header {FORMAT_HEADER!r}", line=1)
-    toks = need(1).split()
-    try:
-        nv, nt, nb = (int(tok) for tok in toks)
-        if min(nv, nt, nb) < 0:
-            raise ValueError(f"negative count in {toks}")
-    except ValueError as exc:
-        raise MeshParseError(f"bad counts line: {exc}", line=2) from exc
-
-    return TriMesh(vertices=section(2, nv, 2, float, "vertex line"),
-                   triangles=section(2 + nv, nt, 3, int, "triangle line"),
-                   boundary_loop=section(2 + nv + nt, nb, 1, int, "boundary index").ravel())

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -99,22 +99,6 @@ class ConvexPart:
         out = np.where(np.abs(r) <= 1.0, 0.0, np.inf)
         return out if out.shape else float(out)
 
-    def minimal_section(self, r):
-        """f1_circle(r), the minimal-modulus element of the subdifferential."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "reg":
-            return 4.0 * self.c * r**3
-        if self.kind == "log":
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(
-                    np.abs(r) < 1.0,
-                    self.theta * np.arctanh(np.clip(r, -1, 1)),
-                    np.inf * np.sign(r),
-                )
-            return out if out.shape else float(out)
-        out = np.where(np.abs(r) <= 1.0, 0.0, np.nan)
-        return out if out.shape else float(out)
-
     def second_derivative(self, r):
         """F1''(r) on the interior of the prime domain."""
         r = np.asarray(r, dtype=float)
@@ -165,10 +149,6 @@ class Potential:
             raise InvalidArgument("convex and smooth kinds must match")
         if self.convex.kind == "log" and not (0.0 < self.convex.theta < self.smooth.theta_c):
             raise InvalidArgument("logarithmic well requires 0 < theta < theta_c")
-
-    @property
-    def kind(self):
-        return self.convex.kind
 
 
 def make_potential(kind, c=DEFAULT_C, theta=DEFAULT_THETA, theta_c=DEFAULT_THETA_C):
@@ -283,92 +263,6 @@ def moreau_envelope(cp: ConvexPart, eps, r, j=None):
     return (r_arr - j) ** 2 / (2.0 * e) + cp.value(j)
 
 
-def quadratic_lower_bound_certificate(pot: Potential, grid=None, max_level=40):
-    """Constructive certificate for the quadratic lower bound.
-
-    Finds the largest eps = 2^-k such that F_eps(r) >= r^2 - C on a wide
-    grid, with F_eps the Moreau envelope of the convex part plus the smooth
-    part and C from a kind-specific closed-form bound.  Returns
-    ``(eps_star, C)``.
-    """
-    kind = pot.kind
-    if kind == "reg":
-        # +1 slack: the envelope lies strictly below the quartic, so the
-        # exact touching constant (2c+1)^2/(4c) would never certify
-        c = pot.convex.c
-        C = (2.0 * c + 1.0) ** 2 / (4.0 * c) + 1.0
-    elif kind == "log":
-        C = 2.0 + pot.smooth.theta_c
-    else:
-        C = 2.0
-    if grid is None:
-        grid = np.linspace(-20.0, 20.0, 4001)
-    for k in range(1, max_level + 1):
-        e = 2.0**-k
-        fe = moreau_envelope(pot.convex, e, grid) + pot.smooth.value(grid)
-        if np.all(fe >= grid**2 - C):
-            return e, C
-    raise InvalidArgument("no admissible regularization level found")
-
-
-@dataclass
-class PropertyReport:
-    """Outcome of the scalar property battery; failures list (name, eps, r)."""
-
-    passed: bool
-    failures: list = field(default_factory=list)
-
-    def record(self, ok_mask, name, eps, grid):
-        bad = np.atleast_1d(~np.asarray(ok_mask))
-        if bad.any():
-            self.passed = False
-            for r in np.atleast_1d(grid)[bad]:
-                self.failures.append((name, eps, float(r)))
-
-
-def verify_scalar_properties(cp: ConvexPart, eps_list, grid):
-    """Check the pointwise bounds and monotonicity of the regularization.
-
-    Verified on the grid, for each eps: |f1_eps| <= |f1_circle| (where the
-    minimal section is defined), |f1_eps| <= |r|/eps, monotonicity of
-    f1_eps, the divided-difference Lipschitz bound 1/eps, envelope
-    monotonicity in eps, and convergence f1_eps -> f1_circle along eps
-    halvings on interior points.
-    """
-    grid = np.sort(np.asarray(grid, dtype=float))
-    report = PropertyReport(passed=True)
-
-    lo, hi = cp.prime_domain
-    interior = (grid > lo) & (grid < hi)
-    in_dom = interior if cp.prime_domain_open else (grid >= lo) & (grid <= hi)
-    f_min = np.where(in_dom, cp.minimal_section(np.clip(grid, lo, hi)), np.inf)
-
-    prev_env = None
-    prev_gap = None
-    for e in sorted(map(_as_eps, eps_list), reverse=True):
-        val, _ = yosida(cp, e, grid)
-        report.record(np.abs(val) <= np.abs(f_min) * (1 + 1e-10) + 1e-12, "bound_vs_minimal_section", e, grid)
-        report.record(np.abs(val) <= np.abs(grid) / e * (1 + 1e-10) + 1e-12, "bound_vs_linear", e, grid)
-        report.record(np.diff(val) >= -1e-12, "monotone", e, grid[1:])
-        dg = np.diff(grid)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dd = np.where(dg > 0, np.diff(val) / dg, 0.0)
-        report.record(dd <= (1.0 / e) * (1 + 1e-10), "lipschitz", e, grid[1:])
-
-        env = moreau_envelope(cp, e, grid)
-        if prev_env is not None:
-            # eps decreasing along the loop => envelope nondecreasing
-            report.record(env >= prev_env - 1e-12, "envelope_monotone_in_eps", e, grid)
-        prev_env = env
-
-        gap = np.where(interior, np.abs(val - np.where(interior, f_min, 0.0)), 0.0)
-        if prev_gap is not None:
-            report.record(gap <= prev_gap + 1e-12, "convergence_to_minimal_section", e, grid)
-        prev_gap = gap
-
-    return report
-
-
 @dataclass
 class DominationReport:
     """Admissibility verdict for a (bulk, surface) convex-part pairing."""
@@ -394,16 +288,13 @@ def _domain_transfer_ok(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
     return ok, "" if ok else f"inadmissible: {reason}"
 
 
-def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid):
+def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
     """Decide admissibility of the pairing and produce domination witnesses.
 
-    Checks alpha*D(g1) subset of D(f1) plus the graph-level domination
-    |f1_circle(alpha r)| <= kappa1 |g1_circle(r)| + kappa2 on the grid,
-    returning the witness constants.
+    The verdict is the domain rule alpha*D(g1) subset of D(f1); an
+    admissible pairing gets the closed-form constants of the graph-level
+    domination |f1_circle(alpha r)| <= kappa1 |g1_circle(r)| + kappa2 on D(g1).
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise InvalidArgument("grid must be nonempty")
     ok, reason = _domain_transfer_ok(f_cp, g_cp, float(alpha))
     if not ok:
         return DominationReport(admissible=False, reason=reason)
@@ -422,15 +313,4 @@ def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha, grid):
         kappa1, kappa2 = 1.0, f_cp.theta * float(np.arctanh(abs(a))) if a != 0 else 0.0
     else:  # log vs reg, alpha = 0
         kappa1, kappa2 = 1.0, 0.0
-
-    # graph-level check on the grid (restricted to D(g1))
-    glo, ghi = g_cp.prime_domain
-    mask = (grid > glo) & (grid < ghi) if g_cp.prime_domain_open else (grid >= glo) & (grid <= ghi)
-    pts = grid[mask]
-    # the masks keep every argument inside the open log domain
-    fmin = np.abs(f_cp.minimal_section(a * pts))
-    gmin = np.abs(g_cp.minimal_section(pts))
-    if np.all(fmin <= kappa1 * gmin + kappa2 + 1e-10):
-        return DominationReport(admissible=True, kappa1=kappa1, kappa2=kappa2)
-    return DominationReport(admissible=False, reason="domination witnesses violated on grid",
-                            kappa1=kappa1, kappa2=kappa2)
+    return DominationReport(admissible=True, kappa1=kappa1, kappa2=kappa2)

@@ -199,10 +199,9 @@ class Stepper:
         self.forms = forms if forms is not None else assemble_core(mesh)
         cp = params.coupling
         if not np.isinf(cp.K):
-            rep = check_domination(params.pot_bulk.convex, params.pot_surf.convex, cp.alpha,
-                                   np.linspace(-0.99, 0.99, 199))
+            rep = check_domination(params.pot_bulk.convex, params.pot_surf.convex, cp.alpha)
             if not rep.admissible:
-                raise InvalidArgument(f"potential pairing {rep.reason or 'fails domination'}")
+                raise InvalidArgument(f"potential pairing {rep.reason}")
         self.spaces = build_case_spaces(mesh, cp, self.forms)
         f = self.forms
         phase, chem = self.spaces.phase, self.spaces.chem

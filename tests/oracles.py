@@ -1,0 +1,136 @@
+"""Reference oracles the tests check the package against.
+
+None of these is reached by a command or a run: the scalar property
+battery of acceptance criterion 01 with the minimal section it compares
+against, the quadratic lower-bound certificate, the config writer, and a
+reader for the ASCII mesh format that ``bscch mesh`` writes.
+"""
+
+from dataclasses import dataclass, field
+from pathlib import Path
+
+import numpy as np
+
+from bscch.errors import InvalidArgument
+from bscch.mesh import FORMAT_HEADER, TriMesh
+from bscch.potentials import _as_eps, moreau_envelope, yosida
+
+
+def minimal_section(cp, r):
+    """f1_circle(r), the minimal-modulus element of the subdifferential of ``cp``."""
+    r = np.asarray(r, dtype=float)
+    if cp.kind == "reg":
+        return 4.0 * cp.c * r**3
+    if cp.kind == "log":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = np.where(
+                np.abs(r) < 1.0,
+                cp.theta * np.arctanh(np.clip(r, -1, 1)),
+                np.inf * np.sign(r),
+            )
+        return out if out.shape else float(out)
+    out = np.where(np.abs(r) <= 1.0, 0.0, np.nan)
+    return out if out.shape else float(out)
+
+
+def quadratic_lower_bound_certificate(pot, grid=None, max_level=40):
+    """Constructive certificate for the quadratic lower bound.
+
+    Finds the largest eps = 2^-k such that F_eps(r) >= r^2 - C on a wide
+    grid, with F_eps the Moreau envelope of the convex part plus the smooth
+    part and C from a kind-specific closed-form bound.  Returns
+    ``(eps_star, C)``.
+    """
+    kind = pot.convex.kind
+    if kind == "reg":
+        # +1 slack: the envelope lies strictly below the quartic, so the
+        # exact touching constant (2c+1)^2/(4c) would never certify
+        c = pot.convex.c
+        C = (2.0 * c + 1.0) ** 2 / (4.0 * c) + 1.0
+    elif kind == "log":
+        C = 2.0 + pot.smooth.theta_c
+    else:
+        C = 2.0
+    if grid is None:
+        grid = np.linspace(-20.0, 20.0, 4001)
+    for k in range(1, max_level + 1):
+        e = 2.0**-k
+        fe = moreau_envelope(pot.convex, e, grid) + pot.smooth.value(grid)
+        if np.all(fe >= grid**2 - C):
+            return e, C
+    raise InvalidArgument("no admissible regularization level found")
+
+
+@dataclass
+class PropertyReport:
+    """Outcome of the scalar property battery; failures list (name, eps, r)."""
+
+    passed: bool
+    failures: list = field(default_factory=list)
+
+    def record(self, ok_mask, name, eps, grid):
+        bad = np.atleast_1d(~np.asarray(ok_mask))
+        if bad.any():
+            self.passed = False
+            for r in np.atleast_1d(grid)[bad]:
+                self.failures.append((name, eps, float(r)))
+
+
+def verify_scalar_properties(cp, eps_list, grid):
+    """Check the pointwise bounds and monotonicity of the regularization.
+
+    Verified on the grid, for each eps: |f1_eps| <= |f1_circle| (where the
+    minimal section is defined), |f1_eps| <= |r|/eps, monotonicity of
+    f1_eps, the divided-difference Lipschitz bound 1/eps, envelope
+    monotonicity in eps, and convergence f1_eps -> f1_circle along eps
+    halvings on interior points.
+    """
+    grid = np.sort(np.asarray(grid, dtype=float))
+    report = PropertyReport(passed=True)
+
+    lo, hi = cp.prime_domain
+    interior = (grid > lo) & (grid < hi)
+    in_dom = interior if cp.prime_domain_open else (grid >= lo) & (grid <= hi)
+    f_min = np.where(in_dom, minimal_section(cp, np.clip(grid, lo, hi)), np.inf)
+
+    prev_env = None
+    prev_gap = None
+    for e in sorted(map(_as_eps, eps_list), reverse=True):
+        val, _ = yosida(cp, e, grid)
+        report.record(np.abs(val) <= np.abs(f_min) * (1 + 1e-10) + 1e-12, "bound_vs_minimal_section", e, grid)
+        report.record(np.abs(val) <= np.abs(grid) / e * (1 + 1e-10) + 1e-12, "bound_vs_linear", e, grid)
+        report.record(np.diff(val) >= -1e-12, "monotone", e, grid[1:])
+        dg = np.diff(grid)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dd = np.where(dg > 0, np.diff(val) / dg, 0.0)
+        report.record(dd <= (1.0 / e) * (1 + 1e-10), "lipschitz", e, grid[1:])
+
+        env = moreau_envelope(cp, e, grid)
+        if prev_env is not None:
+            # eps decreasing along the loop => envelope nondecreasing
+            report.record(env >= prev_env - 1e-12, "envelope_monotone_in_eps", e, grid)
+        prev_env = env
+
+        gap = np.where(interior, np.abs(val - np.where(interior, f_min, 0.0)), 0.0)
+        if prev_gap is not None:
+            report.record(gap <= prev_gap + 1e-12, "convergence_to_minimal_section", e, grid)
+        prev_gap = gap
+
+    return report
+
+
+def serialize_config(cfg: dict) -> str:
+    """The config text that ``bscch.config.parse_config`` reads back as ``cfg``."""
+    return "".join(f"{k} = {v}\n" for k, v in cfg.items())
+
+
+def read_mesh(path) -> TriMesh:
+    """The mesh in a file written by ``bscch.mesh.write_mesh``."""
+    lines = Path(path).read_text(encoding="ascii").splitlines()
+    assert lines[0] == FORMAT_HEADER
+    nv, nt, nb = (int(tok) for tok in lines[1].split())
+    rows = [line.split() for line in lines[2:]]
+    assert len(rows) == nv + nt + nb
+    return TriMesh(vertices=np.array(rows[:nv], dtype=float),
+                   triangles=np.array(rows[nv:nv + nt], dtype=np.int64),
+                   boundary_loop=np.array(rows[nv + nt:], dtype=np.int64).ravel())

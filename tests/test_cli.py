@@ -22,11 +22,12 @@ from bscch.config import (
     load_run_config,
     parse_config,
     resolve,
-    serialize_config,
 )
 from bscch.errors import ValidationError
-from bscch.mesh import generate_disk_mesh, read_mesh
+from bscch.mesh import generate_disk_mesh
 from bscch.stepper import initial_state
+
+from oracles import read_mesh, serialize_config
 
 SHORT_CFG = """
 mesh.nb = 16
@@ -106,6 +107,21 @@ def test_malformed_lines_rejected():
         parse_config("just words\n")
     with pytest.raises(ValidationError):
         parse_config("a.b = 1\na.b = 2\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["run"],
+    ["limit-study", "--parameter", "L->0", "--schedule", "1,0.5"],
+    ["cont-dep", "--amplitudes", "0,1e-3"],
+])
+def test_non_utf8_config_exits_1(tmp_path, capsys, argv):
+    # a UnicodeDecodeError traceback
+    p = tmp_path / "b.cfg"
+    p.write_bytes(b"mesh.nb = 16\xff\n")
+    assert main([argv[0], "--config", str(p), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: {p}: not UTF-8 text (byte 12)"]
 
 
 def test_build_run_config_revalidates():
@@ -237,8 +253,8 @@ def test_non_finite_model_parameter_exits_1(tmp_path, capsys, kind, key, value):
     ("reg", "potential.c = 1e308", "potential.c"),
 ], ids=["alpha", "c"])
 def test_extreme_model_parameter_names_its_key(tmp_path, capsys, kind, lines, key):
-    # these warned of an overflow or invalid value first, and blamed the clamp
-    # margin (alpha) or the pairing's domination witnesses (c)
+    # these warned of an overflow or invalid value first, and then blamed the
+    # clamp margin (alpha) or the potential pairing (c)
     p = tmp_path / "x.cfg"
     p.write_text(SHORT_CFG.replace("= log", f"= {kind}").replace("model.K = 1\n", "")
                  + f"{lines}\noutput.dir = {tmp_path / 'out'}\n")

@@ -16,11 +16,11 @@ from bscch.potentials import (
     check_domination,
     make_potential,
     moreau_envelope,
-    quadratic_lower_bound_certificate,
     resolvent,
-    verify_scalar_properties,
     yosida,
 )
+
+from oracles import minimal_section, quadratic_lower_bound_certificate, verify_scalar_properties
 
 EPS_LIST = (0.5, 0.1, 0.02)
 
@@ -168,12 +168,29 @@ def test_resolvent_stays_in_domain(kind, r):
 
 # -- domination taxonomy (acceptance criterion 2 at unit level) ---------------
 
-GRID = np.linspace(-0.999, 0.999, 999)
+WELLS = [(c, theta) for c in (1.0, 1e6, 1e100) for theta in (0.8, 1e12)]  # defaults first
+WITNESS_GRID = np.linspace(-2.0, 2.0, 4001)  # holds -1, 0 and 1
 
 
 def _verdict(bulk, surf, alpha):
-    return check_domination(make_potential(bulk).convex,
-                            make_potential(surf).convex, alpha, GRID)
+    """The verdict at the default well parameters, checked to be the same for
+    every (c, theta) of WELLS; an admissible verdict's witnesses must bound
+    |f1_circle(alpha r)| by kappa1 |g1_circle(r)| + kappa2 on D(g1)."""
+    reports = []
+    for c, theta in WELLS:
+        f, g = (make_potential(k, c=c, theta=theta, theta_c=2 * theta).convex for k in (bulk, surf))
+        rep = check_domination(f, g, alpha)
+        if rep.admissible:
+            lo, hi = g.prime_domain
+            r = WITNESS_GRID[(WITNESS_GRID > lo) & (WITNESS_GRID < hi) if g.prime_domain_open
+                             else (WITNESS_GRID >= lo) & (WITNESS_GRID <= hi)]
+            lhs = np.abs(minimal_section(f, alpha * r))
+            rhs = rep.kappa1 * np.abs(minimal_section(g, r)) + rep.kappa2
+            assert np.all(lhs <= rhs * (1 + 1e-12)), (c, theta, r[lhs > rhs * (1 + 1e-12)])
+        reports.append(rep)
+    assert all(rep.admissible is reports[0].admissible for rep in reports), [
+        rep.admissible for rep in reports]
+    return reports[0]
 
 
 @pytest.mark.parametrize("alpha,ok", [(-1.0, True), (-0.5, True), (0.0, True),
@@ -184,12 +201,13 @@ def test_taxonomy_log_log(alpha, ok):
 
 @pytest.mark.parametrize("surf", KINDS)
 def test_taxonomy_reg_bulk_always_admissible(surf):
-    for alpha in (-2.0, 0.0, 1.0, 3.0):
+    for alpha in (-2.0, 0.0, 0.7, 1.0, 3.0):
         assert _verdict("reg", surf, alpha).admissible
 
 
 def test_taxonomy_log_obst_strict():
     assert _verdict("log", "obst", 0.9).admissible
+    assert _verdict("log", "obst", 0.99).admissible
     rep = _verdict("log", "obst", 1.0)
     assert not rep.admissible
     assert rep.reason == "inadmissible: |alpha| >= 1"

@@ -182,6 +182,16 @@ def test_inadmissible_pairing_rejected():
         Stepper(mesh, p)
 
 
+def test_admissible_reg_pairing_with_a_large_quartic_coefficient_builds():
+    # a grid re-check of kappa1 = |alpha|^3 with an absolute slack of 1e-10
+    # rejected this pairing, whose domination inequality is an identity
+    reg = make_potential("reg", c=1e6)
+    p = _params(coupling=CouplingParams(K=1.0, L=1.0, alpha=0.7, beta=1.0),
+                pot_bulk=reg, pot_surf=reg)
+    Stepper(generate_disk_mesh(16, 4), p)
+    assert bscch.potentials.check_domination(reg.convex, reg.convex, 0.7).admissible
+
+
 def test_stepper_runs_no_regularized_domination_pass(monkeypatch):
     # the pairing check's Yosida pass (two calls per Stepper) had no reader
     calls = []
