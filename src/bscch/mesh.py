@@ -130,7 +130,8 @@ def validate_mesh(mesh: TriMesh):
         raise ValidationError("triangle vertex index out of range")
     if loop.size and (loop.min() < 0 or loop.max() >= len(v)):
         raise ValidationError("boundary index out of range")
-    if len(np.unique(loop)) != len(loop):
+    ordered = np.sort(loop)  # np.unique would execute numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValidationError("boundary loop visits a vertex twice")
 
     g = mesh.geometry
@@ -145,7 +146,8 @@ def validate_mesh(mesh: TriMesh):
     keys, counts = np.unique(edge_keys(t[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)), return_counts=True)
     if np.any(counts > 2):
         raise ValidationError("non-manifold edge")
-    if not np.array_equal(np.unique(edge_keys(loop[g.edge_pos])), keys[counts == 1]):
+    loop_keys = np.sort(edge_keys(loop[g.edge_pos]))
+    if not np.array_equal(loop_keys[np.diff(loop_keys, prepend=-1) != 0], keys[counts == 1]):
         raise ValidationError("boundary loop is not the closed cycle of boundary edges")
 
     # counterclockwise orientation of the loop (positive polygon area)

@@ -341,6 +341,8 @@ class _NewtonSystem:
                                    np.concatenate([F.col, c[k_cols]]), F.shape[0])
         self.F_data, self.over_tau = F.data, (F.row < ny) & (F.col >= ny)
         self.coef, self.ny = w[k_rows] * w[k_cols], ny
+        rows = np.repeat(np.arange(F.shape[0]), np.diff(self.pattern.indptr))
+        self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
         self.tau = self.K_b = self.J0 = self.D = self.factor = None
         self.linear_iters = self.factorizations = 0
 
@@ -365,7 +367,10 @@ class _NewtonSystem:
             if delta is not None:
                 return delta
         self.factor = None  # the old factor goes first, two alive would double memory
-        self.factor = splu((self.J0 - sp.diags(np.concatenate([np.zeros(self.ny), D]))).tocsc())
+        J = self.J0.copy()
+        J.data[self.x_diag] -= D
+        J.eliminate_zeros()  # as the sparse difference J0 - diag(0, D) would
+        self.factor = splu(J)
         self.factorizations += 1
         return self.factor.solve(rhs)
 

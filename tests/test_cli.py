@@ -533,6 +533,21 @@ def test_cli_import_leaves_unused_numpy_submodules_unexecuted():
     assert _python("-c", code) == "[]"
 
 
+def test_commands_load_neither_scipy_linalg_nor_numpy_ma(rotating_cfg):
+    # run validates a mesh and factors a Jacobian, cont-dep also a bordered system;
+    # scipy.sparse.linalg and scipy.linalg cost about 10 MB, numpy.ma about 1.3 MB
+    code = f"""
+import contextlib, importlib.util, io, sys
+from bscch.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "--config", {rotating_cfg!r}]) == 0
+    assert main(["cont-dep", "--config", {rotating_cfg!r}, "--amplitudes", "0,1e-3"]) == 0
+print([m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules],
+      type(sys.modules["numpy.ma"]) is importlib.util._LazyModule)
+"""
+    assert _python("-c", code) == "[] True"
+
+
 def test_deferred_numpy_submodules_work_after_import():
     code = """
 import bscch.cli

@@ -1,20 +1,25 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg
 
 import bscch.elliptic
 import bscch.stepper
 from bscch.assembly import CouplingParams, FormsBundle, assemble_core
 from bscch.elliptic import (
+    LU_DIAG_PIVOT_THRESH,
     BulkSurfacePair,
     InverseCoupledOperator,
     estimate_poincare_constant,
     manufactured_case,
     manufactured_errors,
     solve_coupled_poisson,
+    splu,
 )
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
+from bscch.potentials import make_potential
+from bscch.stepper import InitialDataSpec, RunParams, Stepper, initial_state
 
 
 @pytest.fixture(scope="module")
@@ -85,20 +90,61 @@ def test_inverse_operator_assembles_only_the_l_block(monkeypatch, mesh, forms):
     assert calls == [1.2]
 
 
-def test_bordered_factor_is_accurate_and_sparse(monkeypatch):
-    # one factor policy for the package: the stepper's Jacobian and the bordered systems
-    assert bscch.stepper.splu is bscch.elliptic.splu
+def _bordered_matrix(monkeypatch):
     captured = []
     factor = bscch.elliptic.splu
     monkeypatch.setattr(bscch.elliptic, "splu", lambda A: captured.append(A) or factor(A))
     InverseCoupledOperator(generate_disk_mesh(32, 8),
                            CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0))
     (A,) = captured
-    lu = factor(A)
+    return A
+
+
+def _newton_jacobian(monkeypatch):
+    captured = []
+    factor = bscch.stepper.splu
+    monkeypatch.setattr(bscch.stepper, "splu", lambda J: captured.append(J) or factor(J))
+    p = RunParams(tau=1e-4, t_final=1e-4, eps=0.05,
+                  coupling=CouplingParams(K=0.0, L=1.0, alpha=0.5, beta=1.0),
+                  pot_bulk=make_potential("log"), pot_surf=make_potential("log"),
+                  init=InitialDataSpec(mode="random", mean=0.0, amplitude=0.2, seed=7))
+    mesh = generate_disk_mesh(32, 8)
+    stepper = Stepper(mesh, p)
+    stepper.step(initial_state(mesh, p, stepper.forms))
+    return captured[0]
+
+
+def test_bordered_factor_is_accurate_and_sparse(monkeypatch):
+    # one factor policy for the package: the stepper's Jacobian and the bordered systems
+    assert bscch.stepper.splu is bscch.elliptic.splu
+    A = _bordered_matrix(monkeypatch)
+    lu = splu(A)
     b = np.random.default_rng(5).standard_normal(A.shape[0])
     assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
     default = scipy.sparse.linalg.splu(A)
     assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
+
+
+@pytest.mark.parametrize("matrix", [_bordered_matrix, _newton_jacobian])
+def test_splu_is_the_public_splu_with_the_package_options(monkeypatch, matrix):
+    # splu calls scipy's SuperLU extension itself; the public splu is the reference
+    A = sp.csc_array(matrix(monkeypatch))
+    reference = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A",
+                                         diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)
+    halves = sp.csc_array((np.repeat(A.data / 2, 2), np.repeat(A.indices, 2), 2 * A.indptr),
+                          shape=A.shape)  # each entry stored twice, as two exact halves
+    b = np.random.default_rng(11).standard_normal(A.shape[0])
+    for lu in (splu(A), splu(A.tocsr()), splu(halves)):
+        np.testing.assert_array_equal(lu.perm_r, reference.perm_r)
+        np.testing.assert_array_equal(lu.perm_c, reference.perm_c)
+        assert (lu.L.nnz, lu.U.nnz) == (reference.L.nnz, reference.U.nnz)
+        assert lu.solve(b).tobytes() == reference.solve(b).tobytes()
+
+
+def test_moved_superlu_extension_fails_naming_it(monkeypatch):
+    monkeypatch.setattr(bscch.elliptic, "_SUPERLU", "scipy.sparse.linalg._dsolve._moved")
+    with pytest.raises(ImportError, match=r"scipy\.sparse\.linalg\._dsolve\._moved"):
+        bscch.elliptic._load_superlu()
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0, np.inf])

@@ -79,6 +79,14 @@ def test_loop_that_is_not_the_boundary_cycle_rejected():
         TriMesh(m.vertices, m.triangles, inner_ring)
     with pytest.raises(ValidationError, match="closed cycle of boundary edges"):
         TriMesh(m.vertices, m.triangles, m.boundary_loop[[0, 2, 1, 3, 4, 5, 6, 7]])
+    with pytest.raises(ValidationError, match="closed cycle of boundary edges"):
+        TriMesh(m.vertices, m.triangles, m.boundary_loop[:2])  # its two edges are one edge
+
+
+def test_loop_visiting_a_vertex_twice_rejected():
+    m = generate_disk_mesh(8, 2)
+    with pytest.raises(ValidationError, match="boundary loop visits a vertex twice"):
+        TriMesh(m.vertices, m.triangles, m.boundary_loop[[0, 1, 2, 3, 4, 5, 6, 0]])
 
 
 def _loop_disk_mesh(nb, nr):

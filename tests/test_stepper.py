@@ -5,6 +5,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 from dataclasses import replace
+from types import SimpleNamespace
 
 import bscch.potentials
 import bscch.stepper
@@ -491,6 +492,28 @@ def test_refactor_matrix_equals_block_form(monkeypatch, K, L):
     stepper.step(state)
     blocks = sp.bmat([[A1, J11], [M_KL, -(A_K + sp.diags(D))]], format="csc")
     np.testing.assert_array_equal(captured[0].toarray(), blocks.toarray())
+
+
+def test_factored_jacobian_is_the_sparse_difference(monkeypatch):
+    # J0 - diag(0, D), with the exact zeros the sparse difference drops, bit for bit
+    p = _params(K=0.0, L=1.0)
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    stepper.step(initial_state(mesh, p, stepper.forms))
+    system = stepper.system
+    J0, ny = system.J0, system.ny
+    D = np.random.default_rng(2).uniform(0.5, 2.0, J0.shape[0] - ny)
+    D[0] = 0.0
+    D[1] = J0[ny + 1, ny + 1]  # an exact zero on the diagonal
+    captured = []
+    monkeypatch.setattr(bscch.stepper, "splu",
+                        lambda J: captured.append(J) or SimpleNamespace(solve=lambda b: b))
+    system.factor = None
+    system.solve(D, np.ones(J0.shape[0]))
+    (J,), expected = captured, (J0 - sp.diags(np.concatenate([np.zeros(ny), D]))).tocsr()
+    assert expected.nnz == np.count_nonzero(J0.data) - 1 < J0.nnz - 1  # J0 stores zeros too
+    for attr in ("indptr", "indices", "data"):
+        assert getattr(J, attr).tobytes() == getattr(expected, attr).tobytes()
 
 
 @pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
