@@ -8,7 +8,6 @@ by Moreau-Yosida regularization and a conservative, energy-stable
 convex-splitting time integrator.
 """
 
-from . import _lazy_numpy  # noqa: F401  (first: before anything imports scipy)
 from .assembly import CouplingParams, Mobility, VelocityField, assemble_core, sigma
 from .diagnostics import (
     CDReport,

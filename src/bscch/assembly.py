@@ -6,24 +6,124 @@ concatenate (bulk, surface) blocks.  The case-dependent trial/test space
 reductions (Dirichlet couplings K=0 / L=0) are realized by the rows of a
 prolongation that slave boundary bulk values to surface values, so
 constraints hold exactly.
+Operators are ``Csr`` records, applied by scipy's compiled CSR kernel.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import InvalidArgument
-from .mesh import CsrPattern, TriMesh
+from .mesh import CsrPattern, TriMesh, csr_pattern
 
 # Largest trace weight: its cube, the highest power of a weight the package
 # forms, stays a finite double.
 WEIGHT_MAX = sys.float_info.max ** (1 / 3)
+
+
+def load_extension(name):
+    """scipy's compiled module ``name``, loaded from its file under its own name: importing
+    any scipy package would also import scipy's array-API layer and test utilities, about
+    45 ms and 5 MB per process.  The names are private (checked with scipy 1.17.1); a scipy
+    that moves one fails here, at ``import bscch``, with an ImportError naming it."""
+    if name in sys.modules:
+        return sys.modules[name]
+    top, *middle, _ = name.split(".")
+    root = importlib.util.find_spec(top)  # a top-level name: finds scipy without importing it
+    folder = os.path.join(root.submodule_search_locations[0], *middle) if root else top
+    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    spec = importlib.machinery.FileFinder(folder, loaders).find_spec(name)
+    if spec is None:
+        raise ImportError(f"no {name} extension in {folder}", name=name)
+    sys.modules[name] = module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+_sparsetools = load_extension("scipy.sparse._sparsetools")
+
+
+@dataclass(frozen=True, eq=False)
+class Csr:
+    """An m x n sparse matrix as the arrays of scipy's CSR form; ``A @ x`` on a 1-D
+    float64 vector calls scipy's ``csr_matvec`` kernel into zeros, as scipy's does."""
+
+    shape: tuple
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+    @property
+    def nnz(self):
+        return int(self.indptr[-1])
+
+    def __matmul__(self, x):
+        m, n = self.shape
+        if x.shape != (n,):
+            raise ValueError(f"matmul: dimension mismatch, {self.shape} @ {x.shape}")
+        out = np.zeros(m)
+        _sparsetools.csr_matvec(m, n, self.indptr, self.indices, self.data, x, out)
+        return out
+
+
+def scatter(pattern: CsrPattern, vals):
+    """The matrix summing the local entries ``vals`` into ``pattern``; where every slot
+    takes one entry, their copy (a sum from +0.0 would make a -0.0 entry +0.0)."""
+    vals, slot = np.ravel(vals), pattern.slot
+    data = (vals[np.argsort(slot)] if len(slot) == len(pattern.indices)
+            else np.bincount(slot, weights=vals, minlength=len(pattern.indices)))
+    return Csr(pattern.shape, data, pattern.indices, pattern.indptr)
+
+
+def triplets(A: Csr, row0=0, col0=0):
+    """(rows, cols, values) of the stored entries of ``A``, shifted by (row0, col0)."""
+    rows = np.repeat(np.arange(row0, row0 + A.shape[0]), np.diff(A.indptr))
+    return rows, col0 + A.indices, A.data
+
+
+def from_triplets(shape, *parts):
+    """The matrix summing the entries of the (rows, cols, values) ``parts``, stored zeros
+    kept: scipy's COO conversion, so also its ``block_diag`` and ``bmat``."""
+    rows, cols, vals = (np.concatenate(x) for x in zip(*parts))
+    return scatter(csr_pattern(rows, cols, shape), vals)
+
+
+def empty(shape):
+    """The matrix of ``shape`` with no stored entry."""
+    return from_triplets(shape, ((), (), ()))
+
+
+def block_diag(A: Csr, B: Csr):
+    """scipy's ``block_diag([A, B], format="csr")``."""
+    (m, n), (p, q) = A.shape, B.shape
+    return from_triplets((m + p, n + q), triplets(A), triplets(B, m, n))
+
+
+def prune(A: Csr):
+    """``A`` without its stored exact zeros, as scipy's sums and products leave them out."""
+    keep = A.data != 0
+    indptr = np.concatenate([[0], np.cumsum(keep)])[A.indptr].astype(np.int32)
+    return Csr(A.shape, A.data[keep], A.indices[keep], indptr)
+
+
+def add(A: Csr, B: Csr):
+    """A + B as scipy's sparse sum."""
+    return prune(from_triplets(A.shape, triplets(A), triplets(B)))
+
+
+def row_sums(A: Csr):
+    """The row sums as scipy's ``A.sum(axis=1)`` forms them, row by row in stored order."""
+    out, rows = np.zeros(A.shape[0]), np.flatnonzero(np.diff(A.indptr))
+    out[rows] = np.add.reduceat(A.data, A.indptr[rows])
+    return out
 
 
 def sigma(value):
@@ -132,11 +232,11 @@ class VelocityField:
 class FormsBundle:
     """Assembled core operators plus frequently used derived quantities."""
 
-    M_bulk: sp.csr_matrix
-    A_bulk: sp.csr_matrix
-    M_surf: sp.csr_matrix
-    A_surf: sp.csr_matrix
-    trace: sp.csr_matrix  # (B, V) selection: boundary-loop position -> vertex
+    M_bulk: Csr
+    A_bulk: Csr
+    M_surf: Csr
+    A_surf: Csr
+    trace: Csr  # (B, V) selection: boundary-loop position -> vertex
     area: float
     perimeter: float
     lump_bulk: np.ndarray
@@ -152,11 +252,11 @@ class FormsBundle:
 
     @cached_property
     def M_pair(self):
-        return sp.block_diag([self.M_bulk, self.M_surf], format="csr")
+        return block_diag(self.M_bulk, self.M_surf)
 
     @cached_property
     def A_pair(self):
-        return sp.block_diag([self.A_bulk, self.A_surf], format="csr")
+        return block_diag(self.A_bulk, self.A_surf)
 
     @cached_property
     def lump_pair(self):
@@ -199,23 +299,15 @@ class FormsBundle:
         mass matrix, as a symmetric operator on pair vectors: the blocks
         [[R^T Ms R, -w R^T Ms], [-w Ms R, w^2 Ms]], entry by entry.
         """
-        Ms, n = self.M_surf.tocoo(), self.n_bulk
+        (row, col, ms), n = triplets(self.M_surf), self.n_bulk
         loop = self.trace.indices  # the trace R has one entry per row, R[k, loop[k]] = 1
-        rows = np.concatenate([loop[Ms.row], loop[Ms.row], n + Ms.row, n + Ms.row])
-        cols = np.concatenate([loop[Ms.col], n + Ms.col, loop[Ms.col], n + Ms.col])
-        vals = np.concatenate([Ms.data, -weight * Ms.data, -weight * Ms.data, weight**2 * Ms.data])
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n + self.n_surf,) * 2)
+        rows = np.concatenate([loop[row], loop[row], n + row, n + row])
+        cols = np.concatenate([loop[col], n + col, loop[col], n + col])
+        vals = np.concatenate([ms, -weight * ms, -weight * ms, weight**2 * ms])
+        return from_triplets((n + self.n_surf,) * 2, (rows, cols, vals))
 
     def split(self, pair_vec):
         return pair_vec[: self.n_bulk], pair_vec[self.n_bulk :]
-
-
-def scatter(pattern: CsrPattern, vals):
-    """The matrix summing the local entries ``vals`` into ``pattern``."""
-    data = np.bincount(pattern.slot, weights=vals.ravel(), minlength=len(pattern.indices))
-    # fresh index arrays: an in-place scipy method must not reach the mesh's pattern
-    return sp.csr_matrix((data, pattern.indices.copy(), pattern.indptr.copy()),
-                         shape=(pattern.n, pattern.n))
 
 
 def assemble_core(mesh: TriMesh) -> FormsBundle:
@@ -236,7 +328,7 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
     A_bulk = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(n))
     A_surf = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(b))
 
-    trace = sp.coo_matrix((np.ones(b), (np.arange(b), mesh.boundary_loop)), shape=(b, n)).tocsr()
+    trace = from_triplets((b, n), (np.arange(b), mesh.boundary_loop, np.ones(b)))
 
     return FormsBundle(
         M_bulk=M_bulk,
@@ -246,8 +338,8 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
         trace=trace,
         area=float(np.sum(g.areas)),
         perimeter=float(np.sum(h)),
-        lump_bulk=np.asarray(M_bulk.sum(axis=1)).ravel(),
-        lump_surf=np.asarray(M_surf.sum(axis=1)).ravel(),
+        lump_bulk=row_sums(M_bulk),
+        lump_surf=row_sums(M_surf),
     )
 
 
@@ -281,7 +373,7 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField):
     g = mesh.geometry
 
     if vel.bulk_kind == "none":
-        C_bulk = sp.csr_matrix((n, n))
+        C_bulk = empty((n, n))
     else:
         vc = vel.omega * np.stack([-g.centroids[:, 1], g.centroids[:, 0]], axis=1)
         # vals[t, i, j] = area/3 * v.gradN_i; trial index j enters only
@@ -291,7 +383,7 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField):
         C_bulk = scatter(g.tri_pattern, vals)
 
     if vel.surf_kind == "none":
-        C_surf = sp.csr_matrix((b, b))
+        C_surf = empty((b, b))
     else:
         pe = g.edge_pos
         pts = mesh.vertices[mesh.boundary_loop]
@@ -314,9 +406,9 @@ class CaseSpace:
     Dirichlet case (K = 0 or L = 0) each boundary bulk row is the weight
     times its surface slot.  ``prolong`` is P x, ``restrict`` P^T v and
     ``lumped`` the diagonal of P^T diag(d) P, as one gather or bincount each,
-    bitwise equal to the sparse products (a slot sums at most two terms);
-    the sparse ``P`` only builds reduced operators.  Like the sparse kernels, each sum
-    starts from +0.0, so a zero result is +0.0 (0.0 * x is -0.0 for x < 0)."""
+    bitwise equal to the sparse products (a slot sums at most two terms).
+    Like the sparse kernels, each sum starts from +0.0, so a zero result is
+    +0.0 (0.0 * x is -0.0 for x < 0)."""
 
     idx: np.ndarray
     col: np.ndarray
@@ -331,17 +423,17 @@ class CaseSpace:
     def lumped(self, d):
         return np.bincount(self.col, self.scale * (self.scale * d), len(self.idx))
 
-    @cached_property
-    def P(self):
-        size = len(self.col)
-        return sp.csr_matrix((self.scale, self.col, np.arange(size + 1)),
-                             shape=(size, len(self.idx)))
 
-
-def reduce(test: CaseSpace, op, trial: CaseSpace):
-    """P_test^T op P_trial, or ``op`` itself (as CSR) when both spaces are full."""
-    full = len(test.idx) == len(test.col) and len(trial.idx) == len(trial.col)
-    return (op if full else test.P.T @ op @ trial.P).tocsr()
+def reduce(test: CaseSpace, op: Csr, trial: CaseSpace):
+    """P_test^T op P_trial, or ``op`` itself when both spaces are full: op_ij goes to
+    (test.col[i], trial.col[j]) as (test.scale[i] * op_ij) * trial.scale[j], exact zeros
+    dropped, bitwise scipy's product where a reduced entry sums at most two terms (so for
+    every operator reduced here: coupling blocks meet only full spaces)."""
+    if len(test.idx) == len(test.col) and len(trial.idx) == len(trial.col):
+        return op
+    rows, cols, vals = triplets(op)
+    return prune(from_triplets((len(test.idx), len(trial.idx)), (
+        test.col[rows], trial.col[cols], (test.scale[rows] * vals) * trial.scale[cols])))
 
 
 @dataclass(frozen=True)
@@ -356,8 +448,8 @@ class CaseSpaces:
 
     phase: CaseSpace
     chem: CaseSpace
-    B_K: sp.csr_matrix
-    B_L: sp.csr_matrix
+    B_K: Csr
+    B_L: Csr
 
 
 def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
@@ -367,7 +459,8 @@ def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
     value = 0 the Dirichlet space: the interior bulk dofs and the surface
     dofs, each boundary bulk dof slaved to ``weight`` times its surface dof."""
     s, n, b = sigma(value), mesh.n_vertices, mesh.n_boundary
-    block = s * forms.coupling_block(weight) if s > 0 else sp.csr_matrix((n + b, n + b))
+    block = forms.coupling_block(weight) if s > 0 else empty((n + b, n + b))
+    block = replace(block, data=s * block.data)  # scipy's s * block: stored zeros kept
     col, scale = np.arange(n + b), np.ones(n + b)
     if value != 0.0:
         return CaseSpace(col, col, scale), block

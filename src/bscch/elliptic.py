@@ -8,16 +8,12 @@ and the same factorization serves every right-hand side.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
-import os
-import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
-from .assembly import CouplingParams, FormsBundle, assemble_core, case_space, reduce
+from .assembly import (Csr, CouplingParams, FormsBundle, add, assemble_core, case_space,
+                       from_triplets, load_extension, reduce, triplets)
 from .errors import InvalidArgument, SolverFailure
 from .mesh import TriMesh, generate_disk_mesh
 
@@ -32,40 +28,23 @@ POINCARE_SEED = 0
 # a minimum-degree ordering on A^T + A and prefers diagonal pivots down to
 # this threshold times the column maximum.
 LU_DIAG_PIVOT_THRESH = 1e-3
-_SUPERLU = "scipy.sparse.linalg._dsolve._superlu"
+_superlu = load_extension("scipy.sparse.linalg._dsolve._superlu")
 
 
-def _load_superlu():
-    """scipy's SuperLU extension, loaded from its file under its own name: importing
-    scipy.sparse.linalg would also import scipy.linalg and every iterative and eigen
-    solver, about 70 ms and 10 MB per process."""
-    if _SUPERLU in sys.modules:
-        return sys.modules[_SUPERLU]
-    sparse_dir = importlib.util.find_spec("scipy.sparse").submodule_search_locations[0]
-    folder = os.path.join(sparse_dir, "linalg", "_dsolve")
-    loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
-    spec = importlib.machinery.FileFinder(folder, loaders).find_spec(_SUPERLU)
-    if spec is None:
-        raise ImportError(f"no {_SUPERLU} extension in {folder}", name=_SUPERLU)
-    sys.modules[_SUPERLU] = module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_superlu = _load_superlu()
-
-
-def splu(A):
+def splu(A: Csr):
     """``scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)``
-    as its one call of the extension, on the canonical float64 CSC form of the square matrix ``A``."""
-    A = sp.csc_array(A, dtype=np.float64)
-    if A.shape[0] != A.shape[1]:
+    as its one call of the extension, on the CSC form of the square record ``A``: a stable
+    sort by column keeps each column's rows ascending, as scipy's ``csr_tocsc``.  The
+    factors L and U come back as records of their transposes (CSC arrays read as CSR)."""
+    n = A.shape[0]
+    if A.shape[1] != n:
         raise ValueError("can only factor square matrices")
-    A.sum_duplicates()
+    order = np.argsort(A.indices, kind="stable")
+    rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.indptr))[order]
+    indptr = np.searchsorted(A.indices[order], np.arange(n + 1)).astype(np.intc)
     options = dict(ColPerm="MMD_AT_PLUS_A", DiagPivotThresh=LU_DIAG_PIVOT_THRESH)
-    return _superlu.gstrf(A.shape[0], A.nnz, A.data, A.indices.astype(np.intc, copy=False),
-                          A.indptr.astype(np.intc, copy=False), csc_construct_func=sp.csc_array,
-                          ilu=False, options=options)
+    return _superlu.gstrf(n, A.nnz, A.data[order], rows, indptr, ilu=False, options=options,
+                          csc_construct_func=lambda arrays, shape: Csr(shape[::-1], *arrays))
 
 
 @dataclass(frozen=True)
@@ -97,11 +76,15 @@ class BorderedSolver:
         self.space, block = case_space(mesh, forms, value, weight)
         forms.validate_measures(weight, mean_weight)
         self.cols = forms.mean_functionals(mean_weight, np.isinf(value))
-        self.op = forms.A_pair + block
+        self.op = add(forms.A_pair, block)
         self.A = reduce(self.space, self.op, self.space)
-        C = sp.csr_matrix(np.column_stack([self.space.restrict(c) for c in self.cols]))
+        C = np.column_stack([self.space.restrict(c) for c in self.cols])
+        i, k = np.nonzero(C)  # its exact zeros left out, as scipy's sparse form of C
+        ny = self.A.shape[0]
+        bordered = from_triplets((ny + C.shape[1],) * 2, triplets(self.A),
+                                 (i, ny + k, C[i, k]), (ny + k, i, C[i, k]))
         try:
-            self.lu = splu(sp.bmat([[self.A, C], [C.T, None]], format="csc"))
+            self.lu = splu(bordered)
         except RuntimeError as exc:
             raise SolverFailure(f"singular bordered system: {exc}") from exc
 

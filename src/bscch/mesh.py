@@ -21,20 +21,22 @@ FORMAT_HEADER = "bscch-mesh 1"
 
 @dataclass(frozen=True)
 class CsrPattern:
-    """n x n CSR pattern of (row, col) entries, entry k at data[slot[k]]; int32 indices, as scipy's."""
+    """m x n CSR pattern of (row, col) entries, entry k at data[slot[k]]: each row's
+    columns sorted and distinct, int32 indices (the canonical form of scipy's CSR)."""
 
-    n: int
+    shape: tuple
     indptr: np.ndarray
     indices: np.ndarray
     slot: np.ndarray
 
 
-def csr_pattern(rows, cols, n) -> CsrPattern:
+def csr_pattern(rows, cols, shape) -> CsrPattern:
+    m, n = shape
     entries = np.ravel(rows).astype(np.int64) * n + np.ravel(cols)
     keys = np.sort(entries)  # np.unique takes ten times as long here, and more memory
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
-    return CsrPattern(n, indptr, (keys % n).astype(np.int32), np.searchsorted(keys, entries))
+    indptr = np.searchsorted(keys, np.arange(m + 1) * n).astype(np.int32)
+    return CsrPattern(shape, indptr, (keys % n).astype(np.int32), np.searchsorted(keys, entries))
 
 
 @dataclass(frozen=True)
@@ -78,9 +80,9 @@ def _element_geometry(vertices, triangles, loop) -> MeshGeometry:
         gdot=np.einsum("tid,tjd->tij", grads, grads),
         centroids=p.mean(axis=1),
         tri_pattern=csr_pattern(np.repeat(triangles, 3, axis=1), np.tile(triangles, (1, 3)),
-                                len(vertices)),
+                                (len(vertices),) * 2),
         edge_pos=pe,
-        edge_pattern=csr_pattern(np.repeat(pe, 2, axis=1), np.tile(pe, (1, 2)), b),
+        edge_pattern=csr_pattern(np.repeat(pe, 2, axis=1), np.tile(pe, (1, 2)), (b, b)),
         tangents=tangents,
         lengths=np.linalg.norm(tangents, axis=1),
     )

@@ -15,10 +15,9 @@ bitwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import diagnostics as diag
 from .assembly import (
@@ -26,12 +25,15 @@ from .assembly import (
     FormsBundle,
     Mobility,
     VelocityField,
+    add,
     assemble_convection,
     assemble_core,
     assemble_mobility_stiffness,
     build_case_spaces,
+    prune,
     reduce,
     scatter,
+    triplets,
 )
 from .elliptic import splu
 from .errors import InvalidArgument, StepFailure
@@ -205,7 +207,7 @@ class Stepper:
         self.spaces = build_case_spaces(mesh, cp, self.forms)
         f = self.forms
         phase, chem = self.spaces.phase, self.spaces.chem
-        self.A_K = reduce(phase, f.A_pair + self.spaces.B_K, phase)
+        self.A_K = reduce(phase, add(f.A_pair, self.spaces.B_K), phase)
         self.system = _NewtonSystem(mesh, chem, reduce(chem, self.spaces.B_L, chem),
                                     reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
                                     self.A_K)
@@ -333,15 +335,18 @@ class _NewtonSystem:
     def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K):
         g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
         c, w = chem.col, chem.scale  # P holds one entry per row: w[i] in column c[i]
-        k_rows = np.concatenate([np.repeat(np.arange(p.n), np.diff(p.indptr)) + off
+        k_rows = np.concatenate([np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)) + off
                                  for p, off in ((g.tri_pattern, 0), (g.edge_pattern, n))])
         k_cols = np.concatenate([g.tri_pattern.indices, n + g.edge_pattern.indices])
-        F = sp.bmat([[BL_red, M_LK], [M_KL, -A_K]], format="coo")
-        self.pattern = csr_pattern(np.concatenate([F.row, c[k_rows]]),
-                                   np.concatenate([F.col, c[k_cols]]), F.shape[0])
-        self.F_data, self.over_tau = F.data, (F.row < ny) & (F.col >= ny)
+        size = ny + A_K.shape[0]  # the entries of scipy's bmat, block by block
+        F_row, F_col, self.F_data = (np.concatenate(x) for x in zip(
+            triplets(BL_red), triplets(M_LK, 0, ny), triplets(M_KL, ny, 0),
+            triplets(replace(A_K, data=-A_K.data), ny, ny)))
+        self.pattern = csr_pattern(np.concatenate([F_row, c[k_rows]]),
+                                   np.concatenate([F_col, c[k_cols]]), (size, size))
+        self.over_tau = (F_row < ny) & (F_col >= ny)
         self.coef, self.ny = w[k_rows] * w[k_cols], ny
-        rows = np.repeat(np.arange(F.shape[0]), np.diff(self.pattern.indptr))
+        rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
         self.tau = self.K_b = self.J0 = self.D = self.factor = None
         self.linear_iters = self.factorizations = 0
@@ -367,10 +372,9 @@ class _NewtonSystem:
             if delta is not None:
                 return delta
         self.factor = None  # the old factor goes first, two alive would double memory
-        J = self.J0.copy()
-        J.data[self.x_diag] -= D
-        J.eliminate_zeros()  # as the sparse difference J0 - diag(0, D) would
-        self.factor = splu(J)
+        data = self.J0.data.copy()
+        data[self.x_diag] -= D
+        self.factor = splu(prune(replace(self.J0, data=data)))  # J0 - diag(0, D), as scipy's
         self.factorizations += 1
         return self.factor.solve(rhs)
 

@@ -2,15 +2,18 @@
 
 None of these is reached by a command or a run: the scalar property
 battery of acceptance criterion 01 with the minimal section it compares
-against, the quadratic lower-bound certificate, the config writer, and a
-reader for the ASCII mesh format that ``bscch mesh`` writes.
+against, the quadratic lower-bound certificate, the config writer, a
+reader for the ASCII mesh format that ``bscch mesh`` writes, and the scipy
+forms of the package's sparse operators.
 """
 
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
+from bscch.assembly import CaseSpace, Csr
 from bscch.errors import InvalidArgument
 from bscch.mesh import FORMAT_HEADER, TriMesh
 from bscch.potentials import _as_eps, moreau_envelope, yosida
@@ -134,3 +137,22 @@ def read_mesh(path) -> TriMesh:
     return TriMesh(vertices=np.array(rows[:nv], dtype=float),
                    triangles=np.array(rows[nv:nv + nt], dtype=np.int64),
                    boundary_loop=np.array(rows[nv + nt:], dtype=np.int64).ravel())
+
+
+def as_scipy(A: Csr) -> sp.csr_matrix:
+    """The scipy CSR matrix of a package operator, on copies of its arrays."""
+    return sp.csr_matrix((A.data.copy(), A.indices.copy(), A.indptr.copy()), shape=A.shape)
+
+
+def prolongation(space: CaseSpace) -> sp.csr_matrix:
+    """The case space's prolongation P: full row i is ``scale[i]`` times reduced slot ``col[i]``."""
+    size = len(space.col)
+    return sp.csr_matrix((space.scale, space.col, np.arange(size + 1)),
+                         shape=(size, len(space.idx)))
+
+
+def triple_product(test: CaseSpace, op, trial: CaseSpace) -> sp.csr_matrix:
+    """P_test^T op P_trial of the scipy matrix ``op``, or ``op`` when both spaces are full."""
+    if len(test.idx) == len(test.col) and len(trial.idx) == len(trial.col):
+        return op
+    return (prolongation(test).T @ op @ prolongation(trial)).tocsr()

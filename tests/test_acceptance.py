@@ -21,7 +21,7 @@ from bscch.mesh import generate_disk_mesh
 from bscch.potentials import KINDS, check_domination, make_potential
 from bscch.stepper import InitialDataSpec, RunConfig, RunParams, run
 
-from oracles import verify_scalar_properties
+from oracles import as_scipy, prolongation, verify_scalar_properties
 
 LOG = make_potential("log")
 CASES = list(itertools.product([0.0, 1.0, np.inf], repeat=2))
@@ -156,9 +156,9 @@ def test_criterion_05_poincare(report):
 
         cp = CouplingParams(K=K, L=np.inf, alpha=1.0, beta=1.0)
         spaces = build_case_spaces(mesh, cp, forms)
-        P = spaces.phase.P
-        A = (P.T @ (forms.A_pair + spaces.B_K) @ P).tocsr()
-        M = (P.T @ forms.M_pair @ P).tocsr()
+        P = prolongation(spaces.phase)
+        A = (P.T @ (as_scipy(forms.A_pair) + as_scipy(spaces.B_K)) @ P).tocsr()
+        M = (P.T @ as_scipy(forms.M_pair) @ P).tocsr()
         c = P.T @ np.concatenate([forms.lump_bulk, forms.lump_surf])
         rng = np.random.default_rng(5)
         for _ in range(100):

@@ -9,6 +9,7 @@ from bscch.assembly import (
     CouplingParams,
     Mobility,
     VelocityField,
+    add,
     assemble_convection,
     assemble_core,
     assemble_mobility_stiffness,
@@ -18,6 +19,9 @@ from bscch.assembly import (
 )
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh, mesh_stats
+from bscch.potentials import make_potential
+from bscch.stepper import RunParams, Stepper, initial_state
+from oracles import as_scipy, prolongation, triple_product
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +74,7 @@ def test_bulk_stiffness_linear_exact(mesh, forms):
 
 def test_lumped_masses_match_row_sums(forms):
     np.testing.assert_allclose(forms.lump_bulk,
-                               np.asarray(forms.M_bulk.sum(axis=1)).ravel(),
+                               np.asarray(as_scipy(forms.M_bulk).sum(axis=1)).ravel(),
                                rtol=0, atol=1e-15)
     assert forms.lump_bulk.sum() == pytest.approx(forms.area, rel=1e-14)
 
@@ -78,20 +82,20 @@ def test_lumped_masses_match_row_sums(forms):
 def test_constant_mobility_reduces_to_stiffness(mesh, forms):
     phi = np.linspace(-0.5, 0.5, forms.n_bulk)
     K = assemble_mobility_stiffness(mesh, Mobility(kind="constant", m0=2.5), phi)
-    assert abs(K - 2.5 * forms.A_bulk).max() < 1e-13
+    assert abs(as_scipy(K) - 2.5 * as_scipy(forms.A_bulk)).max() < 1e-13
 
 
 def test_degenerate_mobility_at_pure_phase(mesh, forms):
     # m(+-1) = m0: degenerate part vanishes at the pure states
     phi = np.ones(forms.n_bulk)
     K = assemble_mobility_stiffness(mesh, Mobility(kind="degenerate", m0=1.0, m1=3.0), phi)
-    assert abs(K - forms.A_bulk).max() < 1e-13
+    assert abs(as_scipy(K) - as_scipy(forms.A_bulk)).max() < 1e-13
 
 
 def test_surface_mobility_dispatch(mesh, forms):
     psi = np.zeros(forms.n_surf)
     K = assemble_mobility_stiffness(mesh, Mobility(kind="degenerate", m0=1.0, m1=1.0), psi)
-    assert abs(K - 2.0 * forms.A_surf).max() < 1e-13
+    assert abs(as_scipy(K) - 2.0 * as_scipy(forms.A_surf)).max() < 1e-13
 
 
 @settings(max_examples=50, deadline=None)
@@ -132,8 +136,9 @@ def test_case_space_dirichlet_phase_constraint(mesh, forms):
     cp = CouplingParams(K=0.0, L=1.0, alpha=2.0, beta=1.0)
     spaces = build_case_spaces(mesh, cp, forms)
     rng = np.random.default_rng(0)
-    x_red = rng.standard_normal(spaces.phase.P.shape[1])
-    full = spaces.phase.P @ x_red
+    P = prolongation(spaces.phase)
+    x_red = rng.standard_normal(P.shape[1])
+    full = P @ x_red
     phi, psi = full[: forms.n_bulk], full[forms.n_bulk :]
     np.testing.assert_allclose(phi[mesh.boundary_loop], cp.alpha * psi, atol=1e-14)
 
@@ -162,7 +167,7 @@ def test_case_space_restriction_inverts_prolongation(mesh, forms, K, L):
         spaces = build_case_spaces(mesh, CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
         for space, dirichlet, weight in ((spaces.phase, K == 0.0, alpha),
                                          (spaces.chem, L == 0.0, beta)):
-            P = space.P
+            P = prolongation(space)
             assert np.array_equal(P.toarray(), _loop_prolongation(mesh, dirichlet, weight))
             x = rng.standard_normal(P.shape[1])
             assert np.array_equal((P @ x)[space.idx], x)
@@ -236,11 +241,10 @@ def test_velocity_ramp():
 def test_reduce_between_full_spaces_is_the_operator(mesh, forms):
     # L > 0 and K > 0: both case spaces are the full pair space
     spaces = build_case_spaces(mesh, CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0), forms)
-    for op in (forms.M_pair, forms.A_pair + spaces.B_K):
+    for op in (forms.M_pair, add(forms.A_pair, spaces.B_K)):
         reduced = reduce(spaces.chem, op, spaces.phase)
         assert reduced is op
-        triple = (spaces.chem.P.T @ op @ spaces.phase.P).tocsr()
-        reduced.sort_indices()
+        triple = (prolongation(spaces.chem).T @ as_scipy(op) @ prolongation(spaces.phase)).tocsr()
         triple.sort_indices()
         np.testing.assert_array_equal(reduced.indptr, triple.indptr)
         np.testing.assert_array_equal(reduced.indices, triple.indices)
@@ -261,7 +265,7 @@ def test_mobility_stiffness_on_fixed_pattern_matches_coo_scatter(mesh):
         k = elements.shape[1]
         rows, cols = np.repeat(elements, k, axis=1), np.tile(elements, (1, k))
         ref = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
-        got = assemble_mobility_stiffness(mesh, mob, fld)
+        got = as_scipy(assemble_mobility_stiffness(mesh, mob, fld))
         assert got.has_sorted_indices and got.shape == (size, size)
         diff = np.abs((got - ref.tocsr()).toarray()).max()
         assert diff <= 1e-14 * np.abs(got.data).max()
@@ -269,10 +273,78 @@ def test_mobility_stiffness_on_fixed_pattern_matches_coo_scatter(mesh):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.8, 1.0])
 def test_coupling_block_bitwise_equal_to_triple_products(forms, alpha):
-    R, Ms = forms.trace, forms.M_surf
+    R, Ms = as_scipy(forms.trace), as_scipy(forms.M_surf)
     top = sp.hstack([R.T @ Ms @ R, -alpha * (R.T @ Ms)])
     bot = sp.hstack([-alpha * (Ms @ R), alpha**2 * Ms])
     ref = sp.vstack([top, bot]).tocsr()
     got = forms.coupling_block(alpha)
     for name in ("indptr", "indices", "data"):
         assert getattr(got, name).tobytes() == getattr(ref, name).tobytes(), name
+
+
+# -- the package's sparse records against scipy, bit for bit ---------------------
+
+def _bitwise(got, ref):
+    """Whether the record ``got`` stores exactly the arrays of the scipy matrix ``ref``."""
+    ref = sp.csr_matrix(ref)
+    return got.shape == ref.shape and all(
+        getattr(got, name).tobytes() == getattr(ref, name).tobytes()
+        for name in ("indptr", "indices", "data"))
+
+
+# (K, L) with every case family, and weights: equal, not exact in binary with
+# alpha != beta, zero, negative and large
+REDUCE_WEIGHTS = [(1.0, 1.0), (0.8, 1.2), (0.0, 0.0), (-0.7, 3.0), (1e5, 0.5)]
+
+
+@pytest.mark.parametrize("alpha,beta", REDUCE_WEIGHTS)
+@pytest.mark.parametrize("K,L", list(itertools.product((0.0, 1.0, np.inf, 0.5), repeat=2)))
+def test_reduce_bitwise_equal_to_scipy_triple_product(mesh, forms, K, L, alpha, beta):
+    spaces = build_case_spaces(mesh, CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
+    phase, chem = spaces.phase, spaces.chem
+    A_K, A_L = add(forms.A_pair, spaces.B_K), add(forms.A_pair, spaces.B_L)
+    # every reduction of the stepper, the bordered solvers and the Poincare iteration
+    for test, op, trial in ((phase, A_K, phase), (chem, A_L, chem), (chem, spaces.B_L, chem),
+                            (chem, forms.M_pair, phase), (phase, forms.M_pair, chem),
+                            (phase, forms.M_pair, phase)):
+        ref = triple_product(test, as_scipy(op), trial)
+        assert _bitwise(reduce(test, op, trial), ref)
+
+
+@pytest.mark.parametrize("K", [1.0, np.inf])
+def test_pruned_sum_bitwise_equal_to_scipy_sum(mesh, forms, K):
+    # at K = inf the coupling block is empty: the sum only drops A_pair's stored zeros
+    spaces = build_case_spaces(mesh, CouplingParams(K=K, L=1.0, alpha=0.8, beta=1.0), forms)
+    assert np.count_nonzero(forms.A_pair.data == 0) > 0
+    assert (spaces.B_K.nnz == 0) == np.isinf(K)
+    assert _bitwise(add(forms.A_pair, spaces.B_K), as_scipy(forms.A_pair) + as_scipy(spaces.B_K))
+
+
+def test_pair_blocks_bitwise_equal_to_scipy_block_diag(forms):
+    for pair, bulk, surf in ((forms.M_pair, forms.M_bulk, forms.M_surf),
+                             (forms.A_pair, forms.A_bulk, forms.A_surf)):
+        assert _bitwise(pair, sp.block_diag([as_scipy(bulk), as_scipy(surf)], format="csr"))
+
+
+def test_lumped_diagonals_bitwise_equal_to_scipy_row_sums(forms):
+    # the center row of the polar mesh holds 33 entries, where numpy sums pairwise
+    assert np.diff(forms.M_bulk.indptr).max() > 8
+    for lumped, M in ((forms.lump_bulk, forms.M_bulk), (forms.lump_surf, forms.M_surf)):
+        assert lumped.tobytes() == np.asarray(as_scipy(M).sum(axis=1)).ravel().tobytes()
+
+
+def test_matvec_bitwise_equal_to_scipy(mesh, forms):
+    p = RunParams(tau=1e-4, t_final=1e-4, eps=0.05,
+                  coupling=CouplingParams(K=0.0, L=1.0, alpha=0.8, beta=1.0),
+                  pot_bulk=make_potential("log"), pot_surf=make_potential("log"))
+    stepper = Stepper(mesh, p, forms)
+    stepper.step(initial_state(mesh, p, forms))
+    spaces = stepper.spaces
+    rng = np.random.default_rng(4)
+    for A in (stepper.system.J0, forms.trace, forms.M_surf,
+              reduce(spaces.chem, forms.M_pair, spaces.phase)):
+        x = rng.standard_normal(A.shape[1])
+        x[::5] = -0.0
+        assert (A @ x).tobytes() == (as_scipy(A) @ x).tobytes()
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        forms.M_surf @ np.ones(forms.n_bulk)

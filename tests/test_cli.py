@@ -526,7 +526,7 @@ def test_module_entry_point(tmp_path):
 
 
 def test_cli_import_leaves_unused_numpy_submodules_unexecuted():
-    # scipy.sparse reads every numpy attribute; executing these cost about 0.16 s of start-up
+    # executing these costs about 0.16 s of start-up
     code = ("import sys, bscch.cli; print([m for m in ('numpy.f2py.crackfortran', "
             "'numpy.testing._private.utils', 'numpy.ma.core', 'numpy.polynomial.polynomial') "
             "if m in sys.modules])")
@@ -534,18 +534,21 @@ def test_cli_import_leaves_unused_numpy_submodules_unexecuted():
 
 
 def test_commands_load_neither_scipy_linalg_nor_numpy_ma(rotating_cfg):
-    # run validates a mesh and factors a Jacobian, cont-dep also a bordered system;
-    # scipy.sparse.linalg and scipy.linalg cost about 10 MB, numpy.ma about 1.3 MB
+    # run validates a mesh and factors a Jacobian, cont-dep also a bordered system; of
+    # scipy only the two compiled modules load (a scipy package costs about 5 MB), and
+    # numpy's unused subpackages not at all (numpy.ma alone about 1.3 MB)
     code = f"""
-import contextlib, importlib.util, io, sys
+import contextlib, io, sys
 from bscch.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["run", "--config", {rotating_cfg!r}]) == 0
     assert main(["cont-dep", "--config", {rotating_cfg!r}, "--amplitudes", "0,1e-3"]) == 0
-print([m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules],
-      type(sys.modules["numpy.ma"]) is importlib.util._LazyModule)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+      [m for m in ("numpy.ma", "numpy.testing", "numpy.polynomial", "numpy.f2py")
+       if m in sys.modules])
 """
-    assert _python("-c", code) == "[] True"
+    assert _python("-c", code) == (
+        "['scipy.sparse._sparsetools', 'scipy.sparse.linalg._dsolve._superlu'] []")
 
 
 def test_deferred_numpy_submodules_work_after_import():

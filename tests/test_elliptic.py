@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,9 +7,18 @@ import scipy.sparse.linalg
 
 import bscch.elliptic
 import bscch.stepper
-from bscch.assembly import CouplingParams, FormsBundle, assemble_core
+from bscch.assembly import (
+    CouplingParams,
+    FormsBundle,
+    assemble_core,
+    case_space,
+    from_triplets,
+    load_extension,
+    triplets,
+)
 from bscch.elliptic import (
     LU_DIAG_PIVOT_THRESH,
+    BorderedSolver,
     BulkSurfacePair,
     InverseCoupledOperator,
     estimate_poincare_constant,
@@ -20,6 +31,7 @@ from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
 from bscch.potentials import make_potential
 from bscch.stepper import InitialDataSpec, RunParams, Stepper, initial_state
+from oracles import as_scipy, prolongation, triple_product
 
 
 @pytest.fixture(scope="module")
@@ -121,30 +133,53 @@ def test_bordered_factor_is_accurate_and_sparse(monkeypatch):
     lu = splu(A)
     b = np.random.default_rng(5).standard_normal(A.shape[0])
     assert np.linalg.norm(A @ lu.solve(b) - b) <= 1e-13 * np.linalg.norm(b)
-    default = scipy.sparse.linalg.splu(A)
+    default = scipy.sparse.linalg.splu(as_scipy(A).tocsc())
     assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
 
 
 @pytest.mark.parametrize("matrix", [_bordered_matrix, _newton_jacobian])
 def test_splu_is_the_public_splu_with_the_package_options(monkeypatch, matrix):
     # splu calls scipy's SuperLU extension itself; the public splu is the reference
-    A = sp.csc_array(matrix(monkeypatch))
+    record = matrix(monkeypatch)
+    A = sp.csc_array(as_scipy(record))
     reference = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A",
                                          diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)
-    halves = sp.csc_array((np.repeat(A.data / 2, 2), np.repeat(A.indices, 2), 2 * A.indptr),
-                          shape=A.shape)  # each entry stored twice, as two exact halves
+    rows, cols, vals = triplets(record)  # each entry given twice, as two exact halves
+    halves = from_triplets(A.shape, (rows, cols, vals / 2), (rows, cols, vals / 2))
     b = np.random.default_rng(11).standard_normal(A.shape[0])
-    for lu in (splu(A), splu(A.tocsr()), splu(halves)):
+    for lu in (splu(record), splu(halves)):
         np.testing.assert_array_equal(lu.perm_r, reference.perm_r)
         np.testing.assert_array_equal(lu.perm_c, reference.perm_c)
         assert (lu.L.nnz, lu.U.nnz) == (reference.L.nnz, reference.U.nnz)
         assert lu.solve(b).tobytes() == reference.solve(b).tobytes()
 
 
-def test_moved_superlu_extension_fails_naming_it(monkeypatch):
-    monkeypatch.setattr(bscch.elliptic, "_SUPERLU", "scipy.sparse.linalg._dsolve._moved")
-    with pytest.raises(ImportError, match=r"scipy\.sparse\.linalg\._dsolve\._moved"):
-        bscch.elliptic._load_superlu()
+@pytest.mark.parametrize("value,weight,mean_weight", [
+    (1.0, 1.0, 1.0), (0.0, 0.8, 1.2), (0.0, -0.7, 3.0), (np.inf, 1.0, 1.0), (0.5, 1e5, 0.5)])
+def test_bordered_matrix_bitwise_equal_to_scipy_bmat(monkeypatch, value, weight, mean_weight):
+    # the CSC arrays handed to SuperLU against scipy's bmat of the reduced operator and C
+    mesh = generate_disk_mesh(32, 8)
+    forms = assemble_core(mesh)
+    captured, superlu = [], bscch.elliptic._superlu
+    monkeypatch.setattr(bscch.elliptic, "_superlu", SimpleNamespace(
+        gstrf=lambda *args, **kw: captured.append(args) or superlu.gstrf(*args, **kw)))
+    solver = BorderedSolver(mesh, forms, value, weight, mean_weight)
+    space, block = case_space(mesh, forms, value, weight)
+    A = triple_product(space, as_scipy(forms.A_pair) + as_scipy(block), space)
+    C = sp.csr_matrix(np.column_stack([space.restrict(c) for c in solver.cols]))
+    ref = sp.bmat([[A, C], [C.T, None]], format="csc")
+    ((n, nnz, data, indices, indptr),) = captured
+    assert (n, nnz) == (ref.shape[0], ref.nnz)
+    for got, name in ((data, "data"), (indices, "indices"), (indptr, "indptr")):
+        assert got.tobytes() == getattr(ref, name).tobytes(), name
+
+
+def test_moved_superlu_extension_fails_naming_it():
+    # both extensions the package binds: SuperLU and the CSR kernels
+    for name in ("scipy.sparse.linalg._dsolve._moved", "scipy.sparse._moved"):
+        with pytest.raises(ImportError, match=name.replace(".", r"\.")) as raised:
+            load_extension(name)
+        assert raised.value.name == name
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0, np.inf])
@@ -185,9 +220,9 @@ def test_poincare_inequality_and_mesh_stability(K):
     from bscch.assembly import build_case_spaces
 
     spaces = build_case_spaces(m, cp, f)
-    P = spaces.phase.P
-    A = (P.T @ (f.A_pair + spaces.B_K) @ P).tocsr()
-    M = (P.T @ f.M_pair @ P).tocsr()
+    P = prolongation(spaces.phase)
+    A = (P.T @ (as_scipy(f.A_pair) + as_scipy(spaces.B_K)) @ P).tocsr()
+    M = (P.T @ as_scipy(f.M_pair) @ P).tocsr()
     c = P.T @ np.concatenate([f.lump_bulk, f.lump_surf])
     rng = np.random.default_rng(7)
     C_P = cps[0]

@@ -14,7 +14,6 @@ from bscch.assembly import (
     Mobility,
     VelocityField,
     assemble_mobility_stiffness,
-    reduce,
 )
 from bscch.diagnostics import energy, make_record, masses
 from bscch.errors import InvalidArgument, StepFailure
@@ -30,6 +29,7 @@ from bscch.stepper import (
     initial_state,
     run,
 )
+from oracles import as_scipy, prolongation, triple_product
 
 LOG = make_potential("log")
 
@@ -289,7 +289,8 @@ def test_lumped_diagonal_equals_triple_product(K):
     # zero surface entries leave no sum to round a slaved product's last bit away
     bulk_only = np.where(np.arange(len(d)) < st.forms.n_bulk, d, 0.0)
     for dd in (d, bulk_only):
-        triple = (phase.P.T @ sp.diags(dd) @ phase.P).toarray()
+        P = prolongation(phase)
+        triple = (P.T @ sp.diags(dd) @ P).toarray()
         np.testing.assert_array_equal(np.diag(phase.lumped(dd)), triple)
 
 
@@ -413,7 +414,7 @@ def test_jacobian_factor_is_accurate_and_sparse(monkeypatch, K, L, alpha, beta):
     assert np.linalg.norm(J @ lu.solve(b) - b) <= bscch.stepper.KRYLOV_RTOL * np.linalg.norm(b)
     # (b) far fewer L+U nonzeros than scipy's default splu in the (x, y) column order
     ny = len(stepper.spaces.chem.idx)
-    phase_first = J[:, np.r_[ny:J.shape[0], 0:ny]].tocsc()
+    phase_first = as_scipy(J)[:, np.r_[ny:J.shape[0], 0:ny]].tocsc()
     default = scipy.sparse.linalg.splu(phase_first)
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
 
@@ -475,10 +476,12 @@ def _first_newton_iterate(stepper, p):
     _, derivative, _ = stepper._nonlinear(phase.prolong(x_n))
     D = phase.lumped(stepper.forms.lump_pair * derivative)
     chem, f = stepper.spaces.chem, stepper.forms
-    K_pair = sp.block_diag(stepper.run_mobility, format="csr")
-    A1 = reduce(chem, K_pair, chem) + reduce(chem, stepper.spaces.B_L, chem)
-    M_LK, M_KL = reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem)
-    return state, (A1, (1.0 / p.tau) * M_LK, M_KL, stepper.A_K, D)
+    K_pair = sp.block_diag([as_scipy(K) for K in stepper.run_mobility], format="csr")
+    B_L = as_scipy(stepper.spaces.B_L)
+    A1 = triple_product(chem, K_pair, chem) + triple_product(chem, B_L, chem)
+    M_pair = as_scipy(f.M_pair)
+    M_LK, M_KL = triple_product(chem, M_pair, phase), triple_product(phase, M_pair, chem)
+    return state, (A1, (1.0 / p.tau) * M_LK, M_KL, as_scipy(stepper.A_K), D)
 
 
 @pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
@@ -491,7 +494,7 @@ def test_refactor_matrix_equals_block_form(monkeypatch, K, L):
     monkeypatch.setattr(bscch.stepper, "splu", lambda J: captured.append(J) or factor(J))
     stepper.step(state)
     blocks = sp.bmat([[A1, J11], [M_KL, -(A_K + sp.diags(D))]], format="csc")
-    np.testing.assert_array_equal(captured[0].toarray(), blocks.toarray())
+    np.testing.assert_array_equal(as_scipy(captured[0]).toarray(), blocks.toarray())
 
 
 def test_factored_jacobian_is_the_sparse_difference(monkeypatch):
@@ -504,13 +507,13 @@ def test_factored_jacobian_is_the_sparse_difference(monkeypatch):
     J0, ny = system.J0, system.ny
     D = np.random.default_rng(2).uniform(0.5, 2.0, J0.shape[0] - ny)
     D[0] = 0.0
-    D[1] = J0[ny + 1, ny + 1]  # an exact zero on the diagonal
+    D[1] = as_scipy(J0)[ny + 1, ny + 1]  # an exact zero on the diagonal
     captured = []
     monkeypatch.setattr(bscch.stepper, "splu",
                         lambda J: captured.append(J) or SimpleNamespace(solve=lambda b: b))
     system.factor = None
     system.solve(D, np.ones(J0.shape[0]))
-    (J,), expected = captured, (J0 - sp.diags(np.concatenate([np.zeros(ny), D]))).tocsr()
+    (J,), expected = captured, (as_scipy(J0) - sp.diags(np.concatenate([np.zeros(ny), D]))).tocsr()
     assert expected.nnz == np.count_nonzero(J0.data) - 1 < J0.nnz - 1  # J0 stores zeros too
     for attr in ("indptr", "indices", "data"):
         assert getattr(J, attr).tobytes() == getattr(expected, attr).tobytes()
@@ -547,15 +550,16 @@ def test_refreshed_linear_jacobian_matches_block_form(K, L, alpha, beta):
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
     phase, chem, f = stepper.spaces.phase, stepper.spaces.chem, stepper.forms
-    M_LK, M_KL = reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem)
+    M_pair, B_L = as_scipy(f.M_pair), as_scipy(stepper.spaces.B_L)
+    M_LK, M_KL = triple_product(chem, M_pair, phase), triple_product(phase, M_pair, chem)
     state = initial_state(mesh, p, stepper.forms)
     for _ in range(2):  # the J0 of each step is the one at the state it starts from
-        K_pair = sp.block_diag([assemble_mobility_stiffness(mesh, mob, state.phi),
-                                assemble_mobility_stiffness(mesh, mob, state.psi)])
-        A1 = reduce(chem, K_pair, chem) + reduce(chem, stepper.spaces.B_L, chem)
-        ref = sp.bmat([[A1, M_LK / p.tau], [M_KL, -stepper.A_K]], format="csr")
+        K_pair = sp.block_diag([as_scipy(assemble_mobility_stiffness(mesh, mob, state.phi)),
+                                as_scipy(assemble_mobility_stiffness(mesh, mob, state.psi))])
+        A1 = triple_product(chem, K_pair, chem) + triple_product(chem, B_L, chem)
+        ref = sp.bmat([[A1, M_LK / p.tau], [M_KL, -as_scipy(stepper.A_K)]], format="csr")
         state, _ = stepper.step(state)
-        J0 = stepper.system.J0
+        J0 = as_scipy(stepper.system.J0)
         assert J0.shape == ref.shape
         assert abs(J0 - ref).max() <= 1e-14 * abs(ref).max()
 
