@@ -132,6 +132,10 @@ def validate_mesh(mesh: TriMesh):
         raise ValidationError("triangle vertex index out of range")
     if loop.size and (loop.min() < 0 or loop.max() >= len(v)):
         raise ValidationError("boundary index out of range")
+    # a vertex of no triangle has an empty stiffness row, which no step can solve for
+    unused = np.flatnonzero(np.bincount(t.ravel(), minlength=len(v)) == 0)
+    if unused.size:
+        raise ValidationError(f"vertex {unused[0]} belongs to no triangle")
     ordered = np.sort(loop)  # np.unique would execute numpy.ma
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValidationError("boundary loop visits a vertex twice")

@@ -98,7 +98,7 @@ class InitialDataSpec:
             value, (lo, hi) = getattr(self, name), bounds.get(name, (-np.inf, np.inf))
             if not lo < value < hi:  # also rejects nan
                 raise InvalidArgument(f"init.{name} must lie in ({lo:g}, {hi:g}), got {value}")
-        if self.seed < 0:  # np.random.default_rng takes non-negative seeds only
+        if self.seed < 0:  # a seed is a non-negative integer, hashed as numpy's SeedSequence
             raise InvalidArgument(f"init.seed must be >= 0, got {self.seed}")
 
 
@@ -441,6 +441,61 @@ def _attempt_step(stepper: Stepper, state: State, tau: float, halvings_left: int
         return new, first.followed_by(second)
 
 
+M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _uniform_draws(seed: int, *sizes: int) -> list[np.ndarray]:
+    """The arrays ``rng.random(size)`` of ``rng = np.random.default_rng(seed)``, in order.
+
+    Bit for bit numpy's generator, without importing numpy.random: the
+    SeedSequence hash of the seed's 32-bit words into a 4-word pool, its
+    ``generate_state(4, uint64)``, PCG64 (XSL-RR 128/64) seeded from those
+    words, and doubles ``(u64 >> 11) * 2**-53``.
+    """
+
+    def hasher(hash_const, mult):  # SeedSequence's multiply-xorshift hash on uint32
+        def hashmix(value):
+            nonlocal hash_const
+            value ^= hash_const
+            hash_const = hash_const * mult & M32
+            value = value * hash_const & M32
+            return value ^ value >> 16
+        return hashmix
+
+    def mix(x, y):
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & M32
+        return r ^ r >> 16
+
+    seed = int(seed)
+    words = [seed >> shift & M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hashmix = hasher(0x8B51F9DD, 0x58F38DED)
+    state32 = [hashmix(pool[i % 4]) for i in range(8)]
+    s = [state32[2 * k] | state32[2 * k + 1] << 32 for k in range(4)]  # little-endian pairs
+
+    inc = ((s[2] << 64 | s[3]) << 1 | 1) & M128  # state 0, step, add initstate, step
+    state = ((inc + (s[0] << 64 | s[1])) * PCG64_MULT + inc) & M128
+    draws = []
+    for size in sizes:
+        raw = []
+        for _ in range(size):
+            state = (state * PCG64_MULT + inc) & M128
+            x, rot = (state >> 64 ^ state) & M64, state >> 122
+            raw.append((x >> rot | x << (64 - rot)) & M64)
+        draws.append((np.array(raw, dtype=np.uint64) >> np.uint64(11)) * 2.0**-53)
+    return draws
+
+
 def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None) -> State:
     """Admissible initial state, with zero chemical potentials.
 
@@ -457,9 +512,9 @@ def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = 
         phi = np.full(n, float(spec.mean))
         psi = np.full(b, float(spec.mean))
     elif spec.mode == "random":
-        rng = np.random.default_rng(spec.seed)
-        phi = spec.mean + spec.amplitude * (2.0 * rng.random(n) - 1.0)
-        psi = spec.mean + spec.amplitude * (2.0 * rng.random(b) - 1.0)
+        u_bulk, u_surf = _uniform_draws(spec.seed, n, b)
+        phi = spec.mean + spec.amplitude * (2.0 * u_bulk - 1.0)
+        psi = spec.mean + spec.amplitude * (2.0 * u_surf - 1.0)
     else:  # bubbles
         centers = np.array([[-spec.separation / 2, 0.0], [spec.separation / 2, 0.0]])
         d = np.min(np.linalg.norm(mesh.vertices[:, None, :] - centers[None], axis=2), axis=1)

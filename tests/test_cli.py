@@ -214,7 +214,8 @@ def test_non_finite_mobility_exits_1(tmp_path, capsys, where, lines):
                                        ("init.separation", "nan"), ("init.seed", "-1")])
 def test_invalid_initial_data_exits_1(tmp_path, capsys, key, value):
     # |mean| >= 1 and the infinite values ran as data clamped to +-(1 - margin);
-    # a negative seed ended in a ValueError traceback from np.random.default_rng
+    # a seed is a non-negative integer (numpy's SeedSequence convention), and a
+    # negative one once ended in a ValueError traceback
     p = tmp_path / "i.cfg"
     p.write_text(SHORT_CFG.replace(f"{key} = ", "# ") + f"{key} = {value}\n"
                  f"output.dir = {tmp_path / 'out'}\n")
@@ -533,43 +534,32 @@ def test_cli_import_leaves_unused_numpy_submodules_unexecuted():
     assert _python("-c", code) == "[]"
 
 
-def test_commands_load_neither_scipy_linalg_nor_numpy_ma(rotating_cfg):
+def test_commands_load_neither_scipy_linalg_nor_numpy_ma(rotating_cfg, tmp_path):
     # run validates a mesh and factors a Jacobian, cont-dep also a bordered system; of
     # scipy only the two compiled modules load (a scipy package costs about 5 MB), and
-    # numpy's unused subpackages not at all (numpy.ma alone about 1.3 MB)
+    # numpy's unused subpackages not at all (numpy.ma alone about 1.3 MB).  Random
+    # initial data is drawn without numpy.random, which with hashlib and secrets
+    # costs about 6 MB
+    random_cfg = tmp_path / "random.cfg"
+    random_cfg.write_text(Path(rotating_cfg).read_text().replace("init.mode = bubbles",
+                                                                 "init.mode = random"))
     code = f"""
 import contextlib, io, sys
 from bscch.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["run", "--config", {rotating_cfg!r}]) == 0
     assert main(["cont-dep", "--config", {rotating_cfg!r}, "--amplitudes", "0,1e-3"]) == 0
+    assert main(["run", "--config", {str(random_cfg)!r}]) == 0
+    assert main(["cont-dep", "--config", {str(random_cfg)!r}, "--amplitudes", "0,1e-3"]) == 0
+    assert main(["limit-study", "--config", {str(random_cfg)!r}, "--parameter", "L->0",
+                 "--schedule", "1,0.5"]) == 0
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
       [m for m in ("numpy.ma", "numpy.testing", "numpy.polynomial", "numpy.f2py")
-       if m in sys.modules])
+       if m in sys.modules],
+      [m for m in ("numpy.random", "hashlib", "secrets") if m in sys.modules])
 """
     assert _python("-c", code) == (
-        "['scipy.sparse._sparsetools', 'scipy.sparse.linalg._dsolve._superlu'] []")
-
-
-def test_deferred_numpy_submodules_work_after_import():
-    code = """
-import bscch.cli
-import numpy as np
-np.testing.assert_allclose([1.0], [1.0])
-from numpy.testing import assert_array_equal
-assert_array_equal([1, 2], [1, 2])
-assert np.ma.masked_array([1, 2]).sum() == 3
-assert np.polynomial.Polynomial([1, 2])(2.0) == 5.0
-import numpy.f2py
-print(numpy.f2py.crackfortran.__name__)
-"""
-    assert _python("-c", code) == "numpy.f2py.crackfortran"
-
-
-def test_numpy_testing_imported_first_is_kept():
-    code = ("import sys, numpy.testing as first, bscch.cli, numpy; "
-            "print(sys.modules['numpy.testing'] is first and numpy.testing is first)")
-    assert _python("-c", code) == "True"
+        "['scipy.sparse._sparsetools', 'scipy.sparse.linalg._dsolve._superlu'] [] []")
 
 
 _EXTENDED = st.sampled_from(["0", "1", "inf"])

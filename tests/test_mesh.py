@@ -89,6 +89,14 @@ def test_loop_visiting_a_vertex_twice_rejected():
         TriMesh(m.vertices, m.triangles, m.boundary_loop[[0, 1, 2, 3, 4, 5, 6, 0]])
 
 
+def test_vertex_of_no_triangle_rejected():
+    # such a vertex ran into a bare broadcasting ValueError in the first Newton solve
+    m = generate_disk_mesh(16, 4)
+    extra = np.concatenate([m.vertices, [[0.05, 0.05], [-0.05, 0.05]]])
+    with pytest.raises(ValidationError, match="vertex 65 belongs to no triangle"):
+        TriMesh(extra, m.triangles, m.boundary_loop)
+
+
 def _loop_disk_mesh(nb, nr):
     """The polar construction one vertex and one triangle at a time."""
     angles = 2.0 * np.pi * np.arange(nb) / nb

@@ -120,6 +120,18 @@ def test_initial_data_respects_clamp_and_trace():
     np.testing.assert_allclose(phi[mesh.boundary_loop], cp.alpha * psi, atol=1e-15)
 
 
+# 3**100 has five 32-bit words: SeedSequence mixes the fifth into the full pool
+@pytest.mark.parametrize("seed", [0, 1, 7, 2**32 - 1, 2**32, 2**64, 10**30, 3**100])
+@pytest.mark.parametrize("sizes", [(0, 0), (1, 0), (1089, 64), (4225, 128)])
+def test_uniform_draws_bitwise_equal_to_default_rng(seed, sizes):
+    rng = np.random.default_rng(seed)
+    expected = [rng.random(size) for size in sizes]
+    drawn = bscch.stepper._uniform_draws(seed, *sizes)
+    assert len(drawn) == len(sizes)
+    for got, want in zip(drawn, expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7, 0.9])
 def test_initial_trace_constraint_holds_bitwise(alpha):
