@@ -48,6 +48,21 @@ def load_extension(name):
     return module
 
 
+def check_extension(module, function, probe):
+    """Run ``probe()``, which calls ``module.<function>`` as the package does on a 2x2
+    case and says whether it gave the known values.  Called at import, it turns a scipy
+    whose private function changed its signature or results into an ImportError naming
+    the function, instead of a bare TypeError at the first factor or matvec."""
+    name = f"{module.__name__}.{function}"
+    try:
+        ok = probe()
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ImportError(f"{name} does not take the package's call: {exc}",
+                          name=module.__name__) from None
+    if not ok:
+        raise ImportError(f"{name} gives wrong values on a 2x2 check", name=module.__name__)
+
+
 _sparsetools = load_extension("scipy.sparse._sparsetools")
 
 
@@ -72,6 +87,16 @@ class Csr:
         out = np.zeros(m)
         _sparsetools.csr_matvec(m, n, self.indptr, self.indices, self.data, x, out)
         return out
+
+
+def _matvec_gives_known_values():
+    """[[2, 1], [0, 3]] @ [1, 2] == [4, 6] through ``Csr.__matmul__``."""
+    two_by_two = Csr((2, 2), np.array([2.0, 1.0, 3.0]), np.array([0, 1, 1], dtype=np.int32),
+                     np.array([0, 2, 3], dtype=np.int32))
+    return (two_by_two @ np.array([1.0, 2.0])).tolist() == [4.0, 6.0]
+
+
+check_extension(_sparsetools, "csr_matvec", _matvec_gives_known_values)
 
 
 def scatter(pattern: CsrPattern, vals):

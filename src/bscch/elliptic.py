@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (Csr, CouplingParams, FormsBundle, add, assemble_core, case_space,
-                       from_triplets, load_extension, reduce, triplets)
+                       check_extension, from_triplets, load_extension, reduce, triplets)
 from .errors import InvalidArgument, SolverFailure
 from .mesh import TriMesh, generate_disk_mesh
 
@@ -45,6 +45,17 @@ def splu(A: Csr):
     options = dict(ColPerm="MMD_AT_PLUS_A", DiagPivotThresh=LU_DIAG_PIVOT_THRESH)
     return _superlu.gstrf(n, A.nnz, A.data[order], rows, indptr, ilu=False, options=options,
                           csc_construct_func=lambda arrays, shape: Csr(shape[::-1], *arrays))
+
+
+def _factor_gives_known_values():
+    """The factor of [[4, 1], [2, 3]] solves for [5, 5] to [1, 1]."""
+    two_by_two = Csr((2, 2), np.array([4.0, 1.0, 2.0, 3.0]),
+                     np.array([0, 1, 0, 1], dtype=np.int32), np.array([0, 2, 4], dtype=np.int32))
+    x = splu(two_by_two).solve(np.array([5.0, 5.0]))
+    return bool(np.abs(x - 1.0).max() <= 1e-15)
+
+
+check_extension(_superlu, "gstrf", _factor_gives_known_values)
 
 
 @dataclass(frozen=True)

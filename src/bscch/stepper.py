@@ -59,6 +59,9 @@ class State:
     # set by the step that returned this state and valid for its stepper while phi and
     # psi are unchanged; None (a state built by hand, a copy) recomputes
     nonlinear: tuple | None = None
+    # (tau, x, y): the step size and reduced start point of the step that returned this
+    # state, for the next step's predictor; None (a state built by hand, a copy) has none
+    previous: tuple | None = None
 
     def copy(self):
         return State(self.t, self.phi.copy(), self.psi.copy(), self.mu.copy(), self.theta.copy())
@@ -273,10 +276,21 @@ class Stepper:
             return g, float(np.abs(g).max()), nonlinear
 
         x = x_n
-        y = np.concatenate([state.mu, state.theta])[chem.idx]
+        y = y_n = np.concatenate([state.mu, state.theta])[chem.idx]
         ny = len(y)  # Newton unknowns (y, x); the residual rows stay (g1, g2)
         g, res, nonlinear = residual(x, y, state.nonlinear)
         tol = p.newton.tol_abs + p.newton.tol_rel * res
+        if state.previous is not None and state.previous[0] == tau and not res <= tol:
+            # start at the linear extrapolation of the last two start points when its
+            # residual is lower.  Its weights 2 and -1 sum to one, so it carries the
+            # conserved means of x_n and x_prev, equal up to rounding
+            _, x_prev, y_prev = state.previous
+            x_pred, y_pred = 2.0 * x_n - x_prev, 2.0 * y_n - y_prev
+            phase_pred = phase.prolong(x_pred)
+            if np.all(np.isfinite(phase_pred)):
+                g_pred, res_pred, nl_pred = residual(x_pred, y_pred, self._nonlinear(phase_pred))
+                if res_pred < res:
+                    x, y, g, res, nonlinear = x_pred, y_pred, g_pred, res_pred, nl_pred
         iters = 0
         while not res <= tol:  # a NaN residual must fail, not pass as converged
             if not np.isfinite(res):
@@ -300,7 +314,8 @@ class Stepper:
             x, y, g, res, nonlinear = x_try, y_try, g_try, res_try, nl_try
             iters += 1
 
-        new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear)
+        new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear,
+                    (tau, x_n, y_n))
         mu, theta = new.mu, new.theta
         report = StepReport(newton_iters=iters,
                             linear_iters=self.system.linear_iters - counted[0],

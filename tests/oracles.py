@@ -3,10 +3,13 @@
 None of these is reached by a command or a run: the scalar property
 battery of acceptance criterion 01 with the minimal section it compares
 against, the quadratic lower-bound certificate, the config writer, a
-reader for the ASCII mesh format that ``bscch mesh`` writes, and the scipy
-forms of the package's sparse operators.
+reader for the ASCII mesh format that ``bscch mesh`` writes, the scipy
+forms of the package's sparse operators, and the numeric output oracle of
+``scripts/output_digest.py``.
 """
 
+import functools
+import importlib.util
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -156,3 +159,14 @@ def triple_product(test: CaseSpace, op, trial: CaseSpace) -> sp.csr_matrix:
     if len(test.idx) == len(test.col) and len(trial.idx) == len(trial.col):
         return op
     return (prolongation(test).T @ op @ prolongation(trial)).tocsr()
+
+
+@functools.cache
+def output_digest():
+    """``scripts/output_digest.py`` as a module: its cases, numbers and compare mode,
+    and the bounds they state."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "output_digest.py"
+    spec = importlib.util.spec_from_file_location("output_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,3 +1,4 @@
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
+import bscch.assembly
 import bscch.elliptic
 import bscch.stepper
 from bscch.assembly import (
@@ -12,6 +14,7 @@ from bscch.assembly import (
     FormsBundle,
     assemble_core,
     case_space,
+    check_extension,
     from_triplets,
     load_extension,
     triplets,
@@ -180,6 +183,31 @@ def test_moved_superlu_extension_fails_naming_it():
         with pytest.raises(ImportError, match=name.replace(".", r"\.")) as raised:
             load_extension(name)
         assert raised.value.name == name
+
+
+# each private function the package calls, its 2x2 self-check, and stand-ins for a
+# scipy that changed it: other arguments, or other results
+EXTENSION_CHECKS = {
+    "csr_matvec": (bscch.assembly._sparsetools, bscch.assembly._matvec_gives_known_values,
+                   lambda m, n, indptr, indices, data, x: data[:m] * x,  # returns, no output
+                   lambda m, n, indptr, indices, data, x, out: None),  # leaves out at zero
+    "gstrf": (bscch.elliptic._superlu, bscch.elliptic._factor_gives_known_values,
+              lambda n, nnz, data, rows, indptr, options: None,  # no ilu, no constructor
+              lambda *args, **kw: SimpleNamespace(solve=lambda b: b)),  # no factor at all
+}
+
+
+@pytest.mark.parametrize("function", sorted(EXTENSION_CHECKS))
+def test_changed_extension_function_fails_naming_it(monkeypatch, function):
+    module, probe, other_signature, other_values = EXTENSION_CHECKS[function]
+    check_extension(module, function, probe)  # the installed scipy passes
+    name = re.escape(f"{module.__name__}.{function}")
+    for stand_in, message in ((other_signature, "does not take the package's call"),
+                              (other_values, "gives wrong values on a 2x2 check")):
+        monkeypatch.setattr(module, function, stand_in)
+        with pytest.raises(ImportError, match=f"{name} {message}") as raised:
+            check_extension(module, function, probe)
+        assert raised.value.name == module.__name__
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0, np.inf])

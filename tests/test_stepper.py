@@ -29,7 +29,7 @@ from bscch.stepper import (
     initial_state,
     run,
 )
-from oracles import as_scipy, prolongation, triple_product
+from oracles import as_scipy, output_digest, prolongation, triple_product
 
 LOG = make_potential("log")
 
@@ -321,16 +321,17 @@ def test_mobility_stiffness_built_at_its_rate(monkeypatch, kind, calls):
 
 # -- the kept Jacobian factor ----------------------------------------------------
 
-def _steps(p, n, mesh):
-    """n steps driven by hand: (final state, reports, worst drift of the
-    conserved masses: the combined one, and for L = inf also each phase's)."""
+def _steps(p, n, mesh, forget=False):
+    """n steps driven by hand, each on a copy of the state when ``forget`` (no
+    predictor): (final state, reports, worst drift of the conserved masses: the
+    combined one, and for L = inf also each phase's)."""
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p, stepper.forms)
     conserved = slice(0, 3) if np.isinf(p.coupling.L) else slice(2, 3)
     m0 = masses(state.phi, state.psi, stepper.forms, p.coupling)[conserved]
     reports, drift = [], 0.0
     for _ in range(n):
-        state, report = stepper.step(state)
+        state, report = stepper.step(state.copy() if forget else state)
         reports.append(report)
         m = masses(state.phi, state.psi, stepper.forms, p.coupling)[conserved]
         drift = max(drift, *(abs(a - b) for a, b in zip(m, m0)))
@@ -602,8 +603,9 @@ def test_record_energy_equals_recomputed_energy(K, pot):
 
 
 def test_each_resolvent_evaluated_once(monkeypatch):
-    # two per damping trial (bulk, surface); none for a step's first residual
-    # or for the record of the state it returns
+    # two (bulk, surface) per damping trial and two for the predictor when it is
+    # tried; none for a step's first residual, except at a hand-built state, and
+    # none for the record of the state a step returns
     p = _params()
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
@@ -616,12 +618,134 @@ def test_each_resolvent_evaluated_once(monkeypatch):
     assert len(calls) == 2  # a hand-built state has no resolvents yet
     for k in range(3):
         calls.clear()
+        # every step after the first starts from a state of its own tau; a step with
+        # Newton iterations did not start converged, so it tries the predictor
+        predicted = state.previous is not None and state.previous[0] == p.tau
+        assert predicted == (k > 0)
         state, report = stepper.step(state)
         assert report.newton_iters > 0
-        assert len(calls) == 2 * report.newton_iters + (2 if k == 0 else 0)
+        assert len(calls) == (2 * report.newton_iters + (2 if predicted else 0)
+                              + (2 if k == 0 else 0))
         calls.clear()
         make_record(state, stepper.forms, p, report, 0.0, p.tau)
         assert calls == []
+
+
+# -- the Newton start: the extrapolated state ---------------------------------------
+
+NINE = list(itertools.product([0.0, 1.0, np.inf], repeat=2))
+
+
+@pytest.mark.parametrize("K,L", NINE)
+def test_predictor_matches_stepping_without_history(K, L):
+    # the bound of scripts/output_digest.py: two runs that each meet the Newton
+    # tolerance at every one of n steps on a mesh of shortest edge h_min
+    p = _params(K=K, L=L)
+    mesh = generate_disk_mesh(16, 4)
+    predicted, predicted_reports, predicted_drift = _steps(p, 20, mesh)
+    plain, plain_reports, plain_drift = _steps(p, 20, mesh, forget=True)
+    digest = output_digest()
+    h_min = digest.shortest_edge(mesh)
+    for name in ("phi", "psi", "mu", "theta"):
+        a, b = getattr(predicted, name), getattr(plain, name)
+        assert np.abs(a - b).max() <= digest.newton_bound(20, h_min, np.abs(b).max())
+    assert max(predicted_drift, plain_drift) <= 1e-13
+    assert (sum(r.newton_iters for r in predicted_reports)
+            < sum(r.newton_iters for r in plain_reports))
+
+
+@pytest.mark.parametrize("K,L", NINE)
+def test_step_converged_at_the_predictor_conserves_mass(K, L):
+    # the predictor 2 x_n - x_{n-1} is an affine combination of two states of equal
+    # mass, so a step that takes it without a Newton iteration keeps the mass
+    p = _params(K=K, L=L, newton=NewtonParams(tol_rel=0.5))
+    _, reports, drift = _steps(p, 8, generate_disk_mesh(16, 4))
+    assert any(r.newton_iters == 0 for r in reports)
+    assert drift <= 1e-13
+
+
+def test_copies_and_initial_states_carry_no_history():
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    state = initial_state(mesh, p, stepper.forms)
+    assert state.previous is None
+    new, _ = stepper.step(state)
+    assert new.previous[0] == p.tau and new.copy().previous is None
+    res = run(RunConfig(nb=16, nr=4, params=p))
+    assert res.final_state.previous is None
+    assert all(s.previous is None for s in res.states)
+
+
+def _twin_steps(p, mesh, tau):
+    """From two equal steppers after two steps at p.tau, one step of size tau, taken
+    from the state with its history and from the same state without it; per side
+    (new state, report, regularized-derivative evaluations)."""
+    sides = []
+    for keep in (True, False):
+        stepper = Stepper(mesh, p)
+        state, _ = stepper.step(initial_state(mesh, p, stepper.forms))
+        state, _ = stepper.step(state)
+        calls = []
+        evaluate = stepper._nonlinear
+        stepper._nonlinear = lambda phase: calls.append(1) or evaluate(phase)
+        new, report = stepper.step(state if keep else replace(state, previous=None), tau)
+        sides.append((new, report, len(calls)))
+    return sides
+
+
+def test_new_tau_does_not_use_the_predictor(monkeypatch):
+    monkeypatch.setattr(bscch.stepper, "DAMPING_FACTORS", (1.0,))  # one trial per iteration
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    (kept, kept_report, kept_calls), (plain, plain_report, plain_calls) = _twin_steps(
+        p, mesh, p.tau / 2)
+    assert kept_report == plain_report and kept_calls == plain_calls == kept_report.newton_iters
+    for name in ("phi", "psi", "mu", "theta"):
+        np.testing.assert_array_equal(getattr(kept, name), getattr(plain, name))
+    # at the same tau the history is used: one more evaluation, for the predictor,
+    # and another Newton path
+    (kept, kept_report, kept_calls), (plain, plain_report, plain_calls) = _twin_steps(
+        p, mesh, p.tau)
+    assert (kept_calls, plain_calls) == (kept_report.newton_iters + 1, plain_report.newton_iters)
+    assert not np.array_equal(kept.mu, plain.mu)
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_non_finite_predictor_falls_back_to_the_current_state(bad):
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    steps = []
+    for keep in (True, False):  # a non-finite x_{n-1}, and no history
+        stepper = Stepper(mesh, p)
+        state, _ = stepper.step(initial_state(mesh, p, stepper.forms))
+        tau, x_prev, y_prev = state.previous
+        history = (tau, np.full_like(x_prev, bad), y_prev) if keep else None
+        steps.append(stepper.step(replace(state, previous=history)))
+    (new, report), (plain, plain_report) = steps
+    assert report == plain_report
+    for name in ("phi", "psi", "mu", "theta"):
+        np.testing.assert_array_equal(getattr(new, name), getattr(plain, name))
+
+
+def test_tau_halving_rescue_starts_each_new_tau_without_the_predictor(monkeypatch):
+    p = _params(newton=NewtonParams(max_iter=2, max_tau_halvings=6), **HARD)
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    steps = []  # (tau, the tau of the history of the state it starts from)
+    step = stepper.step
+    monkeypatch.setattr(stepper, "step", lambda state, tau: steps.append(
+        (tau, state.previous and state.previous[0])) or step(state, tau))
+    state = initial_state(mesh, p, stepper.forms)
+    for _ in range(2):
+        state, _ = bscch.stepper._attempt_step(stepper, state, p.tau, 6)
+    taus = [tau for tau, _ in steps]
+    assert min(taus) < p.tau  # a step was rescued
+    # each sub-step of a new tau starts from a state of another tau: the outer state,
+    # whose step it halves, or none; only the second half of a pair has its own tau
+    for (tau, previous), (before, _) in zip(steps[1:], steps):
+        assert (previous == tau) == (tau == before)
+    assert state.previous[0] == taus[-1]
 
 
 @pytest.mark.parametrize("every", [0, -1])
