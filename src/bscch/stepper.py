@@ -60,7 +60,7 @@ class State:
     # psi are unchanged; None (a state built by hand, a copy) recomputes
     nonlinear: tuple | None = None
     # (tau, x, y): the step size and reduced start point of the step that returned this
-    # state, for the next step's predictor; None (a state built by hand, a copy) has none
+    # state, for the next step's predictor; None unless that step started from a stepped state
     previous: tuple | None = None
 
     def copy(self):
@@ -166,15 +166,6 @@ class StepReport:
     conv_power_bulk: float = 0.0
     conv_power_surf: float = 0.0
     robin_gap_sq: float = 0.0  # |beta*theta - mu|_Gamma|^2 in the M_Gamma norm
-
-    def followed_by(self, later: "StepReport") -> "StepReport":
-        """Report of this half step followed by an equally long ``later`` one:
-        the counts add up, the rates average, i.e. are tau-weighted."""
-        def merge(name):
-            a, b = getattr(self, name), getattr(later, name)
-            return a + b if name in _COUNTS else 0.5 * (a + b)
-
-        return StepReport(**{f.name: merge(f.name) for f in fields(self)})
 
 
 @dataclass
@@ -315,7 +306,7 @@ class Stepper:
             iters += 1
 
         new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear,
-                    (tau, x_n, y_n))
+                    None if state.nonlinear is None else (tau, x_n, y_n))
         mu, theta = new.mu, new.theta
         report = StepReport(newton_iters=iters,
                             linear_iters=self.system.linear_iters - counted[0],
@@ -443,17 +434,25 @@ def _krylov(apply_jacobian, precondition, b):
     return None, j + 1
 
 
-def _attempt_step(stepper: Stepper, state: State, tau: float, halvings_left: int):
-    """One step of size tau; on StepFailure, two half steps (recursively)
-    whose reports merge into one for the whole step."""
-    try:
-        return stepper.step(state, tau)
-    except StepFailure:
-        if halvings_left <= 0:
-            raise
-        mid, first = _attempt_step(stepper, state, tau / 2, halvings_left - 1)
-        new, second = _attempt_step(stepper, mid, tau / 2, halvings_left - 1)
-        return new, first.followed_by(second)
+def _attempt_step(stepper: Stepper, state: State, tau: float, halvings: int):
+    """One step of size tau as sub-steps: a failed sub-step is retaken as two
+    halves, at most ``halvings`` deep.  Counts add up, rates are tau-weighted."""
+    pending, done = [(tau, 0)], []  # (sub_tau, depth) to take, (sub_tau, report) taken
+    while pending:
+        sub_tau, depth = pending.pop()
+        try:
+            state, report = stepper.step(state, sub_tau)
+            done.append((sub_tau, report))
+        except StepFailure:
+            if depth >= halvings:
+                raise
+            pending += [(sub_tau / 2, depth + 1)] * 2
+    if len(done) == 1:  # no rescue: the step's own report, bit for bit
+        return state, report
+    whole = StepReport(**{name: sum(getattr(r, name) for _, r in done) for name in _COUNTS})
+    for name in (f.name for f in fields(whole) if f.name not in _COUNTS):  # the rates
+        setattr(whole, name, sum(s / tau * getattr(r, name) for s, r in done))
+    return state, whole
 
 
 M32, M64, M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg
-from dataclasses import replace
+from dataclasses import fields, replace
 from types import SimpleNamespace
 
 import bscch.potentials
@@ -253,6 +253,47 @@ def test_rescued_step_reports_whole_step():
     assert res.robin_gap_sq_integral == pytest.approx(robin_integral, rel=1e-12)
 
 
+class _ScriptedStepper:
+    """A stepper without a PDE: a step of size tau from time t fails when tau is
+    above ``limit(t)``; else it reports dyadic counts and rates that depend on (t, tau)."""
+
+    def __init__(self, limit):
+        self.limit, self.calls = limit, []
+
+    def step(self, state, tau):
+        self.calls.append((state.t, tau))
+        if tau > self.limit(state.t):
+            raise StepFailure(f"tau {tau} at t {state.t}")
+        rates = {f.name: (i + 1) * state.t + tau
+                 for i, f in enumerate(fields(StepReport)[3:])}
+        self.report = StepReport(2, int(1 / tau), int(state.t == 0), **rates)
+        return SimpleNamespace(t=state.t + tau), self.report
+
+
+def test_tau_halving_loop_schedule_and_report():
+    # the second half of the step needs one halving more than the first
+    fake = _ScriptedStepper(lambda t: 0.5 if t < 0.5 else 0.125)
+    state, report = bscch.stepper._attempt_step(fake, SimpleNamespace(t=0.0), 1.0, 3)
+    assert fake.calls == [(0.0, 1.0), (0.0, 0.5), (0.5, 0.5), (0.5, 0.25), (0.5, 0.125),
+                          (0.625, 0.125), (0.75, 0.25), (0.75, 0.125), (0.875, 0.125)]
+    assert state.t == 1.0
+    taken = [(0.0, 0.5), (0.5, 0.125), (0.625, 0.125), (0.75, 0.125), (0.875, 0.125)]
+    assert (report.newton_iters, report.linear_iters, report.factorizations) == (10, 34, 1)
+    for i, f in enumerate(fields(StepReport)[3:]):  # tau-weighted, exact in binary
+        assert getattr(report, f.name) == sum(tau * ((i + 1) * t + tau) for t, tau in taken)
+    # at the depth limit the failure of that sub-step is raised, after the same calls
+    fake = _ScriptedStepper(fake.limit)
+    with pytest.raises(StepFailure, match="tau 0.25 at t 0.5"):
+        bscch.stepper._attempt_step(fake, SimpleNamespace(t=0.0), 1.0, 2)
+    assert fake.calls == [(0.0, 1.0), (0.0, 0.5), (0.5, 0.5), (0.5, 0.25)]
+    with pytest.raises(StepFailure, match="tau 1.0 at t 0.0"):
+        bscch.stepper._attempt_step(fake, SimpleNamespace(t=0.0), 1.0, 0)
+    # a step without a rescue returns its own report, untouched
+    fake = _ScriptedStepper(lambda t: 1.0)
+    state, report = bscch.stepper._attempt_step(fake, SimpleNamespace(t=0.25), 1.0, 3)
+    assert fake.calls == [(0.25, 1.0)] and state.t == 1.25 and report is fake.report
+
+
 @pytest.mark.parametrize("field", ["phi", "psi", "mu", "theta"])
 def test_non_finite_state_raises_step_failure(field):
     p = _params(newton=NewtonParams(max_tau_halvings=2))
@@ -322,16 +363,18 @@ def test_mobility_stiffness_built_at_its_rate(monkeypatch, kind, calls):
 # -- the kept Jacobian factor ----------------------------------------------------
 
 def _steps(p, n, mesh, forget=False):
-    """n steps driven by hand, each on a copy of the state when ``forget`` (no
-    predictor): (final state, reports, worst drift of the conserved masses: the
-    combined one, and for L = inf also each phase's)."""
+    """n steps of size p.tau driven by hand through the tau-halving loop, each on a
+    copy of the state when ``forget`` (no predictor): (final state, reports, worst
+    drift of the conserved masses: the combined one, and for L = inf also each
+    phase's)."""
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p, stepper.forms)
     conserved = slice(0, 3) if np.isinf(p.coupling.L) else slice(2, 3)
     m0 = masses(state.phi, state.psi, stepper.forms, p.coupling)[conserved]
     reports, drift = [], 0.0
     for _ in range(n):
-        state, report = stepper.step(state.copy() if forget else state)
+        state, report = bscch.stepper._attempt_step(
+            stepper, state.copy() if forget else state, p.tau, p.newton.max_tau_halvings)
         reports.append(report)
         m = masses(state.phi, state.psi, stepper.forms, p.coupling)[conserved]
         drift = max(drift, *(abs(a - b) for a, b in zip(m, m0)))
@@ -353,6 +396,39 @@ def test_kept_factor_matches_refactoring_every_iteration(monkeypatch, K, L):
         a, b = getattr(kept, name), getattr(fresh, name)
         assert np.abs(a - b).max() <= 1e-10 * max(np.abs(b).max(), 1e-300)
     assert kept_drift <= 1e-13
+
+
+def test_kept_factor_through_a_rescue_matches_refactoring_every_iteration(monkeypatch):
+    # each new tau of the rescued HARD steps drops the kept factor
+    p = _params(newton=NewtonParams(max_iter=2, max_tau_halvings=6), **HARD)
+    mesh = generate_disk_mesh(16, 4)
+    schedule = []  # per sub-step: (tau, Newton iterations, or None when it failed)
+    step = Stepper.step
+
+    def logged(stepper, state, tau):
+        schedule.append((tau, None))
+        new, report = step(stepper, state, tau)
+        schedule[-1] = (tau, report.newton_iters)
+        return new, report
+
+    monkeypatch.setattr(Stepper, "step", logged)
+    kept, kept_reports, kept_drift = _steps(p, 3, mesh)
+    kept_schedule = schedule.copy()
+    schedule.clear()
+    monkeypatch.setattr(bscch.stepper, "_krylov", lambda *args: (None, 0))
+    fresh, fresh_reports, fresh_drift = _steps(p, 3, mesh)
+    assert schedule == kept_schedule
+    assert any(n is None for _, n in schedule) and min(tau for tau, _ in schedule) < p.tau
+    assert all(r.factorizations == r.newton_iters for r in fresh_reports)
+    assert sum(r.factorizations for r in kept_reports) < sum(r.newton_iters for r in kept_reports)
+    assert [r.newton_iters for r in kept_reports] == [r.newton_iters for r in fresh_reports]
+    digest = output_digest()
+    taken = sum(n is not None for _, n in schedule)  # sub-steps, each to the Newton tolerance
+    for name in ("phi", "psi", "mu", "theta"):
+        a, b = getattr(kept, name), getattr(fresh, name)
+        bound = digest.newton_bound(taken, digest.shortest_edge(mesh), np.abs(b).max())
+        assert np.abs(a - b).max() <= bound
+    assert max(kept_drift, fresh_drift) <= 1e-13
 
 
 def _count_splu(monkeypatch):
@@ -430,16 +506,6 @@ def test_jacobian_factor_is_accurate_and_sparse(monkeypatch, K, L, alpha, beta):
     phase_first = as_scipy(J)[:, np.r_[ny:J.shape[0], 0:ny]].tocsc()
     default = scipy.sparse.linalg.splu(phase_first)
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
-
-
-def test_followed_by_adds_counts_and_averages_rates():
-    a = StepReport(newton_iters=2, linear_iters=5, factorizations=1,
-                   diss_bulk=2.0, robin_gap_sq=1.0)
-    b = StepReport(newton_iters=3, linear_iters=7, factorizations=0,
-                   diss_bulk=4.0, robin_gap_sq=3.0)
-    m = a.followed_by(b)
-    assert (m.newton_iters, m.linear_iters, m.factorizations) == (5, 12, 1)
-    assert (m.diss_bulk, m.robin_gap_sq) == (3.0, 2.0)
 
 
 # -- each piece built at its rate -------------------------------------------------
@@ -616,12 +682,13 @@ def test_each_resolvent_evaluated_once(monkeypatch):
     monkeypatch.setattr(bscch.stepper, "DAMPING_FACTORS", (1.0,))  # one trial per iteration
     make_record(state, stepper.forms, p, StepReport(newton_iters=0), None, p.tau)
     assert len(calls) == 2  # a hand-built state has no resolvents yet
-    for k in range(3):
+    for k in range(4):
         calls.clear()
-        # every step after the first starts from a state of its own tau; a step with
-        # Newton iterations did not start converged, so it tries the predictor
+        # from the third step on, each starts from a state with a history of its own
+        # tau (the first two start from the initial state and from a step of it); a
+        # step with Newton iterations did not start converged, so it tries the predictor
         predicted = state.previous is not None and state.previous[0] == p.tau
-        assert predicted == (k > 0)
+        assert predicted == (k > 1)
         state, report = stepper.step(state)
         assert report.newton_iters > 0
         assert len(calls) == (2 * report.newton_iters + (2 if predicted else 0)
@@ -665,13 +732,20 @@ def test_step_converged_at_the_predictor_conserves_mass(K, L):
 
 
 def test_copies_and_initial_states_carry_no_history():
+    # a history is kept only from a start point that came out of a step: the first
+    # step from an initial state or a copy records none, the second one does
     p = _params()
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p, stepper.forms)
     assert state.previous is None
-    new, _ = stepper.step(state)
-    assert new.previous[0] == p.tau and new.copy().previous is None
+    first, _ = stepper.step(state)
+    assert first.previous is None
+    second, _ = stepper.step(first)
+    assert second.previous[0] == p.tau and second.copy().previous is None
+    from_copy, _ = stepper.step(second.copy())
+    assert from_copy.previous is None
+    assert stepper.step(from_copy)[0].previous[0] == p.tau
     res = run(RunConfig(nb=16, nr=4, params=p))
     assert res.final_state.previous is None
     assert all(s.previous is None for s in res.states)
@@ -719,6 +793,7 @@ def test_non_finite_predictor_falls_back_to_the_current_state(bad):
     for keep in (True, False):  # a non-finite x_{n-1}, and no history
         stepper = Stepper(mesh, p)
         state, _ = stepper.step(initial_state(mesh, p, stepper.forms))
+        state, _ = stepper.step(state)  # the first step with a history
         tau, x_prev, y_prev = state.previous
         history = (tau, np.full_like(x_prev, bad), y_prev) if keep else None
         steps.append(stepper.step(replace(state, previous=history)))
@@ -732,19 +807,27 @@ def test_tau_halving_rescue_starts_each_new_tau_without_the_predictor(monkeypatc
     p = _params(newton=NewtonParams(max_iter=2, max_tau_halvings=6), **HARD)
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
-    steps = []  # (tau, the tau of the history of the state it starts from)
+    # (tau, the tau of the history of the state it starts from, whether that state
+    # came out of a step)
+    steps = []
     step = stepper.step
     monkeypatch.setattr(stepper, "step", lambda state, tau: steps.append(
-        (tau, state.previous and state.previous[0])) or step(state, tau))
+        (tau, state.previous and state.previous[0], state.nonlinear is not None))
+        or step(state, tau))
     state = initial_state(mesh, p, stepper.forms)
-    for _ in range(2):
+    for _ in range(3):  # the third step is the first to start from a history of its tau
         state, _ = bscch.stepper._attempt_step(stepper, state, p.tau, 6)
-    taus = [tau for tau, _ in steps]
+    taus = [tau for tau, _, _ in steps]
     assert min(taus) < p.tau  # a step was rescued
     # each sub-step of a new tau starts from a state of another tau: the outer state,
-    # whose step it halves, or none; only the second half of a pair has its own tau
-    for (tau, previous), (before, _) in zip(steps[1:], steps):
-        assert (previous == tau) == (tau == before)
+    # whose step it halves, or none.  A sub-step of the tau before it starts from that
+    # sub-step's result, which has a history only when that sub-step started from a
+    # stepped state: not the first one taken from the initial state
+    for (tau, previous, _), (before, _, stepped) in zip(steps[1:], steps):
+        assert (previous == tau) == (tau == before and stepped)
+    assert any(previous == tau for tau, previous, _ in steps)  # the predictor is tried
+    assert any(tau == before and not stepped  # and the rule without history is met
+               for (tau, _, _), (before, _, stepped) in zip(steps[1:], steps))
     assert state.previous[0] == taus[-1]
 
 
