@@ -19,16 +19,16 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from bscch import (  # noqa: E402
     CouplingParams,
     InitialDataSpec,
+    Potential,
     RunConfig,
     RunParams,
     generate_disk_mesh,
-    make_potential,
     run,
 )
 
 
 def main():
-    log = make_potential("log")
+    log = Potential("log")
     base = RunParams(
         tau=4e-4, t_final=8e-3, eps=0.05,
         coupling=CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0),

@@ -34,7 +34,6 @@ from .mesh import TriMesh, generate_disk_mesh, mesh_stats, write_mesh
 from .potentials import (
     Potential,
     check_domination,
-    make_potential,
     moreau_envelope,
     resolvent,
     yosida,

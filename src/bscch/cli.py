@@ -17,7 +17,7 @@ from .elliptic import estimate_poincare_constant, manufactured_errors
 from .errors import BscchError, SolverFailure, ValidationError
 from .mesh import generate_disk_mesh, mesh_stats, write_mesh
 from .output import write_series, write_snapshots
-from .potentials import check_domination, make_potential
+from .potentials import Potential, check_domination
 from .stepper import run as run_simulation
 
 
@@ -103,8 +103,7 @@ def _cmd_potential_check(args):
     if len(parts) != 2:
         raise ValidationError("--pair expects BULK,SURF")
     check_weight("--alpha", args.alpha)
-    bulk, surf = (make_potential(k) for k in parts)
-    rep = check_domination(bulk.convex, surf.convex, args.alpha)
+    rep = check_domination(Potential(parts[0]), Potential(parts[1]), args.alpha)
     if rep.admissible:
         print(f"admissible: ({parts[0]},{parts[1]}) alpha={args.alpha:g} "
               f"kappa1={rep.kappa1:g} kappa2={rep.kappa2:g}")

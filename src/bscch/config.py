@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from .assembly import CouplingParams, Mobility, VelocityField
 from .errors import InvalidArgument, ValidationError
-from .potentials import KINDS, make_potential
+from .potentials import KINDS, Potential
 from .stepper import InitialDataSpec, NewtonParams, RunConfig, RunParams
 
 
@@ -138,8 +138,8 @@ def build_run_config(cfg: dict) -> RunConfig:
         t_final=r["time.T"],
         eps=r["yosida.eps"],
         coupling=coupling,
-        pot_bulk=make_potential(r["potential.bulk"], **pot_kwargs),
-        pot_surf=make_potential(r["potential.surf"], **pot_kwargs),
+        pot_bulk=Potential(r["potential.bulk"], **pot_kwargs),
+        pot_surf=Potential(r["potential.surf"], **pot_kwargs),
         mob_bulk=_mobility(r, "mobility.bulk"),
         mob_surf=_mobility(r, "mobility.surf"),
         velocity=VelocityField(bulk_kind=r["velocity.bulk"], omega=r["velocity.omega"],

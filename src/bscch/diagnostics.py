@@ -49,8 +49,8 @@ def energy(phi, psi, forms: FormsBundle, params, resolvents=None) -> float:
     cp = params.coupling
     e = params.eps
     j_b, j_s = resolvents or (None, None)
-    F = moreau_envelope(params.pot_bulk.convex, e, phi, j_b) + params.pot_bulk.smooth.value(phi)
-    G = moreau_envelope(params.pot_surf.convex, e, psi, j_s) + params.pot_surf.smooth.value(psi)
+    F = moreau_envelope(params.pot_bulk, e, phi, j_b) + params.pot_bulk.smooth_value(phi)
+    G = moreau_envelope(params.pot_surf, e, psi, j_s) + params.pot_surf.smooth_value(psi)
     val = 0.5 * float(phi @ (forms.A_bulk @ phi)) + float(forms.lump_bulk @ F)
     val += 0.5 * float(psi @ (forms.A_surf @ psi)) + float(forms.lump_surf @ G)
     if cp.sigma_K > 0.0:
@@ -117,14 +117,14 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
     if sorted(amps) != amps:
         raise InvalidArgument("perturbation amplitudes must be sorted ascending")
 
+    members = [  # every member is checked (omega + a too) before the base run
+        replace(config_base, params=replace(params, velocity=replace(vel, omega=vel.omega + a)))
+        for a in amps
+    ]
     base = run(config_base)
     op = InverseCoupledOperator(base.mesh, params.coupling, forms=base.forms)
 
-    def member(a):
-        cfg = replace(
-            config_base,
-            params=replace(params, velocity=replace(vel, omega=vel.omega + a)),
-        )
+    def max_distance(cfg):
         res = run(cfg, mesh=base.mesh, forms=base.forms)
         dmax = 0.0
         for s_base, s_pert in zip(base.states, res.states):
@@ -132,7 +132,7 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
             dmax = max(dmax, op.dual_norm(pair))
         return dmax
 
-    maxima = [member(a) for a in amps]
+    maxima = [max_distance(cfg) for cfg in members]
 
     zero_ok = all(d <= 1e-12 for a, d in zip(amps, maxima) if a == 0.0)
     monotone = all(d1 <= d2 + 1e-14 for d1, d2 in zip(maxima, maxima[1:]))
@@ -209,16 +209,16 @@ def limit_study(config_base, parameter: str, schedule) -> LimitReport:
         raise InvalidArgument(f"schedule must list at least two values, got {schedule}")
 
     params = config_base.params
+    name = parameter.split("->")[0]  # eps, K or L
+    members = [  # every member is checked before the first run
+        replace(config_base, keep_states=False,
+                params=(replace(params, eps=v) if name == "eps"
+                        else replace(params, coupling=replace(params.coupling, **{name: v}))))
+        for v in schedule
+    ]
     mesh = generate_disk_mesh(config_base.nb, config_base.nr)
     forms = assemble_core(mesh)
-    name = parameter.split("->")[0]  # eps, K or L
-
-    def member(v):
-        p = (replace(params, eps=v) if name == "eps"
-             else replace(params, coupling=replace(params.coupling, **{name: v})))
-        return run(replace(config_base, params=p, keep_states=False), mesh=mesh, forms=forms)
-
-    results = [member(v) for v in schedule]
+    results = [run(cfg, mesh=mesh, forms=forms) for cfg in members]
     values = _observables(parameter, results)
     extra = [_mass_drift(res) for res in results] if parameter == "L->inf" else []
     seq = extra if parameter == "L->inf" else values

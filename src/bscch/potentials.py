@@ -1,8 +1,10 @@
 """Scalar convex-analysis engine for the double-well potentials.
 
-Each potential splits into a convex part (possibly singular at +-1, exposing
-resolvent / regularized-derivative / envelope evaluation) and a smooth
-concave part with a Lipschitz derivative.  The three classical wells are
+Each well is one ``Potential`` record F = F1 + F2: a convex part F1,
+possibly singular at +-1, and a smooth concave part F2 with a Lipschitz
+derivative.  ``resolvent``, ``yosida`` (value, derivative and resolvent of
+the regularized derivative of F1), ``moreau_envelope`` and
+``check_domination`` take the record itself.  The three classical wells are
 supported:
 
 * ``reg``  -- quartic double well, convex part c*s^4, smooth part -2c*s^2
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,13 +37,6 @@ DEFAULT_THETA_C = 1.6
 _EDGE_MARGIN = 1e-15  # least distance of the log resolvent from +-1
 
 
-def _check_finite_parameters(part):
-    """Reject a non-finite well parameter: every field of ``part`` after ``kind``."""
-    for name in (f.name for f in fields(part)[1:]):
-        if not math.isfinite(getattr(part, name)):
-            raise InvalidArgument(f"potential.{name} must be finite, got {getattr(part, name)}")
-
-
 def _xlogx(x):
     """x log x, 0 at x = 0; NaN for x < 0 (both branches of np.where are
     evaluated, so the warnings of the unused one are silenced)."""
@@ -50,29 +45,42 @@ def _xlogx(x):
 
 
 @dataclass(frozen=True)
-class ConvexPart:
-    """Convex component of a well.
+class Potential:
+    """One of the three classical wells F = F1 + F2.
 
-    ``prime_domain`` holds the endpoints of the domain of its
-    subdifferential, which the effective domain of the function itself
-    shares.  ``(-inf, inf)`` is encoded with math.inf endpoints.
+    ``value`` and ``second_derivative`` are those of the convex part F1;
+    ``smooth_value`` and ``smooth_derivative`` those of the smooth part F2.
+    ``prime_domain`` holds the endpoints of the domain of the subdifferential
+    of F1, which the effective domain of F1 itself shares.  ``(-inf, inf)``
+    is encoded with math.inf endpoints.
     """
 
     kind: str
     c: float = DEFAULT_C
     theta: float = DEFAULT_THETA
+    theta_c: float = DEFAULT_THETA_C
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise InvalidArgument(f"unknown convex part kind {self.kind!r}")
-        _check_finite_parameters(self)
+            raise InvalidArgument(f"unknown potential kind {self.kind!r}")
+        self._check_finite("c", "theta")
         if self.kind == "reg" and self.c <= 0:
-            raise InvalidArgument("quartic coefficient must be positive")
+            raise InvalidArgument(f"potential.c must be positive for the reg well, got {self.c}")
         if self.kind == "reg" and 12.0 * self.c == math.inf:  # F1'' = 12 c r^2 must stay finite
             raise InvalidArgument(f"potential.c must be at most {sys.float_info.max / 12:.4g} "
                                   f"for the reg well, got {self.c}")
         if self.kind == "log" and self.theta <= 0:
-            raise InvalidArgument("temperature must be positive")
+            raise InvalidArgument(f"potential.theta must be positive for the log well, "
+                                  f"got {self.theta}")
+        self._check_finite("theta_c")
+        if self.kind == "log" and not self.theta < self.theta_c:
+            raise InvalidArgument(f"potential.theta must be less than potential.theta_c for the "
+                                  f"log well, got {self.theta} >= {self.theta_c}")
+
+    def _check_finite(self, *names):
+        for name in names:
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidArgument(f"potential.{name} must be finite, got {getattr(self, name)}")
 
     @property
     def prime_domain(self):
@@ -108,19 +116,8 @@ class ConvexPart:
             return self.theta / (1.0 - r**2)
         return np.zeros_like(r) if r.shape else 0.0
 
-
-@dataclass(frozen=True)
-class SmoothPart:
-    """Smooth concave component with Lipschitz-continuous derivative."""
-
-    kind: str
-    c: float = DEFAULT_C
-    theta_c: float = DEFAULT_THETA_C
-
-    def __post_init__(self):
-        _check_finite_parameters(self)
-
-    def value(self, r):
+    def smooth_value(self, r):
+        """F2(r), concave with a Lipschitz derivative."""
         r = np.asarray(r, dtype=float)
         if self.kind == "reg":
             return -2.0 * self.c * r**2
@@ -128,35 +125,14 @@ class SmoothPart:
             return -0.5 * self.theta_c * r**2
         return 1.0 - r**2
 
-    def derivative(self, r):
+    def smooth_derivative(self, r):
+        """F2'(r)."""
         r = np.asarray(r, dtype=float)
         if self.kind == "reg":
             return -4.0 * self.c * r
         if self.kind == "log":
             return -self.theta_c * r
         return -2.0 * r
-
-
-@dataclass(frozen=True)
-class Potential:
-    """One of the three classical wells, as matched convex + smooth parts."""
-
-    convex: ConvexPart
-    smooth: SmoothPart
-
-    def __post_init__(self):
-        if self.convex.kind != self.smooth.kind:
-            raise InvalidArgument("convex and smooth kinds must match")
-        if self.convex.kind == "log" and not (0.0 < self.convex.theta < self.smooth.theta_c):
-            raise InvalidArgument("logarithmic well requires 0 < theta < theta_c")
-
-
-def make_potential(kind, c=DEFAULT_C, theta=DEFAULT_THETA, theta_c=DEFAULT_THETA_C):
-    """Construct one of the classical wells by kind name."""
-    return Potential(
-        convex=ConvexPart(kind, c=c, theta=theta),
-        smooth=SmoothPart(kind, c=c, theta_c=theta_c),
-    )
 
 
 def _as_eps(eps):
@@ -196,7 +172,7 @@ def _monotone_newton(sweep, x, a, y, direction):
     return x
 
 
-def resolvent(cp: ConvexPart, eps, r):
+def resolvent(pot: Potential, eps, r):
     """(I + eps*f1)^{-1}(r), the unique s with s + eps*f1(s) = r.
 
     For the obstacle graph this is the projection onto [-1,1].  Smooth kinds
@@ -214,43 +190,42 @@ def resolvent(cp: ConvexPart, eps, r):
     x = np.atleast_1d(r_arr)
     y = np.abs(x)
 
-    if cp.kind == "obst":
+    if pot.kind == "obst":
         s = np.clip(x, -1.0, 1.0)
-    elif cp.kind == "log":
-        a = e * cp.theta
+    elif pot.kind == "log":
+        a = e * pot.theta
         u = _monotone_newton(_log_sweep, np.maximum(y / (1.0 + a), (y - 1.0) / a), a, y, 1)
         s = np.copysign(np.minimum(np.tanh(u), 1.0 - _EDGE_MARGIN), x)
     else:
-        s = np.copysign(_monotone_newton(_reg_sweep, y.copy(), 4.0 * e * cp.c, y, -1), x)
+        s = np.copysign(_monotone_newton(_reg_sweep, y.copy(), 4.0 * e * pot.c, y, -1), x)
     return float(s[0]) if scalar else s
 
 
-def yosida(cp: ConvexPart, eps, r, with_resolvent=False):
-    """Yosida approximation value and its derivative at r.
+def yosida(pot: Potential, eps, r):
+    """Yosida approximation value, its derivative and the resolvent at r.
 
-    Returns ``(value, derivative)``, or ``(value, derivative, J(r))`` with
-    ``with_resolvent``, with value = (r - J(r))/eps for the resolvent J.
-    The derivative is the exact Newton Jacobian of the value:
-    (1 - J'(r))/eps, with the convention that the obstacle derivative is 0
-    on the closed interval [-1,1].
+    Returns ``(value, derivative, J(r))``, with value = (r - J(r))/eps for
+    the resolvent J.  The derivative is the exact Newton Jacobian of the
+    value: (1 - J'(r))/eps, with the convention that the obstacle derivative
+    is 0 on the closed interval [-1,1].
     """
     e = _as_eps(eps)
     r_arr = np.asarray(r, dtype=float)
     scalar = r_arr.ndim == 0
-    x = np.atleast_1d(r_arr).astype(float)
+    x = np.atleast_1d(r_arr)
 
-    j = np.atleast_1d(np.asarray(resolvent(cp, e, x)))  # rejects non-finite r
+    j = resolvent(pot, e, x)  # rejects non-finite r
     value = (x - j) / e
-    if cp.kind == "obst":
+    if pot.kind == "obst":
         deriv = np.where(np.abs(x) <= 1.0, 0.0, 1.0 / e)
     else:
-        jprime = 1.0 / (1.0 + e * cp.second_derivative(j))
+        jprime = 1.0 / (1.0 + e * pot.second_derivative(j))
         deriv = (1.0 - jprime) / e
-    out = (value, deriv, j) if with_resolvent else (value, deriv)
+    out = (value, deriv, j)
     return tuple(float(a[0]) for a in out) if scalar else out
 
 
-def moreau_envelope(cp: ConvexPart, eps, r, j=None):
+def moreau_envelope(pot: Potential, eps, r, j=None):
     """Moreau envelope of the convex part, via the resolvent identity.
 
     F_eps(r) = |r - J(r)|^2 / (2 eps) + F1(J(r)); ``j`` is J(r) when the
@@ -259,13 +234,13 @@ def moreau_envelope(cp: ConvexPart, eps, r, j=None):
     e = _as_eps(eps)
     r_arr = np.asarray(r, dtype=float)
     _check_finite(r_arr)
-    j = resolvent(cp, e, r_arr) if j is None else j
-    return (r_arr - j) ** 2 / (2.0 * e) + cp.value(j)
+    j = resolvent(pot, e, r_arr) if j is None else j
+    return (r_arr - j) ** 2 / (2.0 * e) + pot.value(j)
 
 
 @dataclass
 class DominationReport:
-    """Admissibility verdict for a (bulk, surface) convex-part pairing."""
+    """Admissibility verdict for a (bulk, surface) pairing of wells."""
 
     admissible: bool
     reason: str = ""
@@ -273,44 +248,44 @@ class DominationReport:
     kappa2: float = float("nan")
 
 
-def _domain_transfer_ok(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
+def _domain_transfer_ok(f: Potential, g: Potential, alpha):
     """Whether alpha * D(g1) is contained in D(f1), and a reason if not.
     Each domain is R, (-1, 1) or [-1, 1], told apart by ``prime_domain`` and
     ``prime_domain_open``."""
-    if math.isinf(f_cp.prime_domain[1]):
+    if math.isinf(f.prime_domain[1]):
         return True, ""
-    if math.isinf(g_cp.prime_domain[1]):
+    if math.isinf(g.prime_domain[1]):
         ok, reason = alpha == 0.0, "alpha * D(g1) not contained in D(f1) (requires alpha = 0)"
-    elif f_cp.prime_domain_open and not g_cp.prime_domain_open:  # alpha * [-1,1] in (-1,1)
+    elif f.prime_domain_open and not g.prime_domain_open:  # alpha * [-1,1] in (-1,1)
         ok, reason = abs(alpha) < 1.0, "|alpha| >= 1"
     else:
         ok, reason = abs(alpha) <= 1.0, "|alpha| > 1"
     return ok, "" if ok else f"inadmissible: {reason}"
 
 
-def check_domination(f_cp: ConvexPart, g_cp: ConvexPart, alpha):
+def check_domination(f: Potential, g: Potential, alpha):
     """Decide admissibility of the pairing and produce domination witnesses.
 
     The verdict is the domain rule alpha*D(g1) subset of D(f1); an
     admissible pairing gets the closed-form constants of the graph-level
     domination |f1_circle(alpha r)| <= kappa1 |g1_circle(r)| + kappa2 on D(g1).
     """
-    ok, reason = _domain_transfer_ok(f_cp, g_cp, float(alpha))
+    ok, reason = _domain_transfer_ok(f, g, float(alpha))
     if not ok:
         return DominationReport(admissible=False, reason=reason)
 
-    fk, gk, a = f_cp.kind, g_cp.kind, float(alpha)
+    fk, gk, a = f.kind, g.kind, float(alpha)
     if fk == "obst":
         kappa1, kappa2 = 1.0, 0.0
     elif fk == "reg" and gk == "reg":
-        kappa1, kappa2 = (f_cp.c / g_cp.c) * abs(a) ** 3, 0.0
+        kappa1, kappa2 = (f.c / g.c) * abs(a) ** 3, 0.0
     elif fk == "reg":
         # bounded D(g1): the cubic is bounded on alpha*[-1,1]
-        kappa1, kappa2 = 1.0, 4.0 * f_cp.c * abs(a) ** 3
+        kappa1, kappa2 = 1.0, 4.0 * f.c * abs(a) ** 3
     elif fk == "log" and gk == "log":
-        kappa1, kappa2 = f_cp.theta / g_cp.theta, 0.0
+        kappa1, kappa2 = f.theta / g.theta, 0.0
     elif fk == "log" and gk == "obst":
-        kappa1, kappa2 = 1.0, f_cp.theta * float(np.arctanh(abs(a))) if a != 0 else 0.0
+        kappa1, kappa2 = 1.0, f.theta * float(np.arctanh(abs(a))) if a != 0 else 0.0
     else:  # log vs reg, alpha = 0
         kappa1, kappa2 = 1.0, 0.0
     return DominationReport(admissible=True, kappa1=kappa1, kappa2=kappa2)

@@ -125,7 +125,7 @@ class RunParams:
         if not 0 <= self.t_final < np.inf:
             raise InvalidArgument(f"final time time.T must be >= 0 and finite, got {self.t_final}")
         if not (0.0 < self.eps < 1.0):
-            raise InvalidArgument("regularization parameter must lie in (0,1)")
+            raise InvalidArgument(f"yosida.eps must lie in (0, 1), got {self.eps}")
         if self.t_final / self.tau > 2**53:  # t + tau stops resolving tau; also overflow
             raise InvalidArgument(f"time.T / time.tau = {self.t_final:g} / {self.tau:g} "
                                   "exceeds 2**53 steps")
@@ -195,7 +195,7 @@ class Stepper:
         self.forms = forms if forms is not None else assemble_core(mesh)
         cp = params.coupling
         if not np.isinf(cp.K):
-            rep = check_domination(params.pot_bulk.convex, params.pot_surf.convex, cp.alpha)
+            rep = check_domination(params.pot_bulk, params.pot_surf, cp.alpha)
             if not rep.admissible:
                 raise InvalidArgument(f"potential pairing {rep.reason}")
         self.spaces = build_case_spaces(mesh, cp, self.forms)
@@ -221,8 +221,8 @@ class Stepper:
         """Implicit regularized derivative, its diagonal Jacobian, the resolvents."""
         p = self.params
         phi, psi = self.forms.split(phase_full)
-        fval, fder, fj = yosida(p.pot_bulk.convex, p.eps, phi, with_resolvent=True)
-        gval, gder, gj = yosida(p.pot_surf.convex, p.eps, psi, with_resolvent=True)
+        fval, fder, fj = yosida(p.pot_bulk, p.eps, phi)
+        gval, gder, gj = yosida(p.pot_surf, p.eps, psi)
         return np.concatenate([fval, gval]), np.concatenate([fder, gder]), (fj, gj)
 
     def step(self, state: State, tau: float | None = None):
@@ -250,8 +250,8 @@ class Stepper:
             conv = p.velocity.factor(t_new) * np.concatenate([C_b @ state.phi, C_s @ state.psi])
         # linear terms in increment form, J0 (y, x - x_n) - lin_n: x = x_n cancels exactly
         lin_n = np.concatenate([chem.restrict(conv), self.A_K @ x_n])
-        smooth_n = np.concatenate([p.pot_bulk.smooth.derivative(state.phi),
-                                   p.pot_surf.smooth.derivative(state.psi)])
+        smooth_n = np.concatenate([p.pot_bulk.smooth_derivative(state.phi),
+                                   p.pot_surf.smooth_derivative(state.psi)])
 
         def failure(why, res):
             return StepFailure(f"{why} (residual {res:.3e})")
@@ -553,7 +553,7 @@ def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = 
     separate = np.isinf(cp.L)  # else the combined mean m, carried by (beta * m, m)
     for mean, pot, where in zip(forms.means(phi, psi, cp.beta, separate),
                                 (params.pot_bulk, params.pot_surf), ("bulk", "surface")):
-        lo, hi = pot.convex.prime_domain
+        lo, hi = pot.prime_domain
         if not lo < mean < hi:
             raise InvalidArgument(f"initial {where} mean {mean:g} outside its domain's interior "
                                   f"({'separate' if separate else 'combined'}-mean condition)")

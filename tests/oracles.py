@@ -22,16 +22,16 @@ from bscch.mesh import FORMAT_HEADER, TriMesh
 from bscch.potentials import _as_eps, moreau_envelope, yosida
 
 
-def minimal_section(cp, r):
-    """f1_circle(r), the minimal-modulus element of the subdifferential of ``cp``."""
+def minimal_section(pot, r):
+    """f1_circle(r), the minimal-modulus element of the subdifferential of F1 of ``pot``."""
     r = np.asarray(r, dtype=float)
-    if cp.kind == "reg":
-        return 4.0 * cp.c * r**3
-    if cp.kind == "log":
+    if pot.kind == "reg":
+        return 4.0 * pot.c * r**3
+    if pot.kind == "log":
         with np.errstate(divide="ignore", invalid="ignore"):
             out = np.where(
                 np.abs(r) < 1.0,
-                cp.theta * np.arctanh(np.clip(r, -1, 1)),
+                pot.theta * np.arctanh(np.clip(r, -1, 1)),
                 np.inf * np.sign(r),
             )
         return out if out.shape else float(out)
@@ -47,21 +47,21 @@ def quadratic_lower_bound_certificate(pot, grid=None, max_level=40):
     part and C from a kind-specific closed-form bound.  Returns
     ``(eps_star, C)``.
     """
-    kind = pot.convex.kind
+    kind = pot.kind
     if kind == "reg":
         # +1 slack: the envelope lies strictly below the quartic, so the
         # exact touching constant (2c+1)^2/(4c) would never certify
-        c = pot.convex.c
+        c = pot.c
         C = (2.0 * c + 1.0) ** 2 / (4.0 * c) + 1.0
     elif kind == "log":
-        C = 2.0 + pot.smooth.theta_c
+        C = 2.0 + pot.theta_c
     else:
         C = 2.0
     if grid is None:
         grid = np.linspace(-20.0, 20.0, 4001)
     for k in range(1, max_level + 1):
         e = 2.0**-k
-        fe = moreau_envelope(pot.convex, e, grid) + pot.smooth.value(grid)
+        fe = moreau_envelope(pot, e, grid) + pot.smooth_value(grid)
         if np.all(fe >= grid**2 - C):
             return e, C
     raise InvalidArgument("no admissible regularization level found")
@@ -82,7 +82,7 @@ class PropertyReport:
                 self.failures.append((name, eps, float(r)))
 
 
-def verify_scalar_properties(cp, eps_list, grid):
+def verify_scalar_properties(pot, eps_list, grid):
     """Check the pointwise bounds and monotonicity of the regularization.
 
     Verified on the grid, for each eps: |f1_eps| <= |f1_circle| (where the
@@ -94,15 +94,15 @@ def verify_scalar_properties(cp, eps_list, grid):
     grid = np.sort(np.asarray(grid, dtype=float))
     report = PropertyReport(passed=True)
 
-    lo, hi = cp.prime_domain
+    lo, hi = pot.prime_domain
     interior = (grid > lo) & (grid < hi)
-    in_dom = interior if cp.prime_domain_open else (grid >= lo) & (grid <= hi)
-    f_min = np.where(in_dom, minimal_section(cp, np.clip(grid, lo, hi)), np.inf)
+    in_dom = interior if pot.prime_domain_open else (grid >= lo) & (grid <= hi)
+    f_min = np.where(in_dom, minimal_section(pot, np.clip(grid, lo, hi)), np.inf)
 
     prev_env = None
     prev_gap = None
     for e in sorted(map(_as_eps, eps_list), reverse=True):
-        val, _ = yosida(cp, e, grid)
+        val, _, _ = yosida(pot, e, grid)
         report.record(np.abs(val) <= np.abs(f_min) * (1 + 1e-10) + 1e-12, "bound_vs_minimal_section", e, grid)
         report.record(np.abs(val) <= np.abs(grid) / e * (1 + 1e-10) + 1e-12, "bound_vs_linear", e, grid)
         report.record(np.diff(val) >= -1e-12, "monotone", e, grid[1:])
@@ -111,7 +111,7 @@ def verify_scalar_properties(cp, eps_list, grid):
             dd = np.where(dg > 0, np.diff(val) / dg, 0.0)
         report.record(dd <= (1.0 / e) * (1 + 1e-10), "lipschitz", e, grid[1:])
 
-        env = moreau_envelope(cp, e, grid)
+        env = moreau_envelope(pot, e, grid)
         if prev_env is not None:
             # eps decreasing along the loop => envelope nondecreasing
             report.record(env >= prev_env - 1e-12, "envelope_monotone_in_eps", e, grid)

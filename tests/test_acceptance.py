@@ -18,12 +18,12 @@ from bscch.diagnostics import continuous_dependence_experiment, limit_study
 from bscch.elliptic import InverseCoupledOperator, manufactured_errors
 from bscch.elliptic import estimate_poincare_constant
 from bscch.mesh import generate_disk_mesh
-from bscch.potentials import KINDS, check_domination, make_potential
+from bscch.potentials import KINDS, Potential, check_domination
 from bscch.stepper import InitialDataSpec, RunConfig, RunParams, run
 
 from oracles import as_scipy, prolongation, verify_scalar_properties
 
-LOG = make_potential("log")
+LOG = Potential("log")
 CASES = list(itertools.product([0.0, 1.0, np.inf], repeat=2))
 
 
@@ -77,7 +77,7 @@ def test_criterion_01_scalar_battery(report):
     grid = np.linspace(-4.0, 4.0, 2001)
     ok = True
     for kind in KINDS:
-        battery = verify_scalar_properties(make_potential(kind).convex,
+        battery = verify_scalar_properties(Potential(kind),
                                            (0.5, 0.1, 0.02), grid)
         ok = ok and battery.passed
     elapsed = time.time() - t0
@@ -87,8 +87,8 @@ def test_criterion_01_scalar_battery(report):
 
 def test_criterion_02_domination_taxonomy(report):
     def verdict(bulk, surf, alpha):
-        return check_domination(make_potential(bulk).convex,
-                                make_potential(surf).convex,
+        return check_domination(Potential(bulk),
+                                Potential(surf),
                                 alpha).admissible
 
     expected = [

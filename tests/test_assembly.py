@@ -19,7 +19,7 @@ from bscch.assembly import (
 )
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh, mesh_stats
-from bscch.potentials import make_potential
+from bscch.potentials import Potential
 from bscch.stepper import RunParams, Stepper, initial_state
 from oracles import as_scipy, prolongation, triple_product
 
@@ -336,7 +336,7 @@ def test_lumped_diagonals_bitwise_equal_to_scipy_row_sums(forms):
 def test_matvec_bitwise_equal_to_scipy(mesh, forms):
     p = RunParams(tau=1e-4, t_final=1e-4, eps=0.05,
                   coupling=CouplingParams(K=0.0, L=1.0, alpha=0.8, beta=1.0),
-                  pot_bulk=make_potential("log"), pot_surf=make_potential("log"))
+                  pot_bulk=Potential("log"), pot_surf=Potential("log"))
     stepper = Stepper(mesh, p, forms)
     stepper.step(initial_state(mesh, p, forms))
     spaces = stepper.spaces

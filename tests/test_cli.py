@@ -195,6 +195,17 @@ def test_non_finite_time_exits_1(tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["0", "1", "nan"])
+def test_eps_outside_unit_interval_exits_1(tmp_path, capsys, value):
+    # the message named neither the key nor the value
+    p = tmp_path / "e.cfg"
+    text = SHORT_CFG.replace("yosida.eps = ", "# ")
+    p.write_text(text + f"yosida.eps = {value}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert f"yosida.eps must lie in (0, 1), got {float(value)}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("where", ["bulk", "surf"])
 @pytest.mark.parametrize("lines", ["m0 = nan", "m0 = inf", "kind = degenerate\n{key}.m1 = inf",
                                    "kind = degenerate\n{key}.m1 = nan"])
@@ -238,6 +249,9 @@ def test_infinite_newton_tolerance_exits_1(tmp_path, capsys, key):
     ("reg", "potential.c", "inf"), ("reg", "potential.c", "nan"),
     ("log", "potential.theta", "nan"), ("log", "potential.theta_c", "inf"),
     ("log", "model.alpha", "nan"), ("log", "model.beta", "inf"),
+    # out of range: these messages named no key
+    ("reg", "potential.c", "-1"), ("log", "potential.theta", "0"),
+    ("log", "potential.theta", "2"), ("log", "potential.theta_c", "0.5"),
 ])
 def test_non_finite_model_parameter_exits_1(tmp_path, capsys, kind, key, value):
     # these ran to a NaN or -inf energy, or ended in a solver failure (c = nan)
@@ -478,21 +492,36 @@ def test_cont_dep_prints_ratio_with_fixed_digits(tmp_path, capsys, amplitudes):
         assert float(ratio) == pytest.approx(1.0, abs=0.2)
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv,message", [
     # one member: the trend compares consecutive members, so it printed a vacuous verdict
-    ["limit-study", "--parameter", "eps->0", "--schedule", "0.1"],
-    ["limit-study", "--parameter", "K->0", "--schedule", "1"],
+    (["limit-study", "--parameter", "eps->0", "--schedule", "0.1"], "at least two"),
+    (["limit-study", "--parameter", "K->0", "--schedule", "1"], "at least two"),
     # a non-finite amplitude: the base run completed, then velocity.omega was blamed
-    ["cont-dep", "--amplitudes", "0,nan,1e-3"],
-    ["cont-dep", "--amplitudes", "0,1e-3,inf"],
-])
-def test_invalid_sweep_exits_1_before_any_run(rotating_cfg, capsys, monkeypatch, argv):
+    (["cont-dep", "--amplitudes", "0,nan,1e-3"], "finite"),
+    (["cont-dep", "--amplitudes", "0,1e-3,inf"], "finite"),
+    # an invalid last member: the members before it ran in full first
+    (["limit-study", "--parameter", "K->0", "--schedule", "1,0.5,-1"], "model.K"),
+    (["limit-study", "--parameter", "eps->0", "--schedule", "0.1,0.05,0"], "yosida.eps"),
+], ids=[f"argv{i}" for i in range(6)])
+def test_invalid_sweep_exits_1_before_any_run(rotating_cfg, capsys, monkeypatch, argv, message):
     def no_run(*args, **kwargs):
         raise AssertionError("simulation started before the sweep was checked")
 
     monkeypatch.setattr(bscch.stepper, "run", no_run)
     assert main([argv[0], "--config", rotating_cfg, *argv[1:]]) == 1
-    assert ("at least two" if argv[0] == "limit-study" else "finite") in capsys.readouterr().err
+    assert message in capsys.readouterr().err
+
+
+def test_overflowing_member_speed_exits_1_before_any_run(tmp_path, capsys, monkeypatch):
+    # omega + a = inf: the base run started before the member was checked
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulation started before the sweep was checked")
+
+    monkeypatch.setattr(bscch.stepper, "run", no_run)
+    p = tmp_path / "o.cfg"
+    p.write_text(SHORT_CFG + "velocity.bulk = rigid_rotation\nvelocity.omega = 1e308\n")
+    assert main(["cont-dep", "--config", str(p), "--amplitudes", "0,1e308"]) == 1
+    assert "velocity.omega must be finite, got inf" in capsys.readouterr().err
 
 
 def test_singular_jacobian_exits_2(cfg_file, capsys, monkeypatch):

@@ -16,10 +16,10 @@ from bscch.diagnostics import (
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
 from bscch.output import write_snapshots
-from bscch.potentials import make_potential, moreau_envelope
+from bscch.potentials import Potential, moreau_envelope
 from bscch.stepper import InitialDataSpec, RunConfig, RunParams, State, run
 
-LOG = make_potential("log")
+LOG = Potential("log")
 
 
 @pytest.fixture(scope="module")
@@ -68,8 +68,8 @@ def test_energy_constant_state(forms):
     m = 0.4
     phi = np.full(forms.n_bulk, m)
     psi = np.full(forms.n_surf, m)
-    Fe = moreau_envelope(p.pot_bulk.convex, p.eps, m) + p.pot_bulk.smooth.value(m)
-    Ge = moreau_envelope(p.pot_surf.convex, p.eps, m) + p.pot_surf.smooth.value(m)
+    Fe = moreau_envelope(p.pot_bulk, p.eps, m) + p.pot_bulk.smooth_value(m)
+    Ge = moreau_envelope(p.pot_surf, p.eps, m) + p.pot_surf.smooth_value(m)
     expected = forms.area * Fe + forms.perimeter * Ge
     assert energy(phi, psi, forms, p) == pytest.approx(expected, rel=1e-14)
 

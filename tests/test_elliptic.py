@@ -32,7 +32,7 @@ from bscch.elliptic import (
 )
 from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
-from bscch.potentials import make_potential
+from bscch.potentials import Potential
 from bscch.stepper import InitialDataSpec, RunParams, Stepper, initial_state
 from oracles import as_scipy, prolongation, triple_product
 
@@ -121,7 +121,7 @@ def _newton_jacobian(monkeypatch):
     monkeypatch.setattr(bscch.stepper, "splu", lambda J: captured.append(J) or factor(J))
     p = RunParams(tau=1e-4, t_final=1e-4, eps=0.05,
                   coupling=CouplingParams(K=0.0, L=1.0, alpha=0.5, beta=1.0),
-                  pot_bulk=make_potential("log"), pot_surf=make_potential("log"),
+                  pot_bulk=Potential("log"), pot_surf=Potential("log"),
                   init=InitialDataSpec(mode="random", mean=0.0, amplitude=0.2, seed=7))
     mesh = generate_disk_mesh(32, 8)
     stepper = Stepper(mesh, p)

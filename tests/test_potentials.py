@@ -13,8 +13,8 @@ import bscch.potentials
 from bscch.errors import InvalidArgument
 from bscch.potentials import (
     KINDS,
+    Potential,
     check_domination,
-    make_potential,
     moreau_envelope,
     resolvent,
     yosida,
@@ -28,32 +28,32 @@ EPS_LIST = (0.5, 0.1, 0.02)
 # -- resolvent worked examples (hand-derived oracles) ------------------------
 
 def test_resolvent_obstacle_clamps():
-    cp = make_potential("obst").convex
+    pot = Potential("obst")
     # obstacle resolvent is the projection onto [-1, 1]
-    assert resolvent(cp, 0.5, 2.0) == pytest.approx(1.0, abs=1e-13)
-    assert resolvent(cp, 0.5, -3.0) == pytest.approx(-1.0, abs=1e-13)
-    assert resolvent(cp, 0.5, 0.3) == pytest.approx(0.3, abs=1e-13)
+    assert resolvent(pot, 0.5, 2.0) == pytest.approx(1.0, abs=1e-13)
+    assert resolvent(pot, 0.5, -3.0) == pytest.approx(-1.0, abs=1e-13)
+    assert resolvent(pot, 0.5, 0.3) == pytest.approx(0.3, abs=1e-13)
 
 
 def test_resolvent_quartic_worked_example():
     # J solves 4*eps*c*J^3 + J = r; with c=1, eps=0.25, r=2: J=1
-    cp = make_potential("reg").convex
-    assert resolvent(cp, 0.25, 2.0) == pytest.approx(1.0, abs=1e-12)
+    pot = Potential("reg")
+    assert resolvent(pot, 0.25, 2.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_resolvent_log_inverts_forward_map():
     # r = J + eps*Theta*atanh(J) at J=0.5, Theta=1, eps=1
-    cp = make_potential("log", theta=1.0, theta_c=1.6).convex
+    pot = Potential("log", theta=1.0, theta_c=1.6)
     r = 0.5 + np.arctanh(0.5)
-    assert resolvent(cp, 1.0, r) == pytest.approx(0.5, abs=1e-12)
+    assert resolvent(pot, 1.0, r) == pytest.approx(0.5, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_resolvent_vectorized_matches_scalar(kind):
-    cp = make_potential(kind).convex
+    pot = Potential(kind)
     grid = np.linspace(-3, 3, 41)
-    vec = resolvent(cp, 0.1, grid)
-    scalars = np.array([resolvent(cp, 0.1, float(r)) for r in grid])
+    vec = resolvent(pot, 0.1, grid)
+    scalars = np.array([resolvent(pot, 0.1, float(r)) for r in grid])
     np.testing.assert_allclose(vec, scalars, rtol=0, atol=1e-14)
 
 
@@ -64,20 +64,20 @@ def test_log_resolvent_sweeps_bounded_near_the_singularity(monkeypatch, eps):
     sweeps = []
     sweep = bscch.potentials._log_sweep
     monkeypatch.setattr(bscch.potentials, "_log_sweep", lambda *a: sweeps.append(1) or sweep(*a))
-    cp = make_potential("log").convex
+    pot = Potential("log")
     r = np.array([1.05, 1.1, 1.3, -1.05, -1.1, -1.3])
     grid = np.linspace(-1.4, 1.4, 2801)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
         for values, bound in ((r, 10), (grid, 15)):
             sweeps.clear()
-            j = resolvent(cp, eps, values)
+            j = resolvent(pot, eps, values)
             assert len(sweeps) <= bound
             assert np.all(np.abs(j) < 1.0) and np.all(np.sign(j) == np.sign(values))
             assert np.all(np.diff(j[np.argsort(values)]) >= 0.0)
             # away from the rounding edge at +-1 the root solves its equation
             inner = np.abs(j) < 0.999
-            lhs = j + eps * cp.theta * np.arctanh(j)
+            lhs = j + eps * pot.theta * np.arctanh(j)
             assert np.all(np.abs(lhs - values)[inner] <= 1e-14 * np.abs(values)[inner] + 1e-15)
 
 
@@ -85,44 +85,44 @@ def test_log_resolvent_sweeps_bounded_near_the_singularity(monkeypatch, eps):
 
 def test_eval_regularized_obstacle():
     # eps=0.5, r=2: J=1, f1e=(2-1)/0.5=2, F1e=1, F2=1-4=-3 => Fe=-2, f2=-4
-    pot = make_potential("obst")
-    Fe = moreau_envelope(pot.convex, 0.5, 2.0) + pot.smooth.value(2.0)
-    f1e, _ = yosida(pot.convex, 0.5, 2.0)
+    pot = Potential("obst")
+    Fe = moreau_envelope(pot, 0.5, 2.0) + pot.smooth_value(2.0)
+    f1e, _, _ = yosida(pot, 0.5, 2.0)
     assert Fe == pytest.approx(-2.0, abs=1e-13)
     assert f1e == pytest.approx(2.0, abs=1e-13)
-    assert pot.smooth.derivative(2.0) == pytest.approx(-4.0, abs=1e-13)
+    assert pot.smooth_derivative(2.0) == pytest.approx(-4.0, abs=1e-13)
 
 
 def test_eval_regularized_quartic():
     # c=1, eps=0.25, r=2: J=1, f1e=(2-1)/0.25=4, f2=-4*2=-8
-    pot = make_potential("reg")
-    f1e, _ = yosida(pot.convex, 0.25, 2.0)
+    pot = Potential("reg")
+    f1e, _, _ = yosida(pot, 0.25, 2.0)
     assert f1e == pytest.approx(4.0, abs=1e-12)
-    assert pot.smooth.derivative(2.0) == pytest.approx(-8.0, abs=1e-12)
+    assert pot.smooth_derivative(2.0) == pytest.approx(-8.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_envelope_matches_direct_minimization(kind):
     # independent oracle: minimize |r-s|^2/(2 eps) + F1(s) over a fine grid
-    cp = make_potential(kind).convex
+    pot = Potential(kind)
     eps = 0.1
-    lo, hi = cp.prime_domain
+    lo, hi = pot.prime_domain
     s = np.linspace(max(lo, -3.0) + 1e-12, min(hi, 3.0) - 1e-12, 600001)
-    vals = cp.value(s)
+    vals = pot.value(s)
     for r in (-1.5, -0.4, 0.0, 0.7, 2.0):
         direct = np.min((r - s) ** 2 / (2 * eps) + vals)
         # grid-minimization error is (delta^2/8) F1''(s*); near the log
         # singularity that is a few 1e-8 at this resolution
-        assert moreau_envelope(cp, eps, r) == pytest.approx(direct, abs=5e-8)
+        assert moreau_envelope(pot, eps, r) == pytest.approx(direct, abs=5e-8)
 
 
 # -- scalar battery (acceptance criterion 1 at unit level) --------------------
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_scalar_property_battery(kind):
-    cp = make_potential(kind).convex
+    pot = Potential(kind)
     grid = np.linspace(-4.0, 4.0, 2001)
-    report = verify_scalar_properties(cp, EPS_LIST, grid)
+    report = verify_scalar_properties(pot, EPS_LIST, grid)
     assert report.passed, report.failures
 
 
@@ -135,8 +135,8 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 @given(kind=st.sampled_from(KINDS), eps=st.sampled_from(EPS_LIST),
        r1=finite, r2=finite)
 def test_resolvent_monotone_and_nonexpansive(kind, eps, r1, r2):
-    cp = make_potential(kind).convex
-    j1, j2 = resolvent(cp, eps, r1), resolvent(cp, eps, r2)
+    pot = Potential(kind)
+    j1, j2 = resolvent(pot, eps, r1), resolvent(pot, eps, r2)
     assert (j2 - j1) * (r2 - r1) >= -1e-12
     assert abs(j2 - j1) <= abs(r2 - r1) + 1e-12
 
@@ -144,8 +144,8 @@ def test_resolvent_monotone_and_nonexpansive(kind, eps, r1, r2):
 @settings(max_examples=200, deadline=None)
 @given(kind=st.sampled_from(KINDS), eps=st.sampled_from(EPS_LIST), r=finite)
 def test_yosida_bounded_by_linear(kind, eps, r):
-    cp = make_potential(kind).convex
-    val, _ = yosida(cp, eps, r)
+    pot = Potential(kind)
+    val, _, _ = yosida(pot, eps, r)
     assert abs(val) <= abs(r) / eps + 1e-10
 
 
@@ -153,16 +153,16 @@ def test_yosida_bounded_by_linear(kind, eps, r):
 @given(kind=st.sampled_from(KINDS), eps=st.sampled_from(EPS_LIST),
        r=st.floats(min_value=-0.999, max_value=0.999))
 def test_envelope_below_potential(kind, eps, r):
-    cp = make_potential(kind).convex
-    assert moreau_envelope(cp, eps, r) <= cp.value(r) + 1e-12
+    pot = Potential(kind)
+    assert moreau_envelope(pot, eps, r) <= pot.value(r) + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(kind=st.sampled_from(KINDS), r=finite)
 def test_resolvent_stays_in_domain(kind, r):
-    cp = make_potential(kind).convex
-    lo, hi = cp.prime_domain
-    j = resolvent(cp, 0.1, r)
+    pot = Potential(kind)
+    lo, hi = pot.prime_domain
+    j = resolvent(pot, 0.1, r)
     assert lo - 1e-12 <= j <= hi + 1e-12
 
 
@@ -178,7 +178,7 @@ def _verdict(bulk, surf, alpha):
     |f1_circle(alpha r)| by kappa1 |g1_circle(r)| + kappa2 on D(g1)."""
     reports = []
     for c, theta in WELLS:
-        f, g = (make_potential(k, c=c, theta=theta, theta_c=2 * theta).convex for k in (bulk, surf))
+        f, g = (Potential(k, c=c, theta=theta, theta_c=2 * theta) for k in (bulk, surf))
         rep = check_domination(f, g, alpha)
         if rep.admissible:
             lo, hi = g.prime_domain
@@ -231,30 +231,51 @@ def test_taxonomy_singular_bulk_regular_surface():
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_certificate_holds_on_grid(kind):
-    pot = make_potential(kind)
+    pot = Potential(kind)
     eps_star, C = quadratic_lower_bound_certificate(pot)
     assert 0 < eps_star < 1
     grid = np.linspace(-5, 5, 4001)
     for eps in (eps_star, eps_star / 4):
-        Fe = moreau_envelope(pot.convex, eps, grid) + pot.smooth.value(grid)
+        Fe = moreau_envelope(pot, eps, grid) + pot.smooth_value(grid)
         assert np.all(Fe >= 0.25 * grid**2 - C + -1e-10)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(InvalidArgument):
-        make_potential("polynomial")
+        Potential("polynomial")
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    (dict(kind="polynomial", c=np.nan), "unknown potential kind 'polynomial'"),
+    (dict(kind="obst", c=np.inf), "potential.c must be finite, got inf"),
+    (dict(kind="obst", theta=np.nan, theta_c=np.nan), "potential.theta must be finite, got nan"),
+    (dict(kind="reg", c=0.0), "potential.c must be positive for the reg well, got 0.0"),
+    # c is checked before theta_c
+    (dict(kind="reg", c=-1.0, theta_c=np.inf), "potential.c must be positive for the reg well, got -1.0"),
+    (dict(kind="reg", c=1e308), "potential.c must be at most 1.498e+307 for the reg well, got 1e+308"),
+    (dict(kind="log", theta=-0.5), "potential.theta must be positive for the log well, got -0.5"),
+    # theta is checked before theta_c
+    (dict(kind="log", theta=np.nan, theta_c=np.nan), "potential.theta must be finite, got nan"),
+    (dict(kind="log", theta_c=-np.inf), "potential.theta_c must be finite, got -inf"),
+    (dict(kind="log", theta=1.6), "potential.theta must be less than potential.theta_c for the "
+                                  "log well, got 1.6 >= 1.6"),
+])
+def test_invalid_potential_message(kwargs, message):
+    with pytest.raises(InvalidArgument) as exc:
+        Potential(**kwargs)
+    assert str(exc.value) == message
 
 
 def test_log_value_matches_xlogy_reference():
-    cp = make_potential("log").convex
+    pot = Potential("log")
     r = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.0, -1.0, 1.0, np.nextafter(1.0, 0.0)]])
-    ref = 0.5 * cp.theta * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r))
-    np.testing.assert_allclose(cp.value(r), ref, rtol=0.0, atol=1e-15)
-    assert cp.value(1.0) == pytest.approx(cp.theta * np.log(2.0), rel=1e-15)  # 0 log 0 = 0
+    ref = 0.5 * pot.theta * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r))
+    np.testing.assert_allclose(pot.value(r), ref, rtol=0.0, atol=1e-15)
+    assert pot.value(1.0) == pytest.approx(pot.theta * np.log(2.0), rel=1e-15)  # 0 log 0 = 0
     outside = np.array([-1.5, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), 3.0])
     with np.errstate(all="raise"):  # no warning leaks from the unused branch
-        assert np.all(cp.value(outside) == np.inf)
-        assert cp.value(2.0) == np.inf
+        assert np.all(pot.value(outside) == np.inf)
+        assert pot.value(2.0) == np.inf
 
 
 def test_cli_import_does_not_load_scipy_special():

@@ -18,7 +18,7 @@ from bscch.assembly import (
 from bscch.diagnostics import energy, make_record, masses
 from bscch.errors import InvalidArgument, StepFailure
 from bscch.mesh import generate_disk_mesh
-from bscch.potentials import make_potential
+from bscch.potentials import Potential
 from bscch.stepper import (
     InitialDataSpec,
     NewtonParams,
@@ -31,7 +31,7 @@ from bscch.stepper import (
 )
 from oracles import as_scipy, output_digest, prolongation, triple_product
 
-LOG = make_potential("log")
+LOG = Potential("log")
 
 
 def _params(K=1.0, L=1.0, **kw):
@@ -189,7 +189,7 @@ def test_tau_halving_rescue():
 
 def test_inadmissible_pairing_rejected():
     # singular bulk over regular surface requires alpha = 0
-    p = _params(pot_bulk=LOG, pot_surf=make_potential("reg"))
+    p = _params(pot_bulk=LOG, pot_surf=Potential("reg"))
     mesh = generate_disk_mesh(16, 4)
     with pytest.raises(InvalidArgument):
         Stepper(mesh, p)
@@ -198,11 +198,11 @@ def test_inadmissible_pairing_rejected():
 def test_admissible_reg_pairing_with_a_large_quartic_coefficient_builds():
     # a grid re-check of kappa1 = |alpha|^3 with an absolute slack of 1e-10
     # rejected this pairing, whose domination inequality is an identity
-    reg = make_potential("reg", c=1e6)
+    reg = Potential("reg", c=1e6)
     p = _params(coupling=CouplingParams(K=1.0, L=1.0, alpha=0.7, beta=1.0),
                 pot_bulk=reg, pot_surf=reg)
     Stepper(generate_disk_mesh(16, 4), p)
-    assert bscch.potentials.check_domination(reg.convex, reg.convex, 0.7).admissible
+    assert bscch.potentials.check_domination(reg, reg, 0.7).admissible
 
 
 def test_stepper_runs_no_regularized_domination_pass(monkeypatch):
@@ -659,7 +659,7 @@ def test_half_step_after_full_step_equals_fresh_stepper():
 
 @pytest.mark.parametrize("K,pot", [(1.0, "log"), (0.0, "obst")])
 def test_record_energy_equals_recomputed_energy(K, pot):
-    potential = make_potential(pot)
+    potential = Potential(pot)
     p = _params(K=K, pot_bulk=potential, pot_surf=potential, velocity=ROTATION, t_final=5e-4)
     res = run(RunConfig(nb=16, nr=4, params=p))
     assert len(res.records) == len(res.states) == 6
