@@ -17,7 +17,6 @@ from .diagnostics import (
     limit_study,
 )
 from .elliptic import (
-    BulkSurfacePair,
     InverseCoupledOperator,
     estimate_poincare_constant,
     manufactured_errors,

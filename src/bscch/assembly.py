@@ -154,11 +154,16 @@ def row_sums(A: Csr):
 def sigma(value):
     """Case weight: 1/x on (0,inf), 0 at the Dirichlet/Neumann endpoints."""
     v = float(value)
-    if not v >= 0:  # also rejects nan
-        raise InvalidArgument(f"extended parameter must be in [0, inf], got {v}")
+    check_extended("extended parameter", v)
     if v == 0.0 or math.isinf(v):
         return 0.0
     return 1.0 / v
+
+
+def check_extended(name, value):
+    """Reject an extended parameter ``name`` outside [0, inf]."""
+    if not value >= 0:  # also rejects nan
+        raise InvalidArgument(f"{name} must be in [0, inf], got {value}")
 
 
 def check_weight(name, value):
@@ -178,8 +183,7 @@ class CouplingParams:
 
     def __post_init__(self):
         for name in ("K", "L"):
-            if not getattr(self, name) >= 0.0:  # also rejects nan
-                raise InvalidArgument(f"model.{name} must be in [0, inf], got {getattr(self, name)}")
+            check_extended(f"model.{name}", getattr(self, name))
         for name in ("alpha", "beta"):
             check_weight(f"model.{name}", getattr(self, name))
 
@@ -261,7 +265,7 @@ class FormsBundle:
     A_bulk: Csr
     M_surf: Csr
     A_surf: Csr
-    trace: Csr  # (B, V) selection: boundary-loop position -> vertex
+    loop: np.ndarray  # (B,) boundary-loop position -> vertex
     area: float
     perimeter: float
     lump_bulk: np.ndarray
@@ -314,7 +318,7 @@ class FormsBundle:
 
     def mismatch_sq(self, bulk, surf, weight):
         """|weight * surf - bulk|_Gamma|^2 in the M_Gamma norm, the form of ``coupling_block``."""
-        gap = weight * surf - self.trace @ bulk
+        gap = weight * surf - bulk[self.loop]
         return float(gap @ (self.M_surf @ gap))
 
     def coupling_block(self, weight):
@@ -322,10 +326,10 @@ class FormsBundle:
 
         Assembles the bilinear form (w*psi - phi, w*xi - eta) on the surface
         mass matrix, as a symmetric operator on pair vectors: the blocks
-        [[R^T Ms R, -w R^T Ms], [-w Ms R, w^2 Ms]], entry by entry.
+        [[R^T Ms R, -w R^T Ms], [-w Ms R, w^2 Ms]], entry by entry, for the
+        trace R with R[k, loop[k]] = 1.
         """
-        (row, col, ms), n = triplets(self.M_surf), self.n_bulk
-        loop = self.trace.indices  # the trace R has one entry per row, R[k, loop[k]] = 1
+        (row, col, ms), n, loop = triplets(self.M_surf), self.n_bulk, self.loop
         rows = np.concatenate([loop[row], loop[row], n + row, n + row])
         cols = np.concatenate([loop[col], n + col, loop[col], n + col])
         vals = np.concatenate([ms, -weight * ms, -weight * ms, weight**2 * ms])
@@ -353,14 +357,12 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
     A_bulk = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(n))
     A_surf = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(b))
 
-    trace = from_triplets((b, n), (np.arange(b), mesh.boundary_loop, np.ones(b)))
-
     return FormsBundle(
         M_bulk=M_bulk,
         A_bulk=A_bulk,
         M_surf=M_surf,
         A_surf=A_surf,
-        trace=trace,
+        loop=mesh.boundary_loop,
         area=float(np.sum(g.areas)),
         perimeter=float(np.sum(h)),
         lump_bulk=row_sums(M_bulk),
@@ -425,19 +427,21 @@ def assemble_convection(mesh: TriMesh, vel: VelocityField):
 
 @dataclass(frozen=True)
 class CaseSpace:
-    """One case space as the rows of its prolongation P, one entry each: full
-    row i is ``scale[i]`` times reduced slot ``col[i]``.  ``idx`` holds the
-    positions of the reduced coordinates in the full pair vector; in a
-    Dirichlet case (K = 0 or L = 0) each boundary bulk row is the weight
-    times its surface slot.  ``prolong`` is P x, ``restrict`` P^T v and
-    ``lumped`` the diagonal of P^T diag(d) P, as one gather or bincount each,
-    bitwise equal to the sparse products (a slot sums at most two terms).
-    Like the sparse kernels, each sum starts from +0.0, so a zero result is
-    +0.0 (0.0 * x is -0.0 for x < 0)."""
+    """The case of one extended parameter: its space, held as the rows of its
+    prolongation P, one entry each (full row i is ``scale[i]`` times reduced
+    slot ``col[i]``), and ``block``, its sigma-weighted coupling block on the
+    full pair space.  ``idx`` holds the positions of the reduced coordinates
+    in the full pair vector; in a Dirichlet case (K = 0 or L = 0) each
+    boundary bulk row is the weight times its surface slot.  ``prolong`` is
+    P x, ``restrict`` P^T v and ``lumped`` the diagonal of P^T diag(d) P, as
+    one gather or bincount each, bitwise equal to the sparse products (a slot
+    sums at most two terms).  Like the sparse kernels, each sum starts from
+    +0.0, so a zero result is +0.0 (0.0 * x is -0.0 for x < 0)."""
 
     idx: np.ndarray
     col: np.ndarray
     scale: np.ndarray
+    block: Csr
 
     def prolong(self, x):
         return 0.0 + self.scale * x[self.col]
@@ -461,45 +465,27 @@ def reduce(test: CaseSpace, op: Csr, trial: CaseSpace):
         test.col[rows], trial.col[cols], (test.scale[rows] * vals) * trial.scale[cols])))
 
 
-@dataclass(frozen=True)
-class CaseSpaces:
-    """Dof reductions for one (K, L, alpha, beta) configuration.
-
-    ``phase`` is the (phi, psi) space (K = 0 slaves boundary phi to
-    alpha*psi), ``chem`` the (mu, theta) space with (L, beta).
-    ``B_K``/``B_L`` are the sigma-weighted coupling blocks on the full pair
-    space (zero matrices when the respective sigma vanishes).
-    """
-
-    phase: CaseSpace
-    chem: CaseSpace
-    B_K: Csr
-    B_L: Csr
-
-
-def case_space(mesh: TriMesh, forms: FormsBundle, value, weight):
-    """The case of one extended parameter (K with alpha, or L with beta):
-    ``(space, sigma(value) * coupling_block(weight))``, the block a zero
-    matrix where sigma vanishes.  The space is the full pair space, or at
-    value = 0 the Dirichlet space: the interior bulk dofs and the surface
-    dofs, each boundary bulk dof slaved to ``weight`` times its surface dof."""
-    s, n, b = sigma(value), mesh.n_vertices, mesh.n_boundary
+def case_space(forms: FormsBundle, value, weight) -> CaseSpace:
+    """The case of one extended parameter (K with alpha, or L with beta).  Its
+    block is sigma(value) * coupling_block(weight), with no stored entry where
+    sigma vanishes.  Its space is the full pair space, or at value = 0 the
+    Dirichlet space: the interior bulk dofs and the surface dofs, each
+    boundary bulk dof slaved to ``weight`` times its surface dof."""
+    s, n, b, loop = sigma(value), forms.n_bulk, forms.n_surf, forms.loop
     block = forms.coupling_block(weight) if s > 0 else empty((n + b, n + b))
     block = replace(block, data=s * block.data)  # scipy's s * block: stored zeros kept
     col, scale = np.arange(n + b), np.ones(n + b)
     if value != 0.0:
-        return CaseSpace(col, col, scale), block
+        return CaseSpace(col, col, scale, block)
     is_bnd = np.zeros(n, dtype=bool)
-    is_bnd[mesh.boundary_loop] = True
+    is_bnd[loop] = True
     idx = np.concatenate([np.flatnonzero(~is_bnd), n + np.arange(b)])
     col[idx] = np.arange(len(idx))
-    col[mesh.boundary_loop], scale[mesh.boundary_loop] = col[n:], weight
-    return CaseSpace(idx, col, scale), block
+    col[loop], scale[loop] = col[n:], weight
+    return CaseSpace(idx, col, scale, block)
 
 
-def build_case_spaces(mesh: TriMesh, cp: CouplingParams, forms: FormsBundle) -> CaseSpaces:
-    """Case spaces and coupling blocks realizing the four K/L case families."""
+def build_case_spaces(cp: CouplingParams, forms: FormsBundle):
+    """The (K, alpha) phase case and the (L, beta) chemical-potential case."""
     forms.validate_measures(cp.alpha, cp.beta)
-    phase, B_K = case_space(mesh, forms, cp.K, cp.alpha)
-    chem, B_L = case_space(mesh, forms, cp.L, cp.beta)
-    return CaseSpaces(phase=phase, chem=chem, B_K=B_K, B_L=B_L)
+    return case_space(forms, cp.K, cp.alpha), case_space(forms, cp.L, cp.beta)

@@ -10,7 +10,7 @@ import dataclasses
 import os
 import sys
 
-from .assembly import check_weight
+from .assembly import check_extended, check_weight
 from .config import load_run_config
 from .diagnostics import LIMITS, continuous_dependence_experiment, limit_study
 from .elliptic import estimate_poincare_constant, manufactured_errors
@@ -115,6 +115,7 @@ def _cmd_potential_check(args):
 def _cmd_elliptic_mms(args):
     if args.levels < 1:
         raise ValidationError(f"--levels must be >= 1, got {args.levels}")
+    check_extended("--K", args.K)
     sizes = [(32 * 2**k, 8 * 2**k) for k in range(args.levels)]
     errors = manufactured_errors(args.K, sizes)
     for (nb, nr), e in zip(sizes, errors):
@@ -125,6 +126,7 @@ def _cmd_elliptic_mms(args):
 
 
 def _cmd_poincare(args):
+    check_extended("--K", args.K)
     check_weight("--alpha", args.alpha)
     check_weight("--beta", args.beta)
     mesh = generate_disk_mesh(args.nb, args.nr)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace, fields as dc_fields
 import numpy as np
 
 from .assembly import CouplingParams, FormsBundle, assemble_core
-from .elliptic import InverseCoupledOperator, BulkSurfacePair
+from .elliptic import InverseCoupledOperator
 from .errors import InvalidArgument
 from .mesh import generate_disk_mesh
 from .potentials import moreau_envelope
@@ -128,7 +128,7 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
         res = run(cfg, mesh=base.mesh, forms=base.forms)
         dmax = 0.0
         for s_base, s_pert in zip(base.states, res.states):
-            pair = BulkSurfacePair(s_pert.phi - s_base.phi, s_pert.psi - s_base.psi)
+            pair = np.concatenate([s_pert.phi - s_base.phi, s_pert.psi - s_base.psi])
             dmax = max(dmax, op.dual_norm(pair))
         return dmax
 

@@ -8,8 +8,6 @@ and the same factorization serves every right-hand side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .assembly import (Csr, CouplingParams, FormsBundle, add, assemble_core, case_space,
@@ -58,36 +56,21 @@ def _factor_gives_known_values():
 check_extension(_superlu, "gstrf", _factor_gives_known_values)
 
 
-@dataclass(frozen=True)
-class BulkSurfacePair:
-    bulk: np.ndarray
-    surf: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bulk", np.asarray(self.bulk, dtype=float))
-        object.__setattr__(self, "surf", np.asarray(self.surf, dtype=float))
-        if not (np.all(np.isfinite(self.bulk)) and np.all(np.isfinite(self.surf))):
-            raise InvalidArgument("non-finite entries in pair")
-
-    def concat(self):
-        return np.concatenate([self.bulk, self.surf])
-
-
 class BorderedSolver:
-    """The energy form ``op`` = A_pair + sigma(value) * coupling_block(weight)
-    on the case space of one extended parameter ``value`` with trace weight
-    ``weight``, under the conserved mean constraints: the separate means
-    at value = inf, else the ``mean_weight``-combined one.  ``A`` is the
-    reduced P^T op P, ``cols`` the constraint columns on the full pair
-    space.  One LU factor of [[A, C], [C^T, 0]], C the restricted columns,
-    serves every right-hand side."""
+    """The energy form ``op`` = A_pair + ``space.block`` on ``space``, the case
+    of one extended parameter ``value`` with trace weight ``weight``, under
+    the conserved mean constraints: the separate means at value = inf, else
+    the ``mean_weight``-combined one.  ``A`` is the reduced P^T op P,
+    ``cols`` the constraint columns on the full pair space.  One LU factor
+    of [[A, C], [C^T, 0]], C the restricted columns, serves every
+    right-hand side; right-hand sides and solutions are full pair vectors."""
 
-    def __init__(self, mesh: TriMesh, forms: FormsBundle, value, weight, mean_weight):
+    def __init__(self, forms: FormsBundle, value, weight, mean_weight):
         self.forms = forms
-        self.space, block = case_space(mesh, forms, value, weight)
+        self.space = case_space(forms, value, weight)
         forms.validate_measures(weight, mean_weight)
         self.cols = forms.mean_functionals(mean_weight, np.isinf(value))
-        self.op = add(forms.A_pair, block)
+        self.op = add(forms.A_pair, self.space.block)
         self.A = reduce(self.space, self.op, self.space)
         C = np.column_stack([self.space.restrict(c) for c in self.cols])
         i, k = np.nonzero(C)  # its exact zeros left out, as scipy's sparse form of C
@@ -100,7 +83,10 @@ class BorderedSolver:
             raise SolverFailure(f"singular bordered system: {exc}") from exc
 
     def check_mean_free(self, rhs):
-        """Reject a full pair right-hand side whose constraint integrals do not vanish."""
+        """Reject a full pair right-hand side that is not finite or whose constraint
+        integrals do not vanish."""
+        if not np.all(np.isfinite(rhs)):  # a NaN mean would pass the test below
+            raise InvalidArgument("non-finite entries in pair")
         scale = max(1.0, float(np.linalg.norm(rhs)))
         for c in self.cols:
             m = c @ rhs
@@ -111,10 +97,9 @@ class BorderedSolver:
         """Reduced solution for reduced right-hand side ``rhs``."""
         return self.lu.solve(np.concatenate([rhs, np.zeros(len(self.cols))]))[: len(rhs)]
 
-    def solve(self, rhs) -> BulkSurfacePair:
+    def solve(self, rhs):
         """Full pair solution for full pair right-hand side ``rhs``."""
-        x = self.space.prolong(self.solve_reduced(self.space.restrict(rhs)))
-        return BulkSurfacePair(*self.forms.split(x))
+        return self.space.prolong(self.solve_reduced(self.space.restrict(rhs)))
 
 
 class InverseCoupledOperator:
@@ -123,40 +108,42 @@ class InverseCoupledOperator:
     Solves, for mean-free data (phi, psi), the system whose weak identity is
     <S(phi,psi), (zeta,xi)>_{L,beta} = -<(phi,psi), (zeta,xi)>_{L2}
     on the (L, beta) case space, returning the mean-free solution pair.
+    Pairs are full pair vectors (bulk values, then surface values).
     """
 
     def __init__(self, mesh: TriMesh, cp: CouplingParams, forms: FormsBundle | None = None):
         forms = forms if forms is not None else assemble_core(mesh)
-        self.solver = BorderedSolver(mesh, forms, cp.L, cp.beta, cp.beta)
+        self.solver = BorderedSolver(forms, cp.L, cp.beta, cp.beta)
 
-    def apply(self, pair: BulkSurfacePair) -> BulkSurfacePair:
-        self.solver.check_mean_free(pair.concat())
-        return self.solver.solve(-(self.solver.forms.M_pair @ pair.concat()))
+    def apply(self, pair):
+        self.solver.check_mean_free(pair)
+        return self.solver.solve(-(self.solver.forms.M_pair @ pair))
 
-    def energy_product(self, p1: BulkSurfacePair, p2: BulkSurfacePair):
+    def energy_product(self, p1, p2):
         """<p1, p2>_{L,beta} with the assembled form."""
-        return float(p1.concat() @ (self.solver.op @ p2.concat()))
+        return float(p1 @ (self.solver.op @ p2))
 
-    def dual_norm(self, pair: BulkSurfacePair) -> float:
+    def dual_norm(self, pair) -> float:
         s = self.apply(pair)
         val = self.energy_product(s, s)
         return float(np.sqrt(max(val, 0.0)))
 
 
-def solve_coupled_poisson(mesh: TriMesh, K, alpha, f, g, forms: FormsBundle) -> BulkSurfacePair:
+def solve_coupled_poisson(K, alpha, f, g, forms: FormsBundle):
     """Discrete weak solution of the coupled Poisson system.
 
     Solves <(u,v), (zeta,xi)>_{K,alpha} = <(f,g), (zeta,xi)>_{L2} on the
     (K, alpha) case space, under the compatibility condition on the data
     (combined for K finite, separate means for the Neumann endpoint).  The
-    returned pair has zero generalized mean(s).
+    returned pair (u, v) has zero generalized mean(s).
     """
-    data = BulkSurfacePair(f, g)
-    if data.bulk.shape != (forms.n_bulk,) or data.surf.shape != (forms.n_surf,):
+    f, g = np.asarray(f, dtype=float), np.asarray(g, dtype=float)
+    if f.shape != (forms.n_bulk,) or g.shape != (forms.n_surf,):
         raise InvalidArgument("data length does not match mesh")
-    solver = BorderedSolver(mesh, forms, float(K), alpha, alpha)
-    solver.check_mean_free(data.concat())
-    return solver.solve(forms.M_pair @ data.concat())
+    solver = BorderedSolver(forms, float(K), alpha, alpha)
+    data = np.concatenate([f, g])
+    solver.check_mean_free(data)
+    return forms.split(solver.solve(forms.M_pair @ data))
 
 
 def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta) -> float:
@@ -170,7 +157,7 @@ def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta) -> float:
     if np.isinf(K):
         raise InvalidArgument("Poincare constant is defined for K in [0, inf)")
     forms = assemble_core(mesh)
-    solver = BorderedSolver(mesh, forms, K, alpha, beta)
+    solver = BorderedSolver(forms, K, alpha, beta)
     A_red, M_red = solver.A, reduce(solver.space, forms.M_pair, solver.space)
     c = solver.space.restrict(solver.cols[0])
 
@@ -253,9 +240,9 @@ def manufactured_errors(K, mesh_sizes=((32, 8), (64, 16), (128, 32))):
             # the continuous means vanish; remove the quadrature defect
             c_f, c_g = forms.means(f_data, g_data, alpha, True)
             f_data, g_data = f_data - c_f, g_data - c_g
-        sol = solve_coupled_poisson(mesh, K, alpha, f_data, g_data, forms=forms)
-        du = sol.bulk - u_ex(x, y)
-        dv = sol.surf - v_ex(ang)
+        u, v = solve_coupled_poisson(K, alpha, f_data, g_data, forms=forms)
+        du = u - u_ex(x, y)
+        dv = v - v_ex(ang)
         # separate gauges at K = inf, else the kernel along (alpha, 1): match the means
         c_u, c_v = forms.means(du, dv, alpha, np.isinf(K))
         du -= c_u

@@ -116,8 +116,6 @@ class TriMesh:
 @dataclass(frozen=True)
 class MeshStats:
     h_max: float
-    area: float
-    perimeter: float
     min_angle: float  # degrees
 
 
@@ -197,8 +195,6 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
     e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
     e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
     h_max = float(max(e0.max(), e1.max(), e2.max()))
-    area = float(np.sum(mesh.geometry.areas))
-    perimeter = float(np.sum(mesh.geometry.lengths))
 
     # min angle via the law of cosines over all triangle corners
     def corner(a, b, c):
@@ -206,7 +202,7 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
         return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
     ang = np.minimum(np.minimum(corner(e0, e1, e2), corner(e1, e2, e0)), corner(e2, e0, e1))
-    return MeshStats(h_max=h_max, area=area, perimeter=perimeter, min_angle=float(ang.min()))
+    return MeshStats(h_max=h_max, min_angle=float(ang.min()))
 
 
 def write_mesh(mesh: TriMesh, path):

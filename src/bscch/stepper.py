@@ -198,11 +198,10 @@ class Stepper:
             rep = check_domination(params.pot_bulk, params.pot_surf, cp.alpha)
             if not rep.admissible:
                 raise InvalidArgument(f"potential pairing {rep.reason}")
-        self.spaces = build_case_spaces(mesh, cp, self.forms)
+        self.phase, self.chem = phase, chem = build_case_spaces(cp, self.forms)
         f = self.forms
-        phase, chem = self.spaces.phase, self.spaces.chem
-        self.A_K = reduce(phase, add(f.A_pair, self.spaces.B_K), phase)
-        self.system = _NewtonSystem(mesh, chem, reduce(chem, self.spaces.B_L, chem),
+        self.A_K = reduce(phase, add(f.A_pair, phase.block), phase)
+        self.system = _NewtonSystem(mesh, chem, reduce(chem, chem.block, chem),
                                     reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
                                     self.A_K)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
@@ -236,7 +235,7 @@ class Stepper:
         tau = p.tau if tau is None else tau
         f = self.forms
         t_new = state.t + tau
-        phase, chem = self.spaces.phase, self.spaces.chem
+        phase, chem = self.phase, self.chem
 
         x_n = np.concatenate([state.phi, state.psi])[phase.idx]
         K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)

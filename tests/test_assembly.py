@@ -18,7 +18,7 @@ from bscch.assembly import (
     sigma,
 )
 from bscch.errors import InvalidArgument
-from bscch.mesh import generate_disk_mesh, mesh_stats
+from bscch.mesh import generate_disk_mesh
 from bscch.potentials import Potential
 from bscch.stepper import RunParams, Stepper, initial_state
 from oracles import as_scipy, prolongation, triple_product
@@ -134,9 +134,9 @@ def test_convection_radial_orthogonality_converges():
 
 def test_case_space_dirichlet_phase_constraint(mesh, forms):
     cp = CouplingParams(K=0.0, L=1.0, alpha=2.0, beta=1.0)
-    spaces = build_case_spaces(mesh, cp, forms)
+    phase, _ = build_case_spaces(cp, forms)
     rng = np.random.default_rng(0)
-    P = prolongation(spaces.phase)
+    P = prolongation(phase)
     x_red = rng.standard_normal(P.shape[1])
     full = P @ x_red
     phi, psi = full[: forms.n_bulk], full[forms.n_bulk :]
@@ -164,9 +164,8 @@ def test_case_space_restriction_inverts_prolongation(mesh, forms, K, L):
     rng = np.random.default_rng(1)
     # weights that are not exact in binary, and zero weights (rows of scale 0)
     for alpha, beta in ((0.8, 1.2), (0.0, 0.0)):
-        spaces = build_case_spaces(mesh, CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
-        for space, dirichlet, weight in ((spaces.phase, K == 0.0, alpha),
-                                         (spaces.chem, L == 0.0, beta)):
+        phase, chem = build_case_spaces(CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
+        for space, dirichlet, weight in ((phase, K == 0.0, alpha), (chem, L == 0.0, beta)):
             P = prolongation(space)
             assert np.array_equal(P.toarray(), _loop_prolongation(mesh, dirichlet, weight))
             x = rng.standard_normal(P.shape[1])
@@ -181,21 +180,15 @@ def test_case_space_restriction_inverts_prolongation(mesh, forms, K, L):
             assert space.lumped(v).tobytes() == (P.T @ sp.diags(v) @ P).diagonal().tobytes()
 
 
-def test_core_measures_match_mesh_stats(mesh, forms):
-    stats = mesh_stats(mesh)
-    assert forms.area == stats.area
-    assert forms.perimeter == stats.perimeter
-
-
 def test_coupling_block_kernel(mesh, forms):
     cp = CouplingParams(K=2.0, L=np.inf, alpha=1.5, beta=1.0)
-    spaces = build_case_spaces(mesh, cp, forms)
+    phase, _ = build_case_spaces(cp, forms)
     psi = np.cos(3 * np.linspace(0, 2 * np.pi, forms.n_surf, endpoint=False))
     phi = np.zeros(forms.n_bulk)
     phi[mesh.boundary_loop] = cp.alpha * psi
     x = np.concatenate([phi, psi])
     # compliant pairs are in the kernel of the Robin penalty block
-    assert np.abs(spaces.B_K @ x).max() < 1e-13
+    assert np.abs(phase.block @ x).max() < 1e-13
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.8, 1.2])
@@ -208,7 +201,7 @@ def test_pairing_helpers_bitwise_equal_to_the_formulas_they_replace(mesh, forms,
         return np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     # the boundary mismatch of the K energy term, the Robin gap and the K-limit gap
-    gap = weight * v - forms.trace @ u
+    gap = weight * v - u[forms.loop]
     assert same(forms.mismatch_sq(u, v, weight), float(gap @ (forms.M_surf @ gap)))
     # the pair lumping of the stepper and the constraint columns of the bordered solver
     assert same(forms.lump_pair, np.concatenate([mb, ms]))
@@ -240,11 +233,11 @@ def test_velocity_ramp():
 
 def test_reduce_between_full_spaces_is_the_operator(mesh, forms):
     # L > 0 and K > 0: both case spaces are the full pair space
-    spaces = build_case_spaces(mesh, CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0), forms)
-    for op in (forms.M_pair, add(forms.A_pair, spaces.B_K)):
-        reduced = reduce(spaces.chem, op, spaces.phase)
+    phase, chem = build_case_spaces(CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0), forms)
+    for op in (forms.M_pair, add(forms.A_pair, phase.block)):
+        reduced = reduce(chem, op, phase)
         assert reduced is op
-        triple = (prolongation(spaces.chem).T @ as_scipy(op) @ prolongation(spaces.phase)).tocsr()
+        triple = (prolongation(chem).T @ as_scipy(op) @ prolongation(phase)).tocsr()
         triple.sort_indices()
         np.testing.assert_array_equal(reduced.indptr, triple.indptr)
         np.testing.assert_array_equal(reduced.indices, triple.indices)
@@ -273,7 +266,9 @@ def test_mobility_stiffness_on_fixed_pattern_matches_coo_scatter(mesh):
 
 @pytest.mark.parametrize("alpha", [0.0, 0.8, 1.0])
 def test_coupling_block_bitwise_equal_to_triple_products(forms, alpha):
-    R, Ms = as_scipy(forms.trace), as_scipy(forms.M_surf)
+    b, n = forms.n_surf, forms.n_bulk
+    R = sp.csr_matrix((np.ones(b), (np.arange(b), forms.loop)), shape=(b, n))
+    Ms = as_scipy(forms.M_surf)
     top = sp.hstack([R.T @ Ms @ R, -alpha * (R.T @ Ms)])
     bot = sp.hstack([-alpha * (Ms @ R), alpha**2 * Ms])
     ref = sp.vstack([top, bot]).tocsr()
@@ -300,11 +295,10 @@ REDUCE_WEIGHTS = [(1.0, 1.0), (0.8, 1.2), (0.0, 0.0), (-0.7, 3.0), (1e5, 0.5)]
 @pytest.mark.parametrize("alpha,beta", REDUCE_WEIGHTS)
 @pytest.mark.parametrize("K,L", list(itertools.product((0.0, 1.0, np.inf, 0.5), repeat=2)))
 def test_reduce_bitwise_equal_to_scipy_triple_product(mesh, forms, K, L, alpha, beta):
-    spaces = build_case_spaces(mesh, CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
-    phase, chem = spaces.phase, spaces.chem
-    A_K, A_L = add(forms.A_pair, spaces.B_K), add(forms.A_pair, spaces.B_L)
+    phase, chem = build_case_spaces(CouplingParams(K=K, L=L, alpha=alpha, beta=beta), forms)
+    A_K, A_L = add(forms.A_pair, phase.block), add(forms.A_pair, chem.block)
     # every reduction of the stepper, the bordered solvers and the Poincare iteration
-    for test, op, trial in ((phase, A_K, phase), (chem, A_L, chem), (chem, spaces.B_L, chem),
+    for test, op, trial in ((phase, A_K, phase), (chem, A_L, chem), (chem, chem.block, chem),
                             (chem, forms.M_pair, phase), (phase, forms.M_pair, chem),
                             (phase, forms.M_pair, phase)):
         ref = triple_product(test, as_scipy(op), trial)
@@ -314,10 +308,10 @@ def test_reduce_bitwise_equal_to_scipy_triple_product(mesh, forms, K, L, alpha, 
 @pytest.mark.parametrize("K", [1.0, np.inf])
 def test_pruned_sum_bitwise_equal_to_scipy_sum(mesh, forms, K):
     # at K = inf the coupling block is empty: the sum only drops A_pair's stored zeros
-    spaces = build_case_spaces(mesh, CouplingParams(K=K, L=1.0, alpha=0.8, beta=1.0), forms)
+    phase, _ = build_case_spaces(CouplingParams(K=K, L=1.0, alpha=0.8, beta=1.0), forms)
     assert np.count_nonzero(forms.A_pair.data == 0) > 0
-    assert (spaces.B_K.nnz == 0) == np.isinf(K)
-    assert _bitwise(add(forms.A_pair, spaces.B_K), as_scipy(forms.A_pair) + as_scipy(spaces.B_K))
+    assert (phase.block.nnz == 0) == np.isinf(K)
+    assert _bitwise(add(forms.A_pair, phase.block), as_scipy(forms.A_pair) + as_scipy(phase.block))
 
 
 def test_pair_blocks_bitwise_equal_to_scipy_block_diag(forms):
@@ -339,10 +333,9 @@ def test_matvec_bitwise_equal_to_scipy(mesh, forms):
                   pot_bulk=Potential("log"), pot_surf=Potential("log"))
     stepper = Stepper(mesh, p, forms)
     stepper.step(initial_state(mesh, p, forms))
-    spaces = stepper.spaces
     rng = np.random.default_rng(4)
-    for A in (stepper.system.J0, forms.trace, forms.M_surf,
-              reduce(spaces.chem, forms.M_pair, spaces.phase)):
+    for A in (stepper.system.J0, stepper.A_K, forms.M_surf,
+              reduce(stepper.chem, forms.M_pair, stepper.phase)):
         x = rng.standard_normal(A.shape[1])
         x[::5] = -0.0
         assert (A @ x).tobytes() == (as_scipy(A) @ x).tobytes()

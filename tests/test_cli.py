@@ -334,6 +334,10 @@ def test_elliptic_mms_without_levels_exits_1(capsys, levels):
     ("potential-check", ["--pair", "reg,reg", "--alpha", "1e200"], "--alpha"),
     ("poincare", ["--K", "1", "--alpha", "nan"], "--alpha"),
     ("poincare", ["--K", "1", "--beta", "inf"], "--beta"),
+    ("poincare", ["--K", "-1"], "--K"),
+    ("poincare", ["--K", "nan"], "--K"),
+    ("elliptic-mms", ["--K", "-1"], "--K"),
+    ("elliptic-mms", ["--K", "nan"], "--K"),
 ])
 def test_trace_weight_whose_cube_overflows_exits_1(tmp_path, capsys, command, args, name):
     # an OverflowError traceback, NaN columns in series.csv (model.L = inf), or
@@ -546,7 +550,7 @@ def test_benchmark_setup_calls(tmp_path):
     assert stepper.forms is forms
     new, report = stepper.step(state)
     assert report.newton_iters > 0 and new.t == config.params.tau
-    assert op.dual_norm(bscch.BulkSurfacePair(new.phi - state.phi, new.psi - state.psi)) > 0
+    assert op.dual_norm(np.concatenate([new.phi - state.phi, new.psi - state.psi])) > 0
 
 
 def test_module_entry_point(tmp_path):

@@ -22,7 +22,6 @@ from bscch.assembly import (
 from bscch.elliptic import (
     LU_DIAG_PIVOT_THRESH,
     BorderedSolver,
-    BulkSurfacePair,
     InverseCoupledOperator,
     estimate_poincare_constant,
     manufactured_case,
@@ -58,7 +57,7 @@ def _mean_free_pair(forms, cp, rng):
         shift = total / (cp.beta**2 * forms.area + forms.perimeter)
         f -= cp.beta * shift
         g -= shift
-    return BulkSurfacePair(f, g)
+    return np.concatenate([f, g])
 
 
 @pytest.mark.parametrize("L", [0.0, 1.0, np.inf])
@@ -71,8 +70,8 @@ def test_dual_norm_defining_identity(mesh, forms, L):
         x = _mean_free_pair(forms, cp, rng)
         s = op.apply(x)
         lhs = op.energy_product(s, s)
-        rhs = x.bulk @ (forms.M_bulk @ s.bulk) + x.surf @ (forms.M_surf @ s.surf)
-        norm2 = x.bulk @ (forms.M_bulk @ x.bulk) + x.surf @ (forms.M_surf @ x.surf)
+        rhs = x @ (forms.M_pair @ s)
+        norm2 = x @ (forms.M_pair @ x)
         assert abs(lhs + rhs) <= 1e-9 * norm2
 
 
@@ -82,17 +81,32 @@ def test_inverse_operator_linearity(mesh, forms):
     rng = np.random.default_rng(1)
     x = _mean_free_pair(forms, cp, rng)
     y = _mean_free_pair(forms, cp, rng)
-    s1 = op.apply(BulkSurfacePair(2 * x.bulk - y.bulk, 2 * x.surf - y.surf))
+    s1 = op.apply(2 * x - y)
     sx, sy = op.apply(x), op.apply(y)
-    np.testing.assert_allclose(s1.bulk, 2 * sx.bulk - sy.bulk, atol=1e-11)
-    np.testing.assert_allclose(s1.surf, 2 * sx.surf - sy.surf, atol=1e-11)
+    np.testing.assert_allclose(s1, 2 * sx - sy, atol=1e-11)
 
 
 def test_non_mean_free_rejected(mesh, forms):
     cp = CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0)
     op = InverseCoupledOperator(mesh, cp, forms=forms)
     with pytest.raises(InvalidArgument):
-        op.apply(BulkSurfacePair(np.ones(forms.n_bulk), np.ones(forms.n_surf)))
+        op.apply(np.ones(forms.n_bulk + forms.n_surf))
+
+
+@pytest.mark.parametrize("surface", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_pair_rejected(mesh, forms, bad, surface):
+    # the mean-free test alone passes them: abs(nan) > tol is False, and so is
+    # inf > tol * inf, the tolerance scaling with the norm
+    cp = CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0)
+    op = InverseCoupledOperator(mesh, cp, forms=forms)
+    pair = _mean_free_pair(forms, cp, np.random.default_rng(2))
+    pair[forms.n_bulk * surface + 3] = bad
+    with pytest.raises(InvalidArgument, match="non-finite entries in pair"):
+        op.apply(pair)
+    f, g = forms.split(pair)
+    with pytest.raises(InvalidArgument, match="non-finite entries in pair"):
+        solve_coupled_poisson(1.0, 1.0, f, g, forms=forms)
 
 
 def test_inverse_operator_assembles_only_the_l_block(monkeypatch, mesh, forms):
@@ -166,9 +180,9 @@ def test_bordered_matrix_bitwise_equal_to_scipy_bmat(monkeypatch, value, weight,
     captured, superlu = [], bscch.elliptic._superlu
     monkeypatch.setattr(bscch.elliptic, "_superlu", SimpleNamespace(
         gstrf=lambda *args, **kw: captured.append(args) or superlu.gstrf(*args, **kw)))
-    solver = BorderedSolver(mesh, forms, value, weight, mean_weight)
-    space, block = case_space(mesh, forms, value, weight)
-    A = triple_product(space, as_scipy(forms.A_pair) + as_scipy(block), space)
+    solver = BorderedSolver(forms, value, weight, mean_weight)
+    space = case_space(forms, value, weight)
+    A = triple_product(space, as_scipy(forms.A_pair) + as_scipy(space.block), space)
     C = sp.csr_matrix(np.column_stack([space.restrict(c) for c in solver.cols]))
     ref = sp.bmat([[A, C], [C.T, None]], format="csc")
     ((n, nnz, data, indices, indptr),) = captured
@@ -231,7 +245,7 @@ def test_coupled_poisson_incompatible_data(mesh, forms):
     f = np.ones(forms.n_bulk)
     g = np.zeros(forms.n_surf)
     with pytest.raises(InvalidArgument):
-        solve_coupled_poisson(mesh, np.inf, 1.0, f, g, forms=forms)
+        solve_coupled_poisson(np.inf, 1.0, f, g, forms=forms)
 
 
 @pytest.mark.parametrize("K", [0.0, 1.0])
@@ -247,9 +261,9 @@ def test_poincare_inequality_and_mesh_stability(K):
     cp = CouplingParams(K=K, L=np.inf, alpha=1.0, beta=1.0)
     from bscch.assembly import build_case_spaces
 
-    spaces = build_case_spaces(m, cp, f)
-    P = prolongation(spaces.phase)
-    A = (P.T @ (as_scipy(f.A_pair) + as_scipy(spaces.B_K)) @ P).tocsr()
+    phase, _ = build_case_spaces(cp, f)
+    P = prolongation(phase)
+    A = (P.T @ (as_scipy(f.A_pair) + as_scipy(phase.block)) @ P).tocsr()
     M = (P.T @ as_scipy(f.M_pair) @ P).tocsr()
     c = P.T @ np.concatenate([f.lump_bulk, f.lump_surf])
     rng = np.random.default_rng(7)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bscch.assembly import assemble_core
 from bscch.errors import InvalidArgument, ValidationError
 from bscch.mesh import (
     FORMAT_HEADER,
@@ -26,9 +27,9 @@ def test_counts_formula():
 def test_exact_polygon_area_and_perimeter():
     # the mesh triangulates the inscribed regular nb-gon exactly
     for nb, nr in [(16, 4), (64, 16)]:
-        st_ = mesh_stats(generate_disk_mesh(nb, nr))
-        assert st_.perimeter == pytest.approx(2 * nb * np.sin(np.pi / nb), rel=1e-14)
-        assert st_.area == pytest.approx(0.5 * nb * np.sin(2 * np.pi / nb), rel=1e-13)
+        forms = assemble_core(generate_disk_mesh(nb, nr))
+        assert forms.perimeter == pytest.approx(2 * nb * np.sin(np.pi / nb), rel=1e-14)
+        assert forms.area == pytest.approx(0.5 * nb * np.sin(2 * np.pi / nb), rel=1e-13)
 
 
 def test_geometry_built_once_per_mesh():

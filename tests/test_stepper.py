@@ -337,7 +337,7 @@ def test_lumped_diagonal_equals_triple_product(K):
     p = _params(coupling=CouplingParams(K=K, L=1.0, alpha=0.8, beta=1.2))
     mesh = generate_disk_mesh(16, 4)
     st = Stepper(mesh, p)
-    phase = st.spaces.phase
+    phase = st.phase
     d = st.forms.lump_pair * np.random.default_rng(1).random(len(st.forms.lump_pair))
     # zero surface entries leave no sum to round a slaved product's last bit away
     bulk_only = np.where(np.arange(len(d)) < st.forms.n_bulk, d, 0.0)
@@ -469,7 +469,7 @@ def test_non_finite_kept_factor_refactors(monkeypatch, factor):
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
     state, _ = stepper.step(initial_state(mesh, p))
-    jacobian_shape = sp.eye(len(stepper.spaces.phase.idx) + len(stepper.spaces.chem.idx))
+    jacobian_shape = sp.eye(len(stepper.phase.idx) + len(stepper.chem.idx))
     stepper.system.factor = factor(jacobian_shape)
     calls = _count_splu(monkeypatch)
     new, report = stepper.step(state)
@@ -502,7 +502,7 @@ def test_jacobian_factor_is_accurate_and_sparse(monkeypatch, K, L, alpha, beta):
     lu = factor(J)
     assert np.linalg.norm(J @ lu.solve(b) - b) <= bscch.stepper.KRYLOV_RTOL * np.linalg.norm(b)
     # (b) far fewer L+U nonzeros than scipy's default splu in the (x, y) column order
-    ny = len(stepper.spaces.chem.idx)
+    ny = len(stepper.chem.idx)
     phase_first = as_scipy(J)[:, np.r_[ny:J.shape[0], 0:ny]].tocsc()
     default = scipy.sparse.linalg.splu(phase_first)
     assert lu.L.nnz + lu.U.nnz <= 0.6 * (default.L.nnz + default.U.nnz)
@@ -550,13 +550,13 @@ def _first_newton_iterate(stepper, p):
     """(initial state, the first iteration's Jacobian blocks A1, M_LK/tau, M_KL,
     A_K and lumped diagonal D)."""
     state = initial_state(stepper.mesh, p, stepper.forms)
-    phase = stepper.spaces.phase
+    phase = stepper.phase
     x_n = np.concatenate([state.phi, state.psi])[phase.idx]
     _, derivative, _ = stepper._nonlinear(phase.prolong(x_n))
     D = phase.lumped(stepper.forms.lump_pair * derivative)
-    chem, f = stepper.spaces.chem, stepper.forms
+    chem, f = stepper.chem, stepper.forms
     K_pair = sp.block_diag([as_scipy(K) for K in stepper.run_mobility], format="csr")
-    B_L = as_scipy(stepper.spaces.B_L)
+    B_L = as_scipy(chem.block)
     A1 = triple_product(chem, K_pair, chem) + triple_product(chem, B_L, chem)
     M_pair = as_scipy(f.M_pair)
     M_LK, M_KL = triple_product(chem, M_pair, phase), triple_product(phase, M_pair, chem)
@@ -628,8 +628,8 @@ def test_refreshed_linear_jacobian_matches_block_form(K, L, alpha, beta):
                 mob_bulk=mob, mob_surf=mob, velocity=ROTATION)
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
-    phase, chem, f = stepper.spaces.phase, stepper.spaces.chem, stepper.forms
-    M_pair, B_L = as_scipy(f.M_pair), as_scipy(stepper.spaces.B_L)
+    phase, chem, f = stepper.phase, stepper.chem, stepper.forms
+    M_pair, B_L = as_scipy(f.M_pair), as_scipy(chem.block)
     M_LK, M_KL = triple_product(chem, M_pair, phase), triple_product(phase, M_pair, chem)
     state = initial_state(mesh, p, stepper.forms)
     for _ in range(2):  # the J0 of each step is the one at the state it starts from
