@@ -8,6 +8,14 @@ by Moreau-Yosida regularization and a conservative, energy-stable
 convex-splitting time integrator.
 """
 
+import os
+
+# Before any submodule imports numpy: every BLAS call of the package is level 1-2 on
+# vectors of a few thousand entries, so OpenBLAS worker pools (numpy's, and the one of
+# the OpenBLAS that the SuperLU extension links) only compete with the main thread.  A
+# value the caller set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .assembly import CouplingParams, Mobility, VelocityField, assemble_core, sigma
 from .diagnostics import (
     CDReport,

@@ -13,7 +13,7 @@ import sys
 from .assembly import check_extended, check_weight
 from .config import load_run_config
 from .diagnostics import LIMITS, continuous_dependence_experiment, limit_study
-from .elliptic import estimate_poincare_constant, manufactured_errors
+from .elliptic import check_poincare_K, estimate_poincare_constant, manufactured_errors
 from .errors import BscchError, SolverFailure, ValidationError
 from .mesh import generate_disk_mesh, mesh_stats, write_mesh
 from .output import write_series, write_snapshots
@@ -127,6 +127,7 @@ def _cmd_elliptic_mms(args):
 
 def _cmd_poincare(args):
     check_extended("--K", args.K)
+    check_poincare_K(args.K)  # before any mesh is built
     check_weight("--alpha", args.alpha)
     check_weight("--beta", args.beta)
     mesh = generate_disk_mesh(args.nb, args.nr)

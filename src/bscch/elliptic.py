@@ -24,23 +24,28 @@ POINCARE_SEED = 0
 # The package's one sparse LU: both factored systems (the bordered ones here,
 # the stepper's Newton Jacobian) have a symmetric sparsity pattern, so it takes
 # a minimum-degree ordering on A^T + A and prefers diagonal pivots down to
-# this threshold times the column maximum.
+# this threshold times the column maximum.  Supernodes are not relaxed: SuperLU's
+# default merges small subtrees into supernodes and stores the explicit zeros that
+# adds (a fifth of the stored entries of the 64x16 Newton factor), which costs factor
+# and solve time.
 LU_DIAG_PIVOT_THRESH = 1e-3
+LU_RELAX = 1
 _superlu = load_extension("scipy.sparse.linalg._dsolve._superlu")
 
 
 def splu(A: Csr):
-    """``scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)``
-    as its one call of the extension, on the CSC form of the square record ``A``: a stable
-    sort by column keeps each column's rows ascending, as scipy's ``csr_tocsc``.  The
-    factors L and U come back as records of their transposes (CSC arrays read as CSR)."""
+    """``scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=LU_DIAG_PIVOT_THRESH,
+    relax=LU_RELAX)`` as its one call of the extension, on the CSC form of the square
+    record ``A``: a stable sort by column keeps each column's rows ascending, as scipy's
+    ``csr_tocsc``.  The factors L and U come back as records of their transposes (CSC
+    arrays read as CSR)."""
     n = A.shape[0]
     if A.shape[1] != n:
         raise ValueError("can only factor square matrices")
     order = np.argsort(A.indices, kind="stable")
     rows = np.repeat(np.arange(n, dtype=np.intc), np.diff(A.indptr))[order]
     indptr = np.searchsorted(A.indices[order], np.arange(n + 1)).astype(np.intc)
-    options = dict(ColPerm="MMD_AT_PLUS_A", DiagPivotThresh=LU_DIAG_PIVOT_THRESH)
+    options = dict(ColPerm="MMD_AT_PLUS_A", DiagPivotThresh=LU_DIAG_PIVOT_THRESH, Relax=LU_RELAX)
     return _superlu.gstrf(n, A.nnz, A.data[order], rows, indptr, ilu=False, options=options,
                           csc_construct_func=lambda arrays, shape: Csr(shape[::-1], *arrays))
 
@@ -146,6 +151,12 @@ def solve_coupled_poisson(K, alpha, f, g, forms: FormsBundle):
     return forms.split(solver.solve(forms.M_pair @ data))
 
 
+def check_poincare_K(K):
+    """Reject K = inf: the Poincare constant is defined for finite K."""
+    if np.isinf(K):
+        raise InvalidArgument("Poincare constant is defined for K in [0, inf)")
+
+
 def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta) -> float:
     """Discrete Poincare constant 1/sqrt(lambda_min).
 
@@ -154,8 +165,7 @@ def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta) -> float:
     beta-weighted combined mean, computed by inverse power iteration.
     """
     K = float(K)
-    if np.isinf(K):
-        raise InvalidArgument("Poincare constant is defined for K in [0, inf)")
+    check_poincare_K(K)
     forms = assemble_core(mesh)
     solver = BorderedSolver(forms, K, alpha, beta)
     A_red, M_red = solver.A, reduce(solver.space, forms.M_pair, solver.space)

@@ -41,10 +41,19 @@ from .mesh import TriMesh, csr_pattern, generate_disk_mesh
 from .potentials import Potential, check_domination, yosida
 
 DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
-# GMRES budget of each Newton correction (see _NewtonSystem).  The first block row
-# of the system is linear, so its linear residual is the step's mass defect: the
-# tolerance on the true residual is tight and fixed.
+# GMRES budget of each Newton correction (see _NewtonSystem).  A correction is solved to
+# the inexact-Newton forcing term eta = max(KRYLOV_RTOL, min(FORCING_MAX, 0.1 tol / res))
+# (Dembo, Eisenstat & Steihaug 1982): a tenth of the Newton tolerance relative to the
+# residual, never looser than FORCING_MAX.  A loose eta costs no mass.  The first block
+# row of the system is linear, and its residual along the conserved functional c of the
+# chem rows is the step's mass defect.  c A1 = 0 for every mobility, D enters only the
+# phase rows, and the kept factor F has the current tau (a new tau drops it), so
+# c (J F^-1 v)_1 = c v_1 for every v.  A GMRES correction q(J F^-1) b, taken with damping
+# lambda, then multiplies the mass defect by 1 - lambda q(1): a defect at roundoff stays
+# there.  Without these conditions (a Jacobian whose first block row depends on the
+# state), the tight KRYLOV_RTOL would be needed again; it stays the floor of eta.
 KRYLOV_RTOL = 1e-12
+FORCING_MAX = 1e-2
 KRYLOV_MAX_ITER = 10
 
 
@@ -219,6 +228,9 @@ class Stepper:
     def _nonlinear(self, phase_full):
         """Implicit regularized derivative, its diagonal Jacobian, the resolvents."""
         p = self.params
+        if p.pot_bulk == p.pot_surf:  # the resolvent works entry by entry: one call
+            value, deriv, j = yosida(p.pot_bulk, p.eps, phase_full)
+            return value, deriv, self.forms.split(j)
         phi, psi = self.forms.split(phase_full)
         fval, fder, fj = yosida(p.pot_bulk, p.eps, phi)
         gval, gder, gj = yosida(p.pot_surf, p.eps, psi)
@@ -287,8 +299,9 @@ class Stepper:
                 raise failure("non-finite Newton residual", res)
             if iters >= p.newton.max_iter:
                 raise failure("Newton did not converge", res)
+            eta = max(KRYLOV_RTOL, min(FORCING_MAX, 0.1 * tol / res))
             try:
-                delta = self.system.solve(phase.lumped(f.lump_pair * nonlinear[1]), -g)
+                delta = self.system.solve(phase.lumped(f.lump_pair * nonlinear[1]), -g, eta)
             except RuntimeError as exc:  # exactly singular Jacobian
                 raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
             if not np.all(np.isfinite(delta)):
@@ -331,10 +344,11 @@ class _NewtonSystem:
     which the package's `splu` (symmetric ordering, diagonal pivots) is set for.
 
     It is factored rarely: ``factor`` is kept across Newton iterations and steps
-    and preconditions the GMRES solve of each correction.  When GMRES misses its
-    tolerance within KRYLOV_MAX_ITER iterations, the correction is the direct
-    solve with a new factor, taken then; a new tau drops the factor (J0 holds
-    M_LK / tau).  ``linear_iters`` and ``factorizations`` count from the start.
+    and preconditions the GMRES solve of each correction to the caller's
+    tolerance.  When GMRES misses it within KRYLOV_MAX_ITER iterations, the
+    correction is the direct solve with a new factor, taken then; a new tau
+    drops the factor (J0 holds M_LK / tau).  ``linear_iters`` and
+    ``factorizations`` count from the start.
     """
 
     def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K):
@@ -366,13 +380,13 @@ class _NewtonSystem:
             self.tau, self.K_b, self.J0 = tau, K_b, scatter(self.pattern, np.concatenate(data))
         return self.J0
 
-    def solve(self, D, rhs):
-        """The correction delta with (J0 - diag(0, D)) delta = rhs: GMRES
-        preconditioned by the kept factor, else the direct solve with a new
-        factor.  An exactly singular Jacobian raises RuntimeError."""
+    def solve(self, D, rhs, rtol=KRYLOV_RTOL):
+        """The correction delta with (J0 - diag(0, D)) delta = rhs: GMRES to the
+        relative tolerance rtol, preconditioned by the kept factor, else the direct
+        solve with a new factor.  An exactly singular Jacobian raises RuntimeError."""
         self.D = D
         if self.factor is not None:
-            delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs)
+            delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs, rtol)
             self.linear_iters += n_krylov
             if delta is not None:
                 return delta
@@ -390,12 +404,12 @@ class _NewtonSystem:
         return w
 
 
-def _krylov(apply_jacobian, precondition, b):
+def _krylov(apply_jacobian, precondition, b, rtol):
     """Right-preconditioned GMRES for J x = b: one cycle of at most
     KRYLOV_MAX_ITER iterations, its least-squares problem kept triangular by
     Givens rotations (no LAPACK call, whose first use costs about 1 MB of
     resident memory).  Returns (x, iterations), with x None unless the true
-    residual |b - J x| reaches KRYLOV_RTOL |b| (never for a non-finite x)."""
+    residual |b - J x| reaches rtol |b| (never for a non-finite x)."""
     m = KRYLOV_MAX_ITER
     b_norm = np.linalg.norm(b)
     R, rotations = np.zeros((m, m)), []
@@ -420,12 +434,12 @@ def _krylov(apply_jacobian, precondition, b):
         rotations.append((c, s))
         R[j, j] = r
         e[j], e[j + 1] = c * e[j], -s * e[j]
-        if abs(e[j + 1]) <= KRYLOV_RTOL * b_norm:  # the residual estimate; now the true one
+        if abs(e[j + 1]) <= rtol * b_norm:  # the residual estimate; now the true one
             y = np.zeros(j + 1)
             for i in range(j, -1, -1):
                 y[i] = (e[i] - R[i, i + 1:j + 1] @ y[i + 1:]) / R[i, i]
             x = y @ np.array(search)
-            if np.linalg.norm(b - apply_jacobian(x)) <= KRYLOV_RTOL * b_norm:
+            if np.linalg.norm(b - apply_jacobian(x)) <= rtol * b_norm:
                 return x, j + 1
         if h == 0.0:
             break

@@ -359,6 +359,15 @@ def test_poincare_subcommand(capsys):
     assert "C_P" in capsys.readouterr().out
 
 
+def test_poincare_at_infinite_K_exits_1_before_any_mesh(capsys, monkeypatch):
+    # built the default 64x16 mesh first
+    built = []
+    monkeypatch.setattr(bscch.cli, "generate_disk_mesh", lambda *a: built.append(a))
+    assert main(["poincare", "--K", "inf"]) == 1
+    assert "Poincare constant is defined for K in [0, inf)" in capsys.readouterr().err
+    assert built == []
+
+
 def test_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
 
@@ -557,6 +566,28 @@ def test_module_entry_point(tmp_path):
     out = tmp_path / "m.mesh"
     _python("-m", "bscch.cli", "mesh", "--nb", "8", "--nr", "1", "--out", str(out))
     assert read_mesh(out).n_vertices == 9
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_run_starts_no_blas_thread_pool(cfg_file, monkeypatch, preset):
+    # numpy's OpenBLAS and the one SuperLU links each started a worker pool: 3 tasks.
+    # A value the caller set is left alone
+    if preset is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", preset)
+    code = f"""
+import contextlib, io, os
+from bscch.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["run", "--config", {cfg_file!r}]) == 0
+print(len(os.listdir("/proc/self/task")), os.environ["OPENBLAS_NUM_THREADS"])
+"""
+    tasks, value = _python("-c", code).split()
+    assert value == (preset or "1")
+    if preset is None:
+        assert tasks == "1"
 
 
 def test_cli_import_leaves_unused_numpy_submodules_unexecuted():

@@ -21,6 +21,7 @@ from bscch.assembly import (
 )
 from bscch.elliptic import (
     LU_DIAG_PIVOT_THRESH,
+    LU_RELAX,
     BorderedSolver,
     InverseCoupledOperator,
     estimate_poincare_constant,
@@ -160,7 +161,7 @@ def test_splu_is_the_public_splu_with_the_package_options(monkeypatch, matrix):
     record = matrix(monkeypatch)
     A = sp.csc_array(as_scipy(record))
     reference = scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A",
-                                         diag_pivot_thresh=LU_DIAG_PIVOT_THRESH)
+                                         diag_pivot_thresh=LU_DIAG_PIVOT_THRESH, relax=LU_RELAX)
     rows, cols, vals = triplets(record)  # each entry given twice, as two exact halves
     halves = from_triplets(A.shape, (rows, cols, vals / 2), (rows, cols, vals / 2))
     b = np.random.default_rng(11).standard_normal(A.shape[0])

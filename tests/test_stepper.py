@@ -431,6 +431,45 @@ def test_kept_factor_through_a_rescue_matches_refactoring_every_iteration(monkey
     assert max(kept_drift, fresh_drift) <= 1e-13
 
 
+def _loosest_forcing(monkeypatch):
+    """Every GMRES solve to FORCING_MAX, the loosest forcing term."""
+    krylov = bscch.stepper._krylov
+    monkeypatch.setattr(bscch.stepper, "_krylov", lambda apply, precondition, b, rtol: krylov(
+        apply, precondition, b, bscch.stepper.FORCING_MAX))
+
+
+@pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
+def test_mass_conserved_at_the_loosest_forcing_term(monkeypatch, K, L):
+    # the kept factor has the step's tau, so a loose GMRES solve moves no mass
+    _loosest_forcing(monkeypatch)
+    _, reports, drift = _steps(_params(K=K, L=L), 20, generate_disk_mesh(32, 8))
+    assert sum(r.linear_iters for r in reports) > 0
+    assert drift <= 1e-13
+
+
+def test_mass_conserved_at_the_loosest_forcing_term_with_degenerate_mobility(monkeypatch):
+    # J0 changes every step while the kept factor holds an older mobility
+    mob = Mobility(kind="degenerate", m0=0.5, m1=2.0)
+    _loosest_forcing(monkeypatch)
+    _, reports, drift = _steps(_params(K=0.0, L=0.0, mob_bulk=mob, mob_surf=mob, velocity=ROTATION),
+                               20, generate_disk_mesh(32, 8))
+    assert sum(r.linear_iters for r in reports) > 0
+    assert drift <= 1e-13
+
+
+def test_mass_conserved_at_the_loosest_forcing_term_through_a_rescue(monkeypatch):
+    # one more Newton iteration than the HARD rescue above, which the loose solves need
+    p = _params(newton=NewtonParams(max_iter=3, max_tau_halvings=6), **HARD)
+    taus = []
+    step = Stepper.step
+    monkeypatch.setattr(Stepper, "step", lambda stepper, state, tau: taus.append(tau) or step(
+        stepper, state, tau))
+    _loosest_forcing(monkeypatch)
+    _, reports, drift = _steps(p, 3, generate_disk_mesh(16, 4))
+    assert min(taus) < p.tau and sum(r.linear_iters for r in reports) > 0
+    assert drift <= 1e-13
+
+
 def _count_splu(monkeypatch):
     calls = []
     factor = bscch.stepper.splu
@@ -668,11 +707,10 @@ def test_record_energy_equals_recomputed_energy(K, pot):
         assert rec.energy == energy(s.phi, s.psi, res.forms, p)
 
 
-def test_each_resolvent_evaluated_once(monkeypatch):
-    # two (bulk, surface) per damping trial and two for the predictor when it is
-    # tried; none for a step's first residual, except at a hand-built state, and
-    # none for the record of the state a step returns
-    p = _params()
+def _count_resolvents(monkeypatch, p, per_residual):
+    """Over four steps: per_residual resolvent calls per damping trial and for the
+    predictor when it is tried; none for a step's first residual, except at a
+    hand-built state, and none for the record of the state a step returns."""
     mesh = generate_disk_mesh(16, 4)
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p, stepper.forms)
@@ -691,11 +729,21 @@ def test_each_resolvent_evaluated_once(monkeypatch):
         assert predicted == (k > 1)
         state, report = stepper.step(state)
         assert report.newton_iters > 0
-        assert len(calls) == (2 * report.newton_iters + (2 if predicted else 0)
-                              + (2 if k == 0 else 0))
+        assert len(calls) == per_residual * (report.newton_iters + predicted + (k == 0))
         calls.clear()
         make_record(state, stepper.forms, p, report, 0.0, p.tau)
         assert calls == []
+
+
+def test_each_resolvent_evaluated_once(monkeypatch):
+    # both wells the same record: one call on the whole pair (the resolvent works entry
+    # by entry)
+    _count_resolvents(monkeypatch, _params(), 1)
+
+
+def test_each_resolvent_evaluated_once_for_unequal_wells(monkeypatch):
+    # an admissible pair of different wells: one call each for bulk and surface
+    _count_resolvents(monkeypatch, _params(pot_surf=Potential("log", theta_c=1.5)), 2)
 
 
 # -- the Newton start: the extrapolated state ---------------------------------------
