@@ -75,10 +75,10 @@ def _build_parser():
 def _cmd_mesh(args):
     mesh = generate_disk_mesh(args.nb, args.nr)
     write_mesh(mesh, args.out)
-    st = mesh_stats(mesh)
+    h_max, min_angle = mesh_stats(mesh)
     print(f"wrote {args.out}: {mesh.n_vertices} vertices, "
-          f"{len(mesh.triangles)} triangles, h_max={st.h_max:.6g}, "
-          f"min_angle={st.min_angle:.4g} deg")
+          f"{len(mesh.triangles)} triangles, h_max={h_max:.6g}, "
+          f"min_angle={min_angle:.4g} deg")
     return 0
 
 

@@ -113,12 +113,6 @@ class TriMesh:
         return _element_geometry(self.vertices, self.triangles, self.boundary_loop)
 
 
-@dataclass(frozen=True)
-class MeshStats:
-    h_max: float
-    min_angle: float  # degrees
-
-
 def validate_mesh(mesh: TriMesh):
     """Raise ValidationError if any structural invariant is violated."""
     v, t, loop = mesh.vertices, mesh.triangles, mesh.boundary_loop
@@ -188,7 +182,8 @@ def generate_disk_mesh(nb: int, nr: int) -> TriMesh:
     return TriMesh(vertices=vertices, triangles=triangles, boundary_loop=a[-1])
 
 
-def mesh_stats(mesh: TriMesh) -> MeshStats:
+def mesh_stats(mesh: TriMesh):
+    """(h_max, min_angle): the longest edge and the smallest corner angle in degrees."""
     v, t = mesh.vertices, mesh.triangles
     p = v[t]
     e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
@@ -202,7 +197,7 @@ def mesh_stats(mesh: TriMesh) -> MeshStats:
         return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
 
     ang = np.minimum(np.minimum(corner(e0, e1, e2), corner(e1, e2, e0)), corner(e2, e0, e1))
-    return MeshStats(h_max=h_max, min_angle=float(ang.min()))
+    return h_max, float(ang.min())
 
 
 def write_mesh(mesh: TriMesh, path):

@@ -13,8 +13,8 @@ supported:
 * ``obst`` -- double obstacle, convex part the indicator of [-1,1],
   smooth part 1 - s^2
 
-All evaluation routines accept scalars or numpy arrays and are pure
-functions.
+All evaluation routines take float numpy arrays (``resolvent``, ``yosida``
+and ``moreau_envelope`` one-dimensional ones) and are pure functions.
 """
 
 from __future__ import annotations
@@ -98,14 +98,9 @@ class Potential:
         if self.kind == "reg":
             return self.c * r**4
         if self.kind == "log":
-            out = np.where(
-                np.abs(r) <= 1.0,
-                0.5 * self.theta * (_xlogx(1.0 + r) + _xlogx(1.0 - r)),
-                np.inf,
-            )
-            return out if out.shape else float(out)
-        out = np.where(np.abs(r) <= 1.0, 0.0, np.inf)
-        return out if out.shape else float(out)
+            return np.where(np.abs(r) <= 1.0,
+                            0.5 * self.theta * (_xlogx(1.0 + r) + _xlogx(1.0 - r)), np.inf)
+        return np.where(np.abs(r) <= 1.0, 0.0, np.inf)
 
     def second_derivative(self, r):
         """F1''(r) on the interior of the prime domain."""
@@ -114,7 +109,7 @@ class Potential:
             return 12.0 * self.c * r**2
         if self.kind == "log":
             return self.theta / (1.0 - r**2)
-        return np.zeros_like(r) if r.shape else 0.0
+        return np.zeros_like(r)
 
     def smooth_value(self, r):
         """F2(r), concave with a Lipschitz derivative."""
@@ -136,8 +131,8 @@ class Potential:
 
 
 def _as_eps(eps):
-    # scalar operations are total for any positive eps; the strict (0,1)
-    # range is enforced on run configurations (RunParams)
+    # the calculus is total for any positive eps; the strict (0,1) range is
+    # enforced on run configurations (RunParams)
     e = float(eps)
     if not (e > 0.0):
         raise InvalidArgument(f"regularization parameter must be positive, got {e}")
@@ -173,7 +168,7 @@ def _monotone_newton(sweep, x, a, y, direction):
 
 
 def resolvent(pot: Potential, eps, r):
-    """(I + eps*f1)^{-1}(r), the unique s with s + eps*f1(s) = r.
+    """(I + eps*f1)^{-1}(r), the unique s with s + eps*f1(s) = r, entry by entry.
 
     For the obstacle graph this is the projection onto [-1,1].  Smooth kinds
     solve for |s| by monotone Newton, so each entry stops at its root to
@@ -184,21 +179,15 @@ def resolvent(pot: Potential, eps, r):
     = |r| is convex, and Newton from s = |r| descends to the root.
     """
     e = _as_eps(eps)
-    r_arr = np.asarray(r, dtype=float)
-    _check_finite(r_arr)
-    scalar = r_arr.ndim == 0
-    x = np.atleast_1d(r_arr)
-    y = np.abs(x)
-
+    _check_finite(r)
     if pot.kind == "obst":
-        s = np.clip(x, -1.0, 1.0)
-    elif pot.kind == "log":
+        return np.clip(r, -1.0, 1.0)
+    y = np.abs(r)
+    if pot.kind == "log":
         a = e * pot.theta
         u = _monotone_newton(_log_sweep, np.maximum(y / (1.0 + a), (y - 1.0) / a), a, y, 1)
-        s = np.copysign(np.minimum(np.tanh(u), 1.0 - _EDGE_MARGIN), x)
-    else:
-        s = np.copysign(_monotone_newton(_reg_sweep, y.copy(), 4.0 * e * pot.c, y, -1), x)
-    return float(s[0]) if scalar else s
+        return np.copysign(np.minimum(np.tanh(u), 1.0 - _EDGE_MARGIN), r)
+    return np.copysign(_monotone_newton(_reg_sweep, y.copy(), 4.0 * e * pot.c, y, -1), r)
 
 
 def yosida(pot: Potential, eps, r):
@@ -209,20 +198,13 @@ def yosida(pot: Potential, eps, r):
     value: (1 - J'(r))/eps, with the convention that the obstacle derivative
     is 0 on the closed interval [-1,1].
     """
-    e = _as_eps(eps)
-    r_arr = np.asarray(r, dtype=float)
-    scalar = r_arr.ndim == 0
-    x = np.atleast_1d(r_arr)
-
-    j = resolvent(pot, e, x)  # rejects non-finite r
-    value = (x - j) / e
+    j = resolvent(pot, eps, r)  # checks eps and r
+    e = float(eps)
     if pot.kind == "obst":
-        deriv = np.where(np.abs(x) <= 1.0, 0.0, 1.0 / e)
+        deriv = np.where(np.abs(r) <= 1.0, 0.0, 1.0 / e)
     else:
-        jprime = 1.0 / (1.0 + e * pot.second_derivative(j))
-        deriv = (1.0 - jprime) / e
-    out = (value, deriv, j)
-    return tuple(float(a[0]) for a in out) if scalar else out
+        deriv = (1.0 - 1.0 / (1.0 + e * pot.second_derivative(j))) / e
+    return (r - j) / e, deriv, j
 
 
 def moreau_envelope(pot: Potential, eps, r, j=None):

@@ -252,7 +252,6 @@ class Stepper:
         x_n = np.concatenate([state.phi, state.psi])[phase.idx]
         K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
         J0 = self.system.jacobian(tau, K_b, K_s)
-        counted = self.system.linear_iters, self.system.factorizations  # before this step
 
         if self.convection is None:
             conv = np.zeros(f.n_bulk + f.n_surf)
@@ -293,7 +292,7 @@ class Stepper:
                 g_pred, res_pred, nl_pred = residual(x_pred, y_pred, self._nonlinear(phase_pred))
                 if res_pred < res:
                     x, y, g, res, nonlinear = x_pred, y_pred, g_pred, res_pred, nl_pred
-        iters = 0
+        iters = linear_iters = factorizations = 0
         while not res <= tol:  # a NaN residual must fail, not pass as converged
             if not np.isfinite(res):
                 raise failure("non-finite Newton residual", res)
@@ -301,7 +300,8 @@ class Stepper:
                 raise failure("Newton did not converge", res)
             eta = max(KRYLOV_RTOL, min(FORCING_MAX, 0.1 * tol / res))
             try:
-                delta = self.system.solve(phase.lumped(f.lump_pair * nonlinear[1]), -g, eta)
+                delta, krylov, factored = self.system.solve(
+                    phase.lumped(f.lump_pair * nonlinear[1]), -g, eta)
             except RuntimeError as exc:  # exactly singular Jacobian
                 raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
             if not np.all(np.isfinite(delta)):
@@ -316,13 +316,13 @@ class Stepper:
                     break
             x, y, g, res, nonlinear = x_try, y_try, g_try, res_try, nl_try
             iters += 1
+            linear_iters += krylov
+            factorizations += factored
 
         new = State(t_new, *f.split(phase.prolong(x)), *f.split(chem.prolong(y)), nonlinear,
                     None if state.nonlinear is None else (tau, x_n, y_n))
         mu, theta = new.mu, new.theta
-        report = StepReport(newton_iters=iters,
-                            linear_iters=self.system.linear_iters - counted[0],
-                            factorizations=self.system.factorizations - counted[1],
+        report = StepReport(iters, linear_iters, factorizations,
                             diss_bulk=float(mu @ (K_b @ mu)),
                             diss_surf=float(theta @ (K_s @ theta)),
                             robin_gap_sq=f.mismatch_sq(mu, theta, p.coupling.beta))
@@ -347,8 +347,7 @@ class _NewtonSystem:
     and preconditions the GMRES solve of each correction to the caller's
     tolerance.  When GMRES misses it within KRYLOV_MAX_ITER iterations, the
     correction is the direct solve with a new factor, taken then; a new tau
-    drops the factor (J0 holds M_LK / tau).  ``linear_iters`` and
-    ``factorizations`` count from the start.
+    drops the factor (J0 holds M_LK / tau).
     """
 
     def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K):
@@ -368,7 +367,6 @@ class _NewtonSystem:
         rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
         self.tau = self.K_b = self.J0 = self.D = self.factor = None
-        self.linear_iters = self.factorizations = 0
 
     def jacobian(self, tau, K_b, K_s):
         """J0 for step size tau and mobility blocks (K_b, K_s), built anew when either changed."""
@@ -383,19 +381,19 @@ class _NewtonSystem:
     def solve(self, D, rhs, rtol=KRYLOV_RTOL):
         """The correction delta with (J0 - diag(0, D)) delta = rhs: GMRES to the
         relative tolerance rtol, preconditioned by the kept factor, else the direct
-        solve with a new factor.  An exactly singular Jacobian raises RuntimeError."""
+        solve with a new factor.  Returns (delta, GMRES iterations, factorizations
+        taken: 0 or 1).  An exactly singular Jacobian raises RuntimeError."""
         self.D = D
+        n_krylov = 0
         if self.factor is not None:
             delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs, rtol)
-            self.linear_iters += n_krylov
             if delta is not None:
-                return delta
+                return delta, n_krylov, 0
         self.factor = None  # the old factor goes first, two alive would double memory
         data = self.J0.data.copy()
         data[self.x_diag] -= D
         self.factor = splu(prune(replace(self.J0, data=data)))  # J0 - diag(0, D), as scipy's
-        self.factorizations += 1
-        return self.factor.solve(rhs)
+        return self.factor.solve(rhs), n_krylov, 1
 
     def _apply(self, v):
         """The Jacobian J0 - diag(0, D) applied to v."""

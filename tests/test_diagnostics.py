@@ -68,8 +68,9 @@ def test_energy_constant_state(forms):
     m = 0.4
     phi = np.full(forms.n_bulk, m)
     psi = np.full(forms.n_surf, m)
-    Fe = moreau_envelope(p.pot_bulk, p.eps, m) + p.pot_bulk.smooth_value(m)
-    Ge = moreau_envelope(p.pot_surf, p.eps, m) + p.pot_surf.smooth_value(m)
+    r = np.array([m])
+    (Fe,) = moreau_envelope(p.pot_bulk, p.eps, r) + p.pot_bulk.smooth_value(r)
+    (Ge,) = moreau_envelope(p.pot_surf, p.eps, r) + p.pot_surf.smooth_value(r)
     expected = forms.area * Fe + forms.perimeter * Ge
     assert energy(phi, psi, forms, p) == pytest.approx(expected, rel=1e-14)
 

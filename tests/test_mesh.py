@@ -142,6 +142,6 @@ def test_generated_meshes_valid_and_euler(nb, nr):
             edges.add(frozenset((tri[a], tri[b])))
     # Euler formula for a disk: V - E + F = 1 (triangles only)
     assert m.n_vertices - len(edges) + len(m.triangles) == 1
-    st_ = mesh_stats(m)
-    assert st_.min_angle > 10.0
-    assert st_.h_max < 2 * np.pi / nb + 1.2 / nr
+    h_max, min_angle = mesh_stats(m)
+    assert min_angle > 10.0
+    assert h_max < 2 * np.pi / nb + 1.2 / nr

@@ -30,22 +30,21 @@ EPS_LIST = (0.5, 0.1, 0.02)
 def test_resolvent_obstacle_clamps():
     pot = Potential("obst")
     # obstacle resolvent is the projection onto [-1, 1]
-    assert resolvent(pot, 0.5, 2.0) == pytest.approx(1.0, abs=1e-13)
-    assert resolvent(pot, 0.5, -3.0) == pytest.approx(-1.0, abs=1e-13)
-    assert resolvent(pot, 0.5, 0.3) == pytest.approx(0.3, abs=1e-13)
+    j = resolvent(pot, 0.5, np.array([2.0, -3.0, 0.3]))
+    np.testing.assert_allclose(j, [1.0, -1.0, 0.3], rtol=0, atol=1e-13)
 
 
 def test_resolvent_quartic_worked_example():
     # J solves 4*eps*c*J^3 + J = r; with c=1, eps=0.25, r=2: J=1
     pot = Potential("reg")
-    assert resolvent(pot, 0.25, 2.0) == pytest.approx(1.0, abs=1e-12)
+    np.testing.assert_allclose(resolvent(pot, 0.25, np.array([2.0])), [1.0], rtol=0, atol=1e-12)
 
 
 def test_resolvent_log_inverts_forward_map():
     # r = J + eps*Theta*atanh(J) at J=0.5, Theta=1, eps=1
     pot = Potential("log", theta=1.0, theta_c=1.6)
-    r = 0.5 + np.arctanh(0.5)
-    assert resolvent(pot, 1.0, r) == pytest.approx(0.5, abs=1e-12)
+    r = np.array([0.5 + np.arctanh(0.5)])
+    np.testing.assert_allclose(resolvent(pot, 1.0, r), [0.5], rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -53,8 +52,9 @@ def test_resolvent_vectorized_matches_scalar(kind):
     pot = Potential(kind)
     grid = np.linspace(-3, 3, 41)
     vec = resolvent(pot, 0.1, grid)
-    scalars = np.array([resolvent(pot, 0.1, float(r)) for r in grid])
-    np.testing.assert_allclose(vec, scalars, rtol=0, atol=1e-14)
+    # each entry stops on its own: one-entry arrays give the same values
+    singles = np.concatenate([resolvent(pot, 0.1, grid[i:i + 1]) for i in range(len(grid))])
+    np.testing.assert_allclose(vec, singles, rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("eps", [0.05, 0.01, 1e-3])
@@ -85,20 +85,20 @@ def test_log_resolvent_sweeps_bounded_near_the_singularity(monkeypatch, eps):
 
 def test_eval_regularized_obstacle():
     # eps=0.5, r=2: J=1, f1e=(2-1)/0.5=2, F1e=1, F2=1-4=-3 => Fe=-2, f2=-4
-    pot = Potential("obst")
-    Fe = moreau_envelope(pot, 0.5, 2.0) + pot.smooth_value(2.0)
-    f1e, _, _ = yosida(pot, 0.5, 2.0)
-    assert Fe == pytest.approx(-2.0, abs=1e-13)
-    assert f1e == pytest.approx(2.0, abs=1e-13)
-    assert pot.smooth_derivative(2.0) == pytest.approx(-4.0, abs=1e-13)
+    pot, r = Potential("obst"), np.array([2.0])
+    Fe = moreau_envelope(pot, 0.5, r) + pot.smooth_value(r)
+    f1e, _, _ = yosida(pot, 0.5, r)
+    assert Fe[0] == pytest.approx(-2.0, abs=1e-13)
+    assert f1e[0] == pytest.approx(2.0, abs=1e-13)
+    assert pot.smooth_derivative(r)[0] == pytest.approx(-4.0, abs=1e-13)
 
 
 def test_eval_regularized_quartic():
     # c=1, eps=0.25, r=2: J=1, f1e=(2-1)/0.25=4, f2=-4*2=-8
-    pot = Potential("reg")
-    f1e, _, _ = yosida(pot, 0.25, 2.0)
-    assert f1e == pytest.approx(4.0, abs=1e-12)
-    assert pot.smooth_derivative(2.0) == pytest.approx(-8.0, abs=1e-12)
+    pot, r = Potential("reg"), np.array([2.0])
+    f1e, _, _ = yosida(pot, 0.25, r)
+    assert f1e[0] == pytest.approx(4.0, abs=1e-12)
+    assert pot.smooth_derivative(r)[0] == pytest.approx(-8.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -109,11 +109,11 @@ def test_envelope_matches_direct_minimization(kind):
     lo, hi = pot.prime_domain
     s = np.linspace(max(lo, -3.0) + 1e-12, min(hi, 3.0) - 1e-12, 600001)
     vals = pot.value(s)
-    for r in (-1.5, -0.4, 0.0, 0.7, 2.0):
-        direct = np.min((r - s) ** 2 / (2 * eps) + vals)
-        # grid-minimization error is (delta^2/8) F1''(s*); near the log
-        # singularity that is a few 1e-8 at this resolution
-        assert moreau_envelope(pot, eps, r) == pytest.approx(direct, abs=5e-8)
+    r = np.array([-1.5, -0.4, 0.0, 0.7, 2.0])
+    direct = np.min((r[:, None] - s) ** 2 / (2 * eps) + vals, axis=1)
+    # grid-minimization error is (delta^2/8) F1''(s*); near the log
+    # singularity that is a few 1e-8 at this resolution
+    np.testing.assert_allclose(moreau_envelope(pot, eps, r), direct, rtol=0, atol=5e-8)
 
 
 # -- scalar battery (acceptance criterion 1 at unit level) --------------------
@@ -136,7 +136,7 @@ finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
        r1=finite, r2=finite)
 def test_resolvent_monotone_and_nonexpansive(kind, eps, r1, r2):
     pot = Potential(kind)
-    j1, j2 = resolvent(pot, eps, r1), resolvent(pot, eps, r2)
+    j1, j2 = resolvent(pot, eps, np.array([r1, r2]))
     assert (j2 - j1) * (r2 - r1) >= -1e-12
     assert abs(j2 - j1) <= abs(r2 - r1) + 1e-12
 
@@ -145,7 +145,7 @@ def test_resolvent_monotone_and_nonexpansive(kind, eps, r1, r2):
 @given(kind=st.sampled_from(KINDS), eps=st.sampled_from(EPS_LIST), r=finite)
 def test_yosida_bounded_by_linear(kind, eps, r):
     pot = Potential(kind)
-    val, _, _ = yosida(pot, eps, r)
+    (val,), _, _ = yosida(pot, eps, np.array([r]))
     assert abs(val) <= abs(r) / eps + 1e-10
 
 
@@ -153,8 +153,8 @@ def test_yosida_bounded_by_linear(kind, eps, r):
 @given(kind=st.sampled_from(KINDS), eps=st.sampled_from(EPS_LIST),
        r=st.floats(min_value=-0.999, max_value=0.999))
 def test_envelope_below_potential(kind, eps, r):
-    pot = Potential(kind)
-    assert moreau_envelope(pot, eps, r) <= pot.value(r) + 1e-12
+    pot, r = Potential(kind), np.array([r])
+    assert moreau_envelope(pot, eps, r)[0] <= pot.value(r)[0] + 1e-12
 
 
 @settings(max_examples=100, deadline=None)
@@ -162,7 +162,7 @@ def test_envelope_below_potential(kind, eps, r):
 def test_resolvent_stays_in_domain(kind, r):
     pot = Potential(kind)
     lo, hi = pot.prime_domain
-    j = resolvent(pot, 0.1, r)
+    (j,) = resolvent(pot, 0.1, np.array([r]))
     assert lo - 1e-12 <= j <= hi + 1e-12
 
 
@@ -271,11 +271,12 @@ def test_log_value_matches_xlogy_reference():
     r = np.concatenate([np.linspace(-1.0, 1.0, 2001), [0.0, -1.0, 1.0, np.nextafter(1.0, 0.0)]])
     ref = 0.5 * pot.theta * (xlogy(1.0 + r, 1.0 + r) + xlogy(1.0 - r, 1.0 - r))
     np.testing.assert_allclose(pot.value(r), ref, rtol=0.0, atol=1e-15)
-    assert pot.value(1.0) == pytest.approx(pot.theta * np.log(2.0), rel=1e-15)  # 0 log 0 = 0
+    edge = pot.value(np.array([1.0]))[0]
+    assert edge == pytest.approx(pot.theta * np.log(2.0), rel=1e-15)  # 0 log 0 = 0
     outside = np.array([-1.5, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), 3.0])
     with np.errstate(all="raise"):  # no warning leaks from the unused branch
         assert np.all(pot.value(outside) == np.inf)
-        assert pot.value(2.0) == np.inf
+        assert pot.value(np.array([2.0]))[0] == np.inf
 
 
 def test_cli_import_does_not_load_scipy_special():
