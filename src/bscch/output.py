@@ -21,14 +21,18 @@ def write_series(path, records):
             fh.write(",".join(_fmt(v) for v in rec.as_row()) + "\n")
 
 
+def _rows(row_format, array):
+    """One formatted line per row of ``array``, with one format operation."""
+    return (row_format * len(array)) % tuple(array.ravel().tolist())
+
+
 def _bulk_geometry(mesh):
     """Legacy VTK unstructured grid of the triangulation, up to POINT_DATA."""
     n, m = mesh.n_vertices, len(mesh.triangles)
     return ("# vtk DataFile Version 3.0\nbulk phase field snapshot\nASCII\n"
             f"DATASET UNSTRUCTURED_GRID\nPOINTS {n} double\n"
-            + "".join("%.17g %.17g 0\n" % (x, y) for x, y in mesh.vertices.tolist())
-            + f"CELLS {m} {4 * m}\n" + "".join("3 %d %d %d\n" % (a, b, c)
-                                                for a, b, c in mesh.triangles.tolist())
+            + _rows("%.17g %.17g 0\n", mesh.vertices)
+            + f"CELLS {m} {4 * m}\n" + _rows("3 %d %d %d\n", mesh.triangles)
             + f"CELL_TYPES {m}\n" + "5\n" * m + f"POINT_DATA {n}\n")
 
 
@@ -37,10 +41,8 @@ def _surface_geometry(mesh):
     b = mesh.n_boundary
     return ("# vtk DataFile Version 3.0\nsurface phase field snapshot\nASCII\n"
             f"DATASET POLYDATA\nPOINTS {b} double\n"
-            + "".join("%.17g %.17g 0\n" % (x, y)
-                      for x, y in mesh.vertices[mesh.boundary_loop].tolist())
-            + f"LINES {b} {3 * b}\n" + "".join("2 %d %d\n" % (i, j)
-                                                for i, j in mesh.geometry.edge_pos.tolist())
+            + _rows("%.17g %.17g 0\n", mesh.vertices[mesh.boundary_loop])
+            + f"LINES {b} {3 * b}\n" + _rows("2 %d %d\n", mesh.geometry.edge_pos)
             + f"POINT_DATA {b}\n")
 
 
@@ -50,7 +52,7 @@ def _write_vtk(path, geometry, scalars):
         fh.write(geometry)
         for name, vals in scalars:
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.write("".join("%.17g\n" % v for v in vals.tolist()))
+            fh.write(_rows("%.17g\n", vals))
 
 
 def write_snapshots(outdir, mesh, states):

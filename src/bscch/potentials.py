@@ -83,6 +83,12 @@ class Potential:
                 raise InvalidArgument(f"potential.{name} must be finite, got {getattr(self, name)}")
 
     @property
+    def concavity(self):
+        """-F2'', constant: the regularized F1_eps + F2 is bounded below exactly when
+        eps * concavity < 1, since F1_eps grows like r^2 / (2 eps)."""
+        return {"reg": 4.0 * self.c, "log": self.theta_c, "obst": 2.0}[self.kind]
+
+    @property
     def prime_domain(self):
         return (-math.inf, math.inf) if self.kind == "reg" else (-1.0, 1.0)
 
@@ -214,10 +220,9 @@ def moreau_envelope(pot: Potential, eps, r, j=None):
     caller already has it.
     """
     e = _as_eps(eps)
-    r_arr = np.asarray(r, dtype=float)
-    _check_finite(r_arr)
-    j = resolvent(pot, e, r_arr) if j is None else j
-    return (r_arr - j) ** 2 / (2.0 * e) + pot.value(j)
+    _check_finite(r)
+    j = resolvent(pot, e, r) if j is None else j
+    return (r - j) ** 2 / (2.0 * e) + pot.value(j)
 
 
 @dataclass

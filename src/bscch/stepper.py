@@ -44,14 +44,19 @@ DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
 # GMRES budget of each Newton correction (see _NewtonSystem).  A correction is solved to
 # the inexact-Newton forcing term eta = max(KRYLOV_RTOL, min(FORCING_MAX, 0.1 tol / res))
 # (Dembo, Eisenstat & Steihaug 1982): a tenth of the Newton tolerance relative to the
-# residual, never looser than FORCING_MAX.  A loose eta costs no mass.  The first block
-# row of the system is linear, and its residual along the conserved functional c of the
-# chem rows is the step's mass defect.  c A1 = 0 for every mobility, D enters only the
-# phase rows, and the kept factor F has the current tau (a new tau drops it), so
-# c (J F^-1 v)_1 = c v_1 for every v.  A GMRES correction q(J F^-1) b, taken with damping
-# lambda, then multiplies the mass defect by 1 - lambda q(1): a defect at roundoff stays
-# there.  Without these conditions (a Jacobian whose first block row depends on the
-# state), the tight KRYLOV_RTOL would be needed again; it stays the floor of eta.
+# residual, never looser than FORCING_MAX.  Mass takes a second test.  The first block row
+# of the system is linear: for each conserved mass w @ (phi, psi) its constant pair c (the
+# chem coordinates of w / lump_pair) has c A1 = 0 for every mobility, and a correction
+# whose linear residual is r moves the mass by lambda tau c r_1.  In exact arithmetic, with
+# D only in the phase rows and the kept factor F of the current tau (a new tau drops it),
+# c (J F^-1 v)_1 = c v_1, so c r_1 = (1 - q(1)) c b_1 for the Krylov polynomial q: a loose
+# eta would cost no mass.  In floating point F's solve has a backward error along c, and a
+# stop at eta up to 1e-2 moved the mass by up to 33 u sum_i |w_i x_i| in one correction
+# (obstacle wells, eps = 1e-3).  So GMRES stops only once also tau |c r_1| <= u sum_i
+# |w_i x_i| at the step's start x, the rounding that storing the corrected iterate can
+# itself cause; the direct solve after a refactor is backward stable.  KRYLOV_RTOL is the
+# floor of eta.
+UNIT_ROUNDOFF = 2.0**-53
 KRYLOV_RTOL = 1e-12
 FORCING_MAX = 1e-2
 KRYLOV_MAX_ITER = 10
@@ -135,6 +140,13 @@ class RunParams:
             raise InvalidArgument(f"final time time.T must be >= 0 and finite, got {self.t_final}")
         if not (0.0 < self.eps < 1.0):
             raise InvalidArgument(f"yosida.eps must lie in (0, 1), got {self.eps}")
+        for where, pot in (("bulk", self.pot_bulk), ("surf", self.pot_surf)):
+            if not self.eps * pot.concavity < 1.0:
+                term = {"reg": "4 * yosida.eps * potential.c", "obst": "2 * yosida.eps",
+                        "log": "yosida.eps * potential.theta_c"}[pot.kind]
+                raise InvalidArgument(f"{term} = {self.eps * pot.concavity:g} must be less than 1: "
+                                      f"the regularized potential.{where} = {pot.kind} well has "
+                                      "no lower bound")
         if self.t_final / self.tau > 2**53:  # t + tau stops resolving tau; also overflow
             raise InvalidArgument(f"time.T / time.tau = {self.t_final:g} / {self.tau:g} "
                                   "exceeds 2**53 steps")
@@ -210,9 +222,15 @@ class Stepper:
         self.phase, self.chem = phase, chem = build_case_spaces(cp, self.forms)
         f = self.forms
         self.A_K = reduce(phase, add(f.A_pair, phase.block), phase)
+        # one row w per conserved mass w @ (phi, psi), and its constant pair w / lump_pair in
+        # chem coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
+        masses = np.array(f.mean_functionals(cp.beta, np.isinf(cp.L)))
+        self.mass_weights = np.abs(masses)
+        conserved = np.hstack([(masses / f.lump_pair)[:, chem.idx],
+                               np.zeros((len(masses), len(phase.idx)))])
         self.system = _NewtonSystem(mesh, chem, reduce(chem, chem.block, chem),
                                     reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
-                                    self.A_K)
+                                    self.A_K, conserved)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
@@ -249,7 +267,9 @@ class Stepper:
         t_new = state.t + tau
         phase, chem = self.phase, self.chem
 
-        x_n = np.concatenate([state.phi, state.psi])[phase.idx]
+        pair_n = np.concatenate([state.phi, state.psi])
+        x_n = pair_n[phase.idx]
+        mass_tol = UNIT_ROUNDOFF * (self.mass_weights @ np.abs(pair_n)) / tau  # see KRYLOV_RTOL
         K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
         J0 = self.system.jacobian(tau, K_b, K_s)
 
@@ -301,7 +321,7 @@ class Stepper:
             eta = max(KRYLOV_RTOL, min(FORCING_MAX, 0.1 * tol / res))
             try:
                 delta, krylov, factored = self.system.solve(
-                    phase.lumped(f.lump_pair * nonlinear[1]), -g, eta)
+                    phase.lumped(f.lump_pair * nonlinear[1]), -g, eta, mass_tol)
             except RuntimeError as exc:  # exactly singular Jacobian
                 raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
             if not np.all(np.isfinite(delta)):
@@ -347,10 +367,12 @@ class _NewtonSystem:
     and preconditions the GMRES solve of each correction to the caller's
     tolerance.  When GMRES misses it within KRYLOV_MAX_ITER iterations, the
     correction is the direct solve with a new factor, taken then; a new tau
-    drops the factor (J0 holds M_LK / tau).
+    drops the factor (J0 holds M_LK / tau).  ``conserved`` holds the constant pairs
+    of the conserved masses, along which GMRES also bounds the residual (see
+    KRYLOV_RTOL).
     """
 
-    def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K):
+    def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K, conserved):
         g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
         c, w = chem.col, chem.scale  # P holds one entry per row: w[i] in column c[i]
         k_rows = np.concatenate([np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)) + off
@@ -367,6 +389,7 @@ class _NewtonSystem:
         rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
         self.tau = self.K_b = self.J0 = self.D = self.factor = None
+        self.conserved = conserved
 
     def jacobian(self, tau, K_b, K_s):
         """J0 for step size tau and mobility blocks (K_b, K_s), built anew when either changed."""
@@ -378,15 +401,17 @@ class _NewtonSystem:
             self.tau, self.K_b, self.J0 = tau, K_b, scatter(self.pattern, np.concatenate(data))
         return self.J0
 
-    def solve(self, D, rhs, rtol=KRYLOV_RTOL):
+    def solve(self, D, rhs, rtol=KRYLOV_RTOL, mass_tol=0.0):
         """The correction delta with (J0 - diag(0, D)) delta = rhs: GMRES to the
-        relative tolerance rtol, preconditioned by the kept factor, else the direct
+        relative tolerance rtol and to |c r| <= mass_tol for the residual r and each
+        row c of ``conserved``, preconditioned by the kept factor, else the direct
         solve with a new factor.  Returns (delta, GMRES iterations, factorizations
         taken: 0 or 1).  An exactly singular Jacobian raises RuntimeError."""
         self.D = D
         n_krylov = 0
         if self.factor is not None:
-            delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs, rtol)
+            delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs, rtol,
+                                      self.conserved, mass_tol)
             if delta is not None:
                 return delta, n_krylov, 0
         self.factor = None  # the old factor goes first, two alive would double memory
@@ -402,12 +427,13 @@ class _NewtonSystem:
         return w
 
 
-def _krylov(apply_jacobian, precondition, b, rtol):
+def _krylov(apply_jacobian, precondition, b, rtol, conserved, mass_tol):
     """Right-preconditioned GMRES for J x = b: one cycle of at most
     KRYLOV_MAX_ITER iterations, its least-squares problem kept triangular by
     Givens rotations (no LAPACK call, whose first use costs about 1 MB of
     resident memory).  Returns (x, iterations), with x None unless the true
-    residual |b - J x| reaches rtol |b| (never for a non-finite x)."""
+    residual r = b - J x reaches rtol |b| and |conserved @ r| <= mass_tol entry by
+    entry (never for a non-finite x)."""
     m = KRYLOV_MAX_ITER
     b_norm = np.linalg.norm(b)
     R, rotations = np.zeros((m, m)), []
@@ -437,7 +463,9 @@ def _krylov(apply_jacobian, precondition, b, rtol):
             for i in range(j, -1, -1):
                 y[i] = (e[i] - R[i, i + 1:j + 1] @ y[i + 1:]) / R[i, i]
             x = y @ np.array(search)
-            if np.linalg.norm(b - apply_jacobian(x)) <= rtol * b_norm:
+            r = b - apply_jacobian(x)
+            if (np.linalg.norm(r) <= rtol * b_norm
+                    and np.all(np.abs(conserved @ r) <= mass_tol)):
                 return x, j + 1
         if h == 0.0:
             break

@@ -29,14 +29,24 @@ def minimal_section(pot, r):
         return 4.0 * pot.c * r**3
     if pot.kind == "log":
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = np.where(
-                np.abs(r) < 1.0,
-                pot.theta * np.arctanh(np.clip(r, -1, 1)),
-                np.inf * np.sign(r),
-            )
-        return out if out.shape else float(out)
-    out = np.where(np.abs(r) <= 1.0, 0.0, np.nan)
-    return out if out.shape else float(out)
+            return np.where(np.abs(r) < 1.0, pot.theta * np.arctanh(np.clip(r, -1, 1)),
+                            np.inf * np.sign(r))
+    return np.where(np.abs(r) <= 1.0, 0.0, np.nan)
+
+
+def regularized_lower_bound(pot, eps):
+    """A closed-form lower bound over R of F1_eps + F2, for eps * pot.concavity < 1.
+
+    reg: c s^4 >= 2 a c s^2 - c a^2 for every a, and the envelope of k s^2 is
+    k r^2 / (1 + 2 eps k); a = 1 / (1 - 4 eps c) cancels -2c r^2 and leaves
+    -c a^2.  log and obst: F1 >= 0 on [-1, 1] and +inf outside, so F1_eps(r) >=
+    (|r| - 1)_+^2 / (2 eps); with F2 = F2(0) - kappa r^2 / 2 the minimum over r
+    is F2(0) - kappa / (2 (1 - eps kappa)), at |r| = 1 / (1 - eps kappa).
+    """
+    kappa = pot.concavity
+    if pot.kind == "reg":
+        return -pot.c / (1.0 - eps * kappa) ** 2
+    return float(pot.smooth_value(0.0)) - kappa / (2.0 * (1.0 - eps * kappa))
 
 
 def quadratic_lower_bound_certificate(pot, grid=None, max_level=40):

@@ -27,7 +27,7 @@ from bscch.errors import ValidationError
 from bscch.mesh import generate_disk_mesh
 from bscch.stepper import initial_state
 
-from oracles import read_mesh, serialize_config
+from oracles import read_mesh, regularized_lower_bound, serialize_config
 
 SHORT_CFG = """
 mesh.nb = 16
@@ -281,14 +281,31 @@ def test_extreme_model_parameter_names_its_key(tmp_path, capsys, kind, lines, ke
 
 
 def test_non_finite_energy_exits_2(tmp_path, capsys):
-    # the state blew up in the first step and the run completed with energy=nan
+    # the explicit convection at omega = 1e300 blew the state up in the first step, and
+    # the run completed with energy=nan
     p = tmp_path / "e.cfg"
-    p.write_text(SHORT_CFG.replace("= log", "= reg")
-                 + f"potential.c = 1e300\noutput.dir = {tmp_path / 'out'}\n")
+    p.write_text(SHORT_CFG + "velocity.bulk = rigid_rotation\nvelocity.omega = 1e300\n"
+                 f"output.dir = {tmp_path / 'out'}\n")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # the blow-up itself warns
         assert main(["run", "--config", str(p)]) == 2
     assert "non-finite energy" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("c", ["10", "100"])
+def test_regularized_energy_without_lower_bound_exits_1(tmp_path, capsys, c):
+    # these runs exited 0, at c = 100 with energy -1.1e140: 4 eps c >= 1 leaves the
+    # regularized reg energy unbounded below, and the scheme decreases it without bound
+    cfg = parse_config((Path(__file__).resolve().parents[1] / "scripts" / "spinodal.cfg")
+                       .read_text())
+    cfg.update({"mesh.nb": "16", "mesh.nr": "4", "potential.bulk": "reg", "potential.surf": "reg",
+                "potential.c": c, "time.T": "1e-2", "output.dir": str(tmp_path / "out")})
+    p = tmp_path / "reg.cfg"
+    p.write_text(serialize_config(cfg))
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert "yosida.eps" in err and "potential.c" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -726,8 +743,8 @@ def _check_run_invariants(values, outdir):
     """A correct run's invariants, read from its outputs: the conserved masses of
     series.csv drift by at most 1e-10 (criterion 06), the combined one
     beta * mass_bulk + mass_surf by 1e-10 * max(1, |beta|), its rounding scale;
-    the energy does not rise by more than 1e-9 without convection (criterion 07),
-    and at K = 0 every snapshot meets phi|_Gamma = alpha * psi bitwise."""
+    the energy does not rise by more than 1e-9 without convection (criterion 07)
+    nor fall below the closed-form lower bound of its potentials, and at K = 0 every snapshot meets phi|_Gamma = alpha * psi bitwise."""
     with open(outdir / "series.csv") as fh:
         rows = [{k: float(v) for k, v in row.items()} for row in csv.DictReader(fh)]
     bounds = {"mass_combined": 1e-10 * max(1.0, abs(float(values.get("model.beta", "1"))))}
@@ -737,6 +754,11 @@ def _check_run_invariants(values, outdir):
         assert max(abs(r[name] - rows[0][name]) for r in rows) <= bound, name
     if values["velocity.bulk"] == "none":
         assert all(b["energy"] <= a["energy"] + 1e-9 for a, b in zip(rows, rows[1:]))
+    # every term but the potentials is >= 0, and |Omega| <= pi, |Gamma| <= 2 pi
+    p = build_run_config(values).params
+    floor = (np.pi * regularized_lower_bound(p.pot_bulk, p.eps)
+             + 2 * np.pi * regularized_lower_bound(p.pot_surf, p.eps))
+    assert min(r["energy"] for r in rows) >= floor
     if values["model.K"] == "0" and values["output.vtk"] == "true":
         loop = generate_disk_mesh(int(values["mesh.nb"]), int(values["mesh.nr"])).boundary_loop
         bulk = sorted(outdir.glob("bulk_*.vtk"))

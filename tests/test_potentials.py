@@ -20,7 +20,12 @@ from bscch.potentials import (
     yosida,
 )
 
-from oracles import minimal_section, quadratic_lower_bound_certificate, verify_scalar_properties
+from oracles import (
+    minimal_section,
+    quadratic_lower_bound_certificate,
+    regularized_lower_bound,
+    verify_scalar_properties,
+)
 
 EPS_LIST = (0.5, 0.1, 0.02)
 
@@ -225,6 +230,25 @@ def test_taxonomy_singular_bulk_regular_surface():
     assert _verdict("log", "reg", 0.0).admissible
     assert not _verdict("log", "reg", 0.5).admissible
     assert not _verdict("obst", "reg", 0.5).admissible
+
+
+# -- the regularized energy's lower bound --------------------------------------
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_regularized_lower_bound_holds_and_eps_concavity_is_its_limit(kind):
+    # below eps * concavity = 1 the closed-form bound of F1_eps + F2 holds on a wide
+    # grid, whose minimum is interior; at the limit the minimum sits at the grid's end
+    pot = Potential(kind, c=2.0, theta_c=3.0)
+    r = np.linspace(-1e4, 1e4, 400001)
+    for fraction in (0.5, 0.9, 0.99, 1.0):
+        eps = fraction / pot.concavity
+        values = moreau_envelope(pot, eps, r) + pot.smooth_value(r)
+        at_edge = np.argmin(values) in (0, len(r) - 1)
+        if fraction < 1.0:
+            bound = regularized_lower_bound(pot, eps)
+            assert values.min() >= bound - 1e-12 * abs(bound) and not at_edge
+        else:
+            assert at_edge
 
 
 # -- quadratic lower-bound certificate ----------------------------------------

@@ -195,12 +195,29 @@ def test_inadmissible_pairing_rejected():
         Stepper(mesh, p)
 
 
+@pytest.mark.parametrize("where", ["bulk", "surf"])
+@pytest.mark.parametrize("kind,key,eps", [("reg", "4 * yosida.eps * potential.c", 0.25),
+                                          ("log", "yosida.eps * potential.theta_c", 0.625),
+                                          ("obst", "2 * yosida.eps", 0.5)])
+def test_eps_at_which_a_well_is_unbounded_below_is_refused(where, kind, key, eps):
+    # F1_eps + F2 is bounded below exactly when eps * (4c, theta_c, 2) < 1 (c = 1 and
+    # theta_c = 1.6 here); each well is checked, the other one bounded at any eps < 1
+    pot = {"pot_bulk": Potential("reg", c=0.1), "pot_surf": Potential("reg", c=0.1),
+           f"pot_{where}": Potential(kind)}
+    with pytest.raises(InvalidArgument) as exc:
+        _params(eps=eps, **pot)
+    assert str(exc.value) == (f"{key} = 1 must be less than 1: the regularized "
+                              f"potential.{where} = {kind} well has no lower bound")
+    _params(eps=np.nextafter(eps, 0.0), **pot)
+
+
 def test_admissible_reg_pairing_with_a_large_quartic_coefficient_builds():
     # a grid re-check of kappa1 = |alpha|^3 with an absolute slack of 1e-10
-    # rejected this pairing, whose domination inequality is an identity
+    # rejected this pairing, whose domination inequality is an identity.  eps = 1e-7 keeps
+    # 4 eps c < 1, so that the regularized energy is bounded below
     reg = Potential("reg", c=1e6)
     p = _params(coupling=CouplingParams(K=1.0, L=1.0, alpha=0.7, beta=1.0),
-                pot_bulk=reg, pot_surf=reg)
+                pot_bulk=reg, pot_surf=reg, eps=1e-7)
     Stepper(generate_disk_mesh(16, 4), p)
     assert bscch.potentials.check_domination(reg, reg, 0.7).admissible
 
@@ -434,8 +451,8 @@ def test_kept_factor_through_a_rescue_matches_refactoring_every_iteration(monkey
 def _loosest_forcing(monkeypatch):
     """Every GMRES solve to FORCING_MAX, the loosest forcing term."""
     krylov = bscch.stepper._krylov
-    monkeypatch.setattr(bscch.stepper, "_krylov", lambda apply, precondition, b, rtol: krylov(
-        apply, precondition, b, bscch.stepper.FORCING_MAX))
+    monkeypatch.setattr(bscch.stepper, "_krylov", lambda apply, precondition, b, rtol, *mass: (
+        krylov(apply, precondition, b, bscch.stepper.FORCING_MAX, *mass)))
 
 
 @pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
@@ -468,6 +485,30 @@ def test_mass_conserved_at_the_loosest_forcing_term_through_a_rescue(monkeypatch
     _, reports, drift = _steps(p, 3, generate_disk_mesh(16, 4))
     assert min(taus) < p.tau and sum(r.linear_iters for r in reports) > 0
     assert drift <= 1e-13
+
+
+def test_mass_drift_of_a_long_rescued_run_within_one_mass_rounding(monkeypatch):
+    # 200 steps of obstacle wells at eps = 1e-3 (Jacobian entries 1/eps on the active nodes,
+    # an ill-conditioned kept factor) with Newton capped at 3 iterations, so steps are rescued
+    # by tau-halving.  The drift of the combined mass over the whole run must stay below the
+    # rounding of one evaluation of its n-term lumped sum, sqrt(n) u sum_i |w_i phi_i| (the
+    # probabilistic bound of Higham & Mary, SIAM J. Sci. Comput. 41 (2019))
+    obst = Potential("obst")
+    p = _params(tau=1e-3, t_final=0.2, eps=1e-3, pot_bulk=obst, pot_surf=obst,
+                newton=NewtonParams(max_iter=3, max_tau_halvings=6),
+                init=InitialDataSpec(mode="bubbles"))
+    taus = []
+    step = Stepper.step
+    monkeypatch.setattr(Stepper, "step", lambda stepper, state, tau: taus.append(tau) or step(
+        stepper, state, tau))
+    res = run(RunConfig(nb=64, nr=16, params=p))
+    f = res.forms
+    sums = [np.abs(f.lump_bulk * s.phi).sum() + np.abs(f.lump_surf * s.psi).sum()
+            for s in res.states]
+    bound = np.sqrt(f.n_bulk + f.n_surf) * 2.0**-53 * max(sums)
+    drift = max(abs(r.mass_combined - res.records[0].mass_combined) for r in res.records)
+    assert len(res.records) == 201 and min(taus) < p.tau
+    assert drift <= bound
 
 
 def _count_splu(monkeypatch):
