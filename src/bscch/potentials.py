@@ -84,9 +84,12 @@ class Potential:
 
     @property
     def concavity(self):
-        """-F2'', constant: the regularized F1_eps + F2 is bounded below exactly when
-        eps * concavity < 1, since F1_eps grows like r^2 / (2 eps)."""
-        return {"reg": 4.0 * self.c, "log": self.theta_c, "obst": 2.0}[self.kind]
+        """(kappa, the run-config terms of eps * kappa) for kappa = -F2'', constant: the
+        regularized F1_eps + F2 is bounded below exactly when eps * kappa < 1, since
+        F1_eps grows like r^2 / (2 eps)."""
+        return {"reg": (4.0 * self.c, "4 * yosida.eps * potential.c"),
+                "log": (self.theta_c, "yosida.eps * potential.theta_c"),
+                "obst": (2.0, "2 * yosida.eps")}[self.kind]
 
     @property
     def prime_domain(self):

@@ -141,10 +141,9 @@ class RunParams:
         if not (0.0 < self.eps < 1.0):
             raise InvalidArgument(f"yosida.eps must lie in (0, 1), got {self.eps}")
         for where, pot in (("bulk", self.pot_bulk), ("surf", self.pot_surf)):
-            if not self.eps * pot.concavity < 1.0:
-                term = {"reg": "4 * yosida.eps * potential.c", "obst": "2 * yosida.eps",
-                        "log": "yosida.eps * potential.theta_c"}[pot.kind]
-                raise InvalidArgument(f"{term} = {self.eps * pot.concavity:g} must be less than 1: "
+            kappa, term = pot.concavity
+            if not self.eps * kappa < 1.0:
+                raise InvalidArgument(f"{term} = {self.eps * kappa:g} must be less than 1: "
                                       f"the regularized potential.{where} = {pot.kind} well has "
                                       "no lower bound")
         if self.t_final / self.tau > 2**53:  # t + tau stops resolving tau; also overflow
@@ -222,15 +221,10 @@ class Stepper:
         self.phase, self.chem = phase, chem = build_case_spaces(cp, self.forms)
         f = self.forms
         self.A_K = reduce(phase, add(f.A_pair, phase.block), phase)
-        # one row w per conserved mass w @ (phi, psi), and its constant pair w / lump_pair in
-        # chem coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
-        masses = np.array(f.mean_functionals(cp.beta, np.isinf(cp.L)))
-        self.mass_weights = np.abs(masses)
-        conserved = np.hstack([(masses / f.lump_pair)[:, chem.idx],
-                               np.zeros((len(masses), len(phase.idx)))])
         self.system = _NewtonSystem(mesh, chem, reduce(chem, chem.block, chem),
                                     reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
-                                    self.A_K, conserved)
+                                    self.A_K, np.array(f.mean_functionals(cp.beta, np.isinf(cp.L))),
+                                    f.lump_pair)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
@@ -269,7 +263,6 @@ class Stepper:
 
         pair_n = np.concatenate([state.phi, state.psi])
         x_n = pair_n[phase.idx]
-        mass_tol = UNIT_ROUNDOFF * (self.mass_weights @ np.abs(pair_n)) / tau  # see KRYLOV_RTOL
         K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
         J0 = self.system.jacobian(tau, K_b, K_s)
 
@@ -321,7 +314,7 @@ class Stepper:
             eta = max(KRYLOV_RTOL, min(FORCING_MAX, 0.1 * tol / res))
             try:
                 delta, krylov, factored = self.system.solve(
-                    phase.lumped(f.lump_pair * nonlinear[1]), -g, eta, mass_tol)
+                    phase.lumped(f.lump_pair * nonlinear[1]), -g, eta, pair_n)
             except RuntimeError as exc:  # exactly singular Jacobian
                 raise failure(f"Newton Jacobian not invertible: {exc}", res) from None
             if not np.all(np.isfinite(delta)):
@@ -367,12 +360,11 @@ class _NewtonSystem:
     and preconditions the GMRES solve of each correction to the caller's
     tolerance.  When GMRES misses it within KRYLOV_MAX_ITER iterations, the
     correction is the direct solve with a new factor, taken then; a new tau
-    drops the factor (J0 holds M_LK / tau).  ``conserved`` holds the constant pairs
-    of the conserved masses, along which GMRES also bounds the residual (see
-    KRYLOV_RTOL).
+    drops the factor (J0 holds M_LK / tau).  Along the constant pair of each
+    conserved mass GMRES also bounds the residual (see KRYLOV_RTOL).
     """
 
-    def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K, conserved):
+    def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K, masses, lump_pair):
         g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
         c, w = chem.col, chem.scale  # P holds one entry per row: w[i] in column c[i]
         k_rows = np.concatenate([np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)) + off
@@ -389,7 +381,11 @@ class _NewtonSystem:
         rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
         self.tau = self.K_b = self.J0 = self.D = self.factor = None
-        self.conserved = conserved
+        # one row w per conserved mass w @ (phi, psi), and its constant pair w / lump_pair in
+        # chem coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
+        self.mass_weights = np.abs(masses)
+        self.conserved = np.hstack([(masses / lump_pair)[:, chem.idx],
+                                    np.zeros((len(masses), A_K.shape[0]))])
 
     def jacobian(self, tau, K_b, K_s):
         """J0 for step size tau and mobility blocks (K_b, K_s), built anew when either changed."""
@@ -401,15 +397,17 @@ class _NewtonSystem:
             self.tau, self.K_b, self.J0 = tau, K_b, scatter(self.pattern, np.concatenate(data))
         return self.J0
 
-    def solve(self, D, rhs, rtol=KRYLOV_RTOL, mass_tol=0.0):
-        """The correction delta with (J0 - diag(0, D)) delta = rhs: GMRES to the
-        relative tolerance rtol and to |c r| <= mass_tol for the residual r and each
-        row c of ``conserved``, preconditioned by the kept factor, else the direct
-        solve with a new factor.  Returns (delta, GMRES iterations, factorizations
-        taken: 0 or 1).  An exactly singular Jacobian raises RuntimeError."""
+    def solve(self, D, rhs, rtol, start):
+        """The correction delta with (J0 - diag(0, D)) delta = rhs in the step from the
+        pair ``start``: GMRES to the relative tolerance rtol and to tau |c r| <= u
+        sum_i |w_i start_i| for the residual r and each conserved mass w with constant
+        pair c, preconditioned by the kept factor, else the direct solve with a new
+        factor.  Returns (delta, GMRES iterations, factorizations taken: 0 or 1).  An
+        exactly singular Jacobian raises RuntimeError."""
         self.D = D
         n_krylov = 0
         if self.factor is not None:
+            mass_tol = UNIT_ROUNDOFF * (self.mass_weights @ np.abs(start)) / self.tau
             delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs, rtol,
                                       self.conserved, mass_tol)
             if delta is not None:

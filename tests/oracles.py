@@ -43,7 +43,7 @@ def regularized_lower_bound(pot, eps):
     (|r| - 1)_+^2 / (2 eps); with F2 = F2(0) - kappa r^2 / 2 the minimum over r
     is F2(0) - kappa / (2 (1 - eps kappa)), at |r| = 1 / (1 - eps kappa).
     """
-    kappa = pot.concavity
+    kappa, _ = pot.concavity
     if pot.kind == "reg":
         return -pot.c / (1.0 - eps * kappa) ** 2
     return float(pot.smooth_value(0.0)) - kappa / (2.0 * (1.0 - eps * kappa))

@@ -241,7 +241,7 @@ def test_regularized_lower_bound_holds_and_eps_concavity_is_its_limit(kind):
     pot = Potential(kind, c=2.0, theta_c=3.0)
     r = np.linspace(-1e4, 1e4, 400001)
     for fraction in (0.5, 0.9, 0.99, 1.0):
-        eps = fraction / pot.concavity
+        eps = fraction / pot.concavity[0]
         values = moreau_envelope(pot, eps, r) + pot.smooth_value(r)
         at_edge = np.argmin(values) in (0, len(r) - 1)
         if fraction < 1.0:

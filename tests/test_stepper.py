@@ -671,7 +671,7 @@ def test_factored_jacobian_is_the_sparse_difference(monkeypatch):
     monkeypatch.setattr(bscch.stepper, "splu",
                         lambda J: captured.append(J) or SimpleNamespace(solve=lambda b: b))
     system.factor = None
-    system.solve(D, np.ones(J0.shape[0]))
+    system.solve(D, np.ones(J0.shape[0]), bscch.stepper.KRYLOV_RTOL, None)  # no factor: no GMRES
     (J,), expected = captured, (as_scipy(J0) - sp.diags(np.concatenate([np.zeros(ny), D]))).tocsr()
     assert expected.nnz == np.count_nonzero(J0.data) - 1 < J0.nnz - 1  # J0 stores zeros too
     for attr in ("indptr", "indices", "data"):
