@@ -291,15 +291,6 @@ class FormsBundle:
     def lump_pair(self):
         return np.concatenate([self.lump_bulk, self.lump_surf])
 
-    def mean_functionals(self, weight, separate):
-        """Pair-space columns c whose products c @ (u, v) are the conserved
-        integrals: int u and int v when ``separate``, else the
-        ``weight``-combined weight * int u + int v."""
-        if separate:
-            return [np.concatenate([self.lump_bulk, np.zeros(self.n_surf)]),
-                    np.concatenate([np.zeros(self.n_bulk), self.lump_surf])]
-        return [np.concatenate([weight * self.lump_bulk, self.lump_surf])]
-
     def means(self, bulk, surf, weight, separate):
         """The constant pair (c_b, c_s) carrying the means of (bulk, surf):
         the separate means, or m * (weight, 1) for the ``weight``-combined
@@ -309,12 +300,6 @@ class FormsBundle:
         m = ((weight * self.lump_bulk) @ bulk + self.lump_surf @ surf) / (
             weight**2 * self.area + self.perimeter)
         return weight * m, m
-
-    def validate_measures(self, weight, mean_weight):
-        """Reject a combined mean that vanishes on the constant pairs (weight, 1)."""
-        a, p = self.area, self.perimeter
-        if abs(weight * mean_weight * a + p) < 1e-12 * (a + p):
-            raise InvalidArgument("alpha*beta*|Omega| + |Gamma| must be nonzero")
 
     def mismatch_sq(self, bulk, surf, weight):
         """|weight * surf - bulk|_Gamma|^2 in the M_Gamma norm, the form of ``coupling_block``."""
@@ -432,7 +417,10 @@ class CaseSpace:
     slot ``col[i]``), and ``block``, its sigma-weighted coupling block on the
     full pair space.  ``idx`` holds the positions of the reduced coordinates
     in the full pair vector; in a Dirichlet case (K = 0 or L = 0) each
-    boundary bulk row is the weight times its surface slot.  ``prolong`` is
+    boundary bulk row is the weight times its surface slot.  ``mean_rows``
+    holds one full pair-space row c per mean the case fixes, c @ (u, v) the
+    conserved integral: int u and int v at the Neumann end (value = inf),
+    else the combined mean_weight * int u + int v.  ``prolong`` is
     P x, ``restrict`` P^T v and ``lumped`` the diagonal of P^T diag(d) P, as
     one gather or bincount each, bitwise equal to the sparse products (a slot
     sums at most two terms).  Like the sparse kernels, each sum starts from
@@ -442,6 +430,7 @@ class CaseSpace:
     col: np.ndarray
     scale: np.ndarray
     block: Csr
+    mean_rows: np.ndarray  # (k, n + b)
 
     def prolong(self, x):
         return 0.0 + self.scale * x[self.col]
@@ -465,27 +454,34 @@ def reduce(test: CaseSpace, op: Csr, trial: CaseSpace):
         test.col[rows], trial.col[cols], (test.scale[rows] * vals) * trial.scale[cols])))
 
 
-def case_space(forms: FormsBundle, value, weight) -> CaseSpace:
+def case_space(forms: FormsBundle, value, weight, mean_weight) -> CaseSpace:
     """The case of one extended parameter (K with alpha, or L with beta).  Its
     block is sigma(value) * coupling_block(weight), with no stored entry where
     sigma vanishes.  Its space is the full pair space, or at value = 0 the
     Dirichlet space: the interior bulk dofs and the surface dofs, each
-    boundary bulk dof slaved to ``weight`` times its surface dof."""
+    boundary bulk dof slaved to ``weight`` times its surface dof.  A combined
+    mean that vanishes on the constant pairs (weight, 1) is rejected."""
     s, n, b, loop = sigma(value), forms.n_bulk, forms.n_surf, forms.loop
+    a, p = forms.area, forms.perimeter
+    if abs(weight * mean_weight * a + p) < 1e-12 * (a + p):
+        raise InvalidArgument("alpha*beta*|Omega| + |Gamma| must be nonzero")
+    lump_b, lump_s = forms.lump_bulk, forms.lump_surf
+    rows = (np.array([np.concatenate([lump_b, np.zeros(b)]), np.concatenate([np.zeros(n), lump_s])])
+            if math.isinf(value) else np.concatenate([mean_weight * lump_b, lump_s])[None])
     block = forms.coupling_block(weight) if s > 0 else empty((n + b, n + b))
     block = replace(block, data=s * block.data)  # scipy's s * block: stored zeros kept
     col, scale = np.arange(n + b), np.ones(n + b)
     if value != 0.0:
-        return CaseSpace(col, col, scale, block)
+        return CaseSpace(col, col, scale, block, rows)
     is_bnd = np.zeros(n, dtype=bool)
     is_bnd[loop] = True
     idx = np.concatenate([np.flatnonzero(~is_bnd), n + np.arange(b)])
     col[idx] = np.arange(len(idx))
     col[loop], scale[loop] = col[n:], weight
-    return CaseSpace(idx, col, scale, block)
+    return CaseSpace(idx, col, scale, block, rows)
 
 
 def build_case_spaces(cp: CouplingParams, forms: FormsBundle):
-    """The (K, alpha) phase case and the (L, beta) chemical-potential case."""
-    forms.validate_measures(cp.alpha, cp.beta)
-    return case_space(forms, cp.K, cp.alpha), case_space(forms, cp.L, cp.beta)
+    """The (K, alpha) phase case, whose beta-combined mean is checked, and the (L, beta)
+    chemical-potential case, whose constraint rows are the stepper's conserved masses."""
+    return case_space(forms, cp.K, cp.alpha, cp.beta), case_space(forms, cp.L, cp.beta, cp.beta)

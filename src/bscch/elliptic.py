@@ -64,20 +64,18 @@ check_extension(_superlu, "gstrf", _factor_gives_known_values)
 class BorderedSolver:
     """The energy form ``op`` = A_pair + ``space.block`` on ``space``, the case
     of one extended parameter ``value`` with trace weight ``weight``, under
-    the conserved mean constraints: the separate means at value = inf, else
-    the ``mean_weight``-combined one.  ``A`` is the reduced P^T op P,
-    ``cols`` the constraint columns on the full pair space.  One LU factor
-    of [[A, C], [C^T, 0]], C the restricted columns, serves every
-    right-hand side; right-hand sides and solutions are full pair vectors."""
+    the space's mean constraints: the separate means at value = inf, else
+    the ``mean_weight``-combined one.  ``A`` is the reduced P^T op P.  One
+    LU factor of [[A, C], [C^T, 0]], C the restricted constraint rows as
+    columns, serves every right-hand side; right-hand sides and solutions
+    are full pair vectors."""
 
     def __init__(self, forms: FormsBundle, value, weight, mean_weight):
         self.forms = forms
-        self.space = case_space(forms, value, weight)
-        forms.validate_measures(weight, mean_weight)
-        self.cols = forms.mean_functionals(mean_weight, np.isinf(value))
+        self.space = case_space(forms, value, weight, mean_weight)
         self.op = add(forms.A_pair, self.space.block)
         self.A = reduce(self.space, self.op, self.space)
-        C = np.column_stack([self.space.restrict(c) for c in self.cols])
+        C = np.column_stack([self.space.restrict(c) for c in self.space.mean_rows])
         i, k = np.nonzero(C)  # its exact zeros left out, as scipy's sparse form of C
         ny = self.A.shape[0]
         bordered = from_triplets((ny + C.shape[1],) * 2, triplets(self.A),
@@ -93,14 +91,14 @@ class BorderedSolver:
         if not np.all(np.isfinite(rhs)):  # a NaN mean would pass the test below
             raise InvalidArgument("non-finite entries in pair")
         scale = max(1.0, float(np.linalg.norm(rhs)))
-        for c in self.cols:
+        for c in self.space.mean_rows:
             m = c @ rhs
             if abs(m) > MEAN_TOL * scale:
                 raise InvalidArgument(f"right-hand side is not mean-free (residual mean {m:.3e})")
 
     def solve_reduced(self, rhs):
         """Reduced solution for reduced right-hand side ``rhs``."""
-        return self.lu.solve(np.concatenate([rhs, np.zeros(len(self.cols))]))[: len(rhs)]
+        return self.lu.solve(np.concatenate([rhs, np.zeros(len(self.space.mean_rows))]))[: len(rhs)]
 
     def solve(self, rhs):
         """Full pair solution for full pair right-hand side ``rhs``."""
@@ -169,7 +167,7 @@ def estimate_poincare_constant(mesh: TriMesh, K, alpha, beta) -> float:
     forms = assemble_core(mesh)
     solver = BorderedSolver(forms, K, alpha, beta)
     A_red, M_red = solver.A, reduce(solver.space, forms.M_pair, solver.space)
-    c = solver.space.restrict(solver.cols[0])
+    c = solver.space.restrict(solver.space.mean_rows[0])
 
     rng = np.random.default_rng(POINCARE_SEED)
     x = rng.standard_normal(A_red.shape[0])

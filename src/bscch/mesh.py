@@ -183,21 +183,15 @@ def generate_disk_mesh(nb: int, nr: int) -> TriMesh:
 
 
 def mesh_stats(mesh: TriMesh):
-    """(h_max, min_angle): the longest edge and the smallest corner angle in degrees."""
-    v, t = mesh.vertices, mesh.triangles
-    p = v[t]
-    e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
-    e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
-    e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
-    h_max = float(max(e0.max(), e1.max(), e2.max()))
-
-    # min angle via the law of cosines over all triangle corners
-    def corner(a, b, c):
-        cosang = (b**2 + c**2 - a**2) / (2 * b * c)
-        return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
-
-    ang = np.minimum(np.minimum(corner(e0, e1, e2), corner(e1, e2, e0)), corner(e2, e0, e1))
-    return h_max, float(ang.min())
+    """(h_max, min_angle): the longest edge and the smallest corner angle in degrees.  The
+    edge opposite corner i has length 2A |grad N_i|; the angle at i has cosine
+    -grad N_j . grad N_k / (|grad N_j| |grad N_k|)."""
+    g = mesh.geometry
+    norm = np.sqrt(np.einsum("tii->ti", g.gdot))
+    j, k = [1, 2, 0], [2, 0, 1]
+    cosang = -g.gdot[:, j, k] / (norm[:, j] * norm[:, k])
+    h_max = float((2.0 * g.areas[:, None] * norm).max())
+    return h_max, float(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))).min())
 
 
 def write_mesh(mesh: TriMesh, path):

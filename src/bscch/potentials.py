@@ -103,7 +103,6 @@ class Potential:
 
     def value(self, r):
         """F1(r); +inf outside the effective domain."""
-        r = np.asarray(r, dtype=float)
         if self.kind == "reg":
             return self.c * r**4
         if self.kind == "log":
@@ -113,7 +112,6 @@ class Potential:
 
     def second_derivative(self, r):
         """F1''(r) on the interior of the prime domain."""
-        r = np.asarray(r, dtype=float)
         if self.kind == "reg":
             return 12.0 * self.c * r**2
         if self.kind == "log":
@@ -122,7 +120,6 @@ class Potential:
 
     def smooth_value(self, r):
         """F2(r), concave with a Lipschitz derivative."""
-        r = np.asarray(r, dtype=float)
         if self.kind == "reg":
             return -2.0 * self.c * r**2
         if self.kind == "log":
@@ -131,7 +128,6 @@ class Potential:
 
     def smooth_derivative(self, r):
         """F2'(r)."""
-        r = np.asarray(r, dtype=float)
         if self.kind == "reg":
             return -4.0 * self.c * r
         if self.kind == "log":

@@ -223,8 +223,7 @@ class Stepper:
         self.A_K = reduce(phase, add(f.A_pair, phase.block), phase)
         self.system = _NewtonSystem(mesh, chem, reduce(chem, chem.block, chem),
                                     reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
-                                    self.A_K, np.array(f.mean_functionals(cp.beta, np.isinf(cp.L))),
-                                    f.lump_pair)
+                                    self.A_K, chem.mean_rows, f.lump_pair)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)

@@ -14,6 +14,7 @@ from bscch.assembly import (
     assemble_core,
     assemble_mobility_stiffness,
     build_case_spaces,
+    case_space,
     reduce,
     sigma,
 )
@@ -205,10 +206,10 @@ def test_pairing_helpers_bitwise_equal_to_the_formulas_they_replace(mesh, forms,
     assert same(forms.mismatch_sq(u, v, weight), float(gap @ (forms.M_surf @ gap)))
     # the pair lumping of the stepper and the constraint columns of the bordered solver
     assert same(forms.lump_pair, np.concatenate([mb, ms]))
-    cols = forms.mean_functionals(weight, True)
+    cols = case_space(forms, np.inf, weight, weight).mean_rows
     assert same(cols[0], np.concatenate([mb, np.zeros(forms.n_surf)]))
     assert same(cols[1], np.concatenate([np.zeros(forms.n_bulk), ms]))
-    (col,) = forms.mean_functionals(weight, False)
+    (col,) = case_space(forms, 1.0, weight, weight).mean_rows
     assert same(col, np.concatenate([weight * mb, ms]))
     # the separate centring and the combined gauge of the manufactured-solution errors
     c_b, c_s = forms.means(u, v, weight, True)
@@ -220,7 +221,7 @@ def test_pairing_helpers_bitwise_equal_to_the_formulas_they_replace(mesh, forms,
     for separate in (True, False):
         c_b, c_s = forms.means(u, v, weight, separate)
         rest = np.concatenate([u - c_b, v - c_s])
-        for c in forms.mean_functionals(weight, separate):
+        for c in case_space(forms, np.inf if separate else 1.0, weight, weight).mean_rows:
             assert abs(c @ rest) <= 1e-13 * np.abs(c).sum() * np.abs(rest).max()
 
 

@@ -182,9 +182,9 @@ def test_bordered_matrix_bitwise_equal_to_scipy_bmat(monkeypatch, value, weight,
     monkeypatch.setattr(bscch.elliptic, "_superlu", SimpleNamespace(
         gstrf=lambda *args, **kw: captured.append(args) or superlu.gstrf(*args, **kw)))
     solver = BorderedSolver(forms, value, weight, mean_weight)
-    space = case_space(forms, value, weight)
+    space = case_space(forms, value, weight, mean_weight)
     A = triple_product(space, as_scipy(forms.A_pair) + as_scipy(space.block), space)
-    C = sp.csr_matrix(np.column_stack([space.restrict(c) for c in solver.cols]))
+    C = sp.csr_matrix(np.column_stack([space.restrict(c) for c in solver.space.mean_rows]))
     ref = sp.bmat([[A, C], [C.T, None]], format="csc")
     ((n, nnz, data, indices, indptr),) = captured
     assert (n, nnz) == (ref.shape[0], ref.nnz)
