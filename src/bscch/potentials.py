@@ -200,15 +200,18 @@ def yosida(pot: Potential, eps, r):
 
     Returns ``(value, derivative, J(r))``, with value = (r - J(r))/eps for
     the resolvent J.  The derivative is the exact Newton Jacobian of the
-    value: (1 - J'(r))/eps, with the convention that the obstacle derivative
-    is 0 on the closed interval [-1,1].
+    value: with J'(r) = 1/(1 + eps*F1''(J)) it is F1''(J)/(1 + eps*F1''(J)),
+    formed as 1/(eps + 1/F1''(J)), free of the cancellation of (1 - J'(r))/eps
+    where eps*F1'' is small and 1/eps where F1'' overflows.  The obstacle
+    derivative is 0 on the closed interval [-1,1].
     """
     j = resolvent(pot, eps, r)  # checks eps and r
     e = float(eps)
     if pot.kind == "obst":
         deriv = np.where(np.abs(r) <= 1.0, 0.0, 1.0 / e)
     else:
-        deriv = (1.0 - 1.0 / (1.0 + e * pot.second_derivative(j))) / e
+        with np.errstate(divide="ignore"):  # F1'' = 0 gives 1/(eps + inf) = 0
+            deriv = 1.0 / (e + 1.0 / pot.second_derivative(j))
     return (r - j) / e, deriv, j
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,19 @@ def test_eval_regularized_quartic():
     f1e, _, _ = yosida(pot, 0.25, r)
     assert f1e[0] == pytest.approx(4.0, abs=1e-12)
     assert pot.smooth_derivative(r)[0] == pytest.approx(-8.0, abs=1e-12)
+
+
+def test_yosida_derivative_accurate_where_eps_times_curvature_is_small():
+    # reg, eps = 1e-3 near r = 0: eps * F1'' = 12e-3 * J^2 falls to 1e-21, where
+    # (1 - 1/(1 + eps F1''))/eps loses every digit and rounds to 0
+    pot, eps = Potential("reg"), 1e-3
+    r = np.array([0.0, 1e-9, -1e-7, 1e-5, 1e-3, -0.05])
+    with np.errstate(all="raise"):  # F1''(0) = 0 gives 0 without a warning
+        _, deriv, j = yosida(pot, eps, r)
+    for got, jk in zip(deriv, j):
+        d = 12 * Fraction(pot.c) * Fraction(jk) ** 2
+        exact = d / (1 + Fraction(eps) * d)
+        assert abs(Fraction(got) - exact) <= 4 * 2.0**-53 * exact
 
 
 @pytest.mark.parametrize("kind", KINDS)
