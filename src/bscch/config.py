@@ -155,9 +155,6 @@ def build_run_config(cfg: dict) -> RunConfig:
     )
     if r["newton.max_iter"] < 1:
         raise ValidationError(f"newton.max_iter must be >= 1, got {r['newton.max_iter']}")
-    if params.t_final > 0 and params.n_steps == 0:
-        raise ValidationError(f"time.T = {params.t_final:g} is less than half a step "
-                              f"(time.tau = {params.tau:g}) and would run no steps")
     return RunConfig(nb=r["mesh.nb"], nr=r["mesh.nr"], params=params,
                      output_every=r["output.every"])
 

@@ -149,6 +149,9 @@ class RunParams:
         if self.t_final / self.tau > 2**53:  # t + tau stops resolving tau; also overflow
             raise InvalidArgument(f"time.T / time.tau = {self.t_final:g} / {self.tau:g} "
                                   "exceeds 2**53 steps")
+        if self.t_final > 0 and self.n_steps == 0:
+            raise InvalidArgument(f"time.T = {self.t_final:g} is less than half a step "
+                                  f"(time.tau = {self.tau:g}) and would run no steps")
 
     @property
     def n_steps(self):

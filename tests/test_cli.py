@@ -23,7 +23,7 @@ from bscch.config import (
     parse_config,
     resolve,
 )
-from bscch.errors import ValidationError
+from bscch.errors import InvalidArgument, ValidationError
 from bscch.mesh import generate_disk_mesh
 from bscch.stepper import initial_state
 
@@ -147,6 +147,37 @@ def test_final_time_rounding_to_zero_steps_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(p)]) == 1
     assert "time.T" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_run_length_and_newton_budget_refusals_name_the_keys(tmp_path, capsys):
+    # the run-length rule is RunParams', so it reaches the API too and prints no usage line;
+    # newton.max_iter >= 1 is the config's own rule (NewtonParams allows 0)
+    short = "time.T = 0.0004 is less than half a step (time.tau = 0.001) and would run no steps"
+    budget = "newton.max_iter must be >= 1, got 0"
+    for extra, message, usage in ((("time.tau", "1e-3"), ("time.T", "4e-4")), short, False), \
+                                 ((("newton.max_iter", "0"),), budget, True):
+        cfg = dict(parse_config(SHORT_CFG), **dict(extra))
+        with pytest.raises((InvalidArgument, ValidationError)) as exc:
+            build_run_config(cfg)
+        assert str(exc.value) == message
+        p = tmp_path / "r.cfg"
+        p.write_text(serialize_config(dict(cfg, **{"output.dir": str(tmp_path / "out")})))
+        assert main(["run", "--config", str(p)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}\n") and ("usage:" in err) == usage
+        assert not (tmp_path / "out").exists()
+
+
+def test_vanishing_combined_mean_exits_1(tmp_path, capsys):
+    # beta = -|Gamma| / |Omega| of the 16x4 mesh, so alpha*beta*|Omega| + |Gamma| = 0 at alpha = 1
+    beta, message = "-2.0391823164166367", "error: alpha*beta*|Omega| + |Gamma| must be nonzero\n"
+    p = tmp_path / "b.cfg"
+    p.write_text(SHORT_CFG + f"model.beta = {beta}\noutput.dir = {tmp_path / 'out'}\n")
+    assert main(["run", "--config", str(p)]) == 1
+    assert capsys.readouterr().err == message
+    assert not (tmp_path / "out").exists()
+    assert main(["poincare", "--K", "1", "--nb", "16", "--nr", "4", "--beta", beta]) == 1
+    assert capsys.readouterr().err == message
 
 
 @pytest.mark.parametrize("key,value", [("newton.tol_abs", "-1"), ("newton.tol_rel", "-1e-10"),

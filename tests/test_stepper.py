@@ -238,6 +238,17 @@ def test_run_params_validation():
         _params(eps=1.5)
 
 
+def test_run_params_refuse_a_final_time_of_no_step():
+    # run(RunConfig(16, 4, ...)) returned the t = 0 record alone and no error
+    message = ("time.T = 0.0004 is less than half a step (time.tau = 0.001) "
+               "and would run no steps")
+    with pytest.raises(InvalidArgument) as exc:
+        _params(tau=1e-3, t_final=4e-4)
+    assert str(exc.value) == message
+    assert _params(tau=1e-3, t_final=6e-4).n_steps == 1
+    assert _params(tau=1e-3, t_final=0.0).n_steps == 0  # T = 0 asks for the initial record
+
+
 def _halving_by_hand(stepper, state, tau):
     """Sub-steps tau/2**k driven by hand: (final state, [(tau_i, report_i)])."""
     try:
