@@ -3,7 +3,8 @@
 None of these is reached by a command or a run: the scalar property
 battery of acceptance criterion 01 with the minimal section it compares
 against, the quadratic lower-bound certificate, the config writer, a
-reader for the ASCII mesh format that ``bscch mesh`` writes, the scipy
+reader for the ASCII mesh format that ``bscch mesh`` writes, the
+law-of-cosines mesh statistics, the scipy
 forms of the package's sparse operators, and the numeric output oracle of
 ``scripts/output_digest.py``.
 """
@@ -150,6 +151,23 @@ def read_mesh(path) -> TriMesh:
     return TriMesh(vertices=np.array(rows[:nv], dtype=float),
                    triangles=np.array(rows[nv:nv + nt], dtype=np.int64),
                    boundary_loop=np.array(rows[nv + nt:], dtype=np.int64).ravel())
+
+
+def mesh_stats_reference(mesh: TriMesh):
+    """(h_max, min_angle) of ``mesh`` from its vertex coordinates: the longest edge and
+    the smallest corner angle in degrees, by the law of cosines."""
+    p = mesh.vertices[mesh.triangles]
+    e0 = np.linalg.norm(p[:, 1] - p[:, 0], axis=1)
+    e1 = np.linalg.norm(p[:, 2] - p[:, 1], axis=1)
+    e2 = np.linalg.norm(p[:, 0] - p[:, 2], axis=1)
+    h_max = float(max(e0.max(), e1.max(), e2.max()))
+
+    def corner(a, b, c):
+        cosang = (b**2 + c**2 - a**2) / (2 * b * c)
+        return np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0)))
+
+    ang = np.minimum(np.minimum(corner(e0, e1, e2), corner(e1, e2, e0)), corner(e2, e0, e1))
+    return h_max, float(ang.min())
 
 
 def as_scipy(A: Csr) -> sp.csr_matrix:

@@ -225,6 +225,31 @@ def test_pairing_helpers_bitwise_equal_to_the_formulas_they_replace(mesh, forms,
             assert abs(c @ rest) <= 1e-13 * np.abs(c).sum() * np.abs(rest).max()
 
 
+@pytest.mark.parametrize("value", [0.0, 1.0, np.inf])
+def test_case_space_mean_rows_are_the_lumped_integrals(forms, value):
+    # separate bulk and surface integrals at the Neumann end, else the combined mean
+    mean_weight, mb, ms = 1.3, forms.lump_bulk, forms.lump_surf
+    zb, zs = np.zeros(forms.n_bulk), np.zeros(forms.n_surf)
+    expected = ([np.concatenate([mb, zs]), np.concatenate([zb, ms])] if np.isinf(value)
+                else [np.concatenate([mean_weight * mb, ms])])
+    rows = case_space(forms, value, 0.8, mean_weight).mean_rows
+    assert rows.shape == (len(expected), forms.n_bulk + forms.n_surf)
+    assert [r.tobytes() for r in rows] == [e.tobytes() for e in expected]
+
+
+def test_case_space_refuses_a_vanishing_combined_mean(forms):
+    # beta = -|Gamma| / |Omega| at alpha = 1: the constant pairs (1, 1) have zero combined mean
+    beta, message = -forms.perimeter / forms.area, r"alpha\*beta\*\|Omega\| \+ \|Gamma\|"
+    for value in (0.0, 1.0, np.inf):
+        with pytest.raises(InvalidArgument, match=message):
+            case_space(forms, value, 1.0, beta)
+    with pytest.raises(InvalidArgument, match=message):
+        build_case_spaces(CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=beta), forms)
+    # the chem case's beta^2 |Omega| + |Gamma| is positive: refused for the phase case only
+    case_space(forms, 1.0, beta, beta)
+    build_case_spaces(CouplingParams(K=1.0, L=1.0, alpha=-1.0, beta=beta), forms)
+
+
 def test_velocity_ramp():
     vel = VelocityField(bulk_kind="rigid_rotation", omega=2.0, ramp=0.5)
     assert vel.factor(0.0) == 0.0

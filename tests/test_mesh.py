@@ -13,7 +13,7 @@ from bscch.mesh import (
     write_mesh,
 )
 
-from oracles import read_mesh
+from oracles import mesh_stats_reference, read_mesh
 
 
 def test_counts_formula():
@@ -122,6 +122,14 @@ def test_generator_bitwise_equal_to_loop_construction(nb, nr):
     for got, ref in zip((m.vertices, m.triangles, m.boundary_loop), _loop_disk_mesh(nb, nr)):
         assert got.dtype == ref.dtype and got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("nb,nr", [(8, 1), (16, 4), (64, 16), (200, 50), (8, 40)])
+def test_mesh_stats_match_the_law_of_cosines(nb, nr):
+    # edge lengths and corner angles from the basis gradients against the vertex form
+    mesh = generate_disk_mesh(nb, nr)
+    for got, ref in zip(mesh_stats(mesh), mesh_stats_reference(mesh)):
+        assert got == pytest.approx(ref, rel=1e-12, abs=0)
 
 
 def test_generator_input_validation():
