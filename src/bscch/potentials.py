@@ -201,9 +201,9 @@ def yosida(pot: Potential, eps, r):
     Returns ``(value, derivative, J(r))``, with value = (r - J(r))/eps for
     the resolvent J.  The derivative is the exact Newton Jacobian of the
     value: with J'(r) = 1/(1 + eps*F1''(J)) it is F1''(J)/(1 + eps*F1''(J)),
-    formed as 1/(eps + 1/F1''(J)), free of the cancellation of (1 - J'(r))/eps
-    where eps*F1'' is small and 1/eps where F1'' overflows.  The obstacle
-    derivative is 0 on the closed interval [-1,1].
+    formed as 1/(eps + 1/F1''(J)).  Unlike (1 - J'(r))/eps it does not cancel
+    where eps*F1'' is small, and it is 1/eps where F1'' overflows.  The
+    obstacle derivative is 0 on the closed interval [-1,1].
     """
     j = resolvent(pot, eps, r)  # checks eps and r
     e = float(eps)

@@ -149,23 +149,24 @@ def test_final_time_rounding_to_zero_steps_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_length_and_newton_budget_refusals_name_the_keys(tmp_path, capsys):
-    # the run-length rule is RunParams', so it reaches the API too and prints no usage line;
-    # newton.max_iter >= 1 is the config's own rule (NewtonParams allows 0)
-    short = "time.T = 0.0004 is less than half a step (time.tau = 0.001) and would run no steps"
-    budget = "newton.max_iter must be >= 1, got 0"
-    for extra, message, usage in ((("time.tau", "1e-3"), ("time.T", "4e-4")), short, False), \
-                                 ((("newton.max_iter", "0"),), budget, True):
-        cfg = dict(parse_config(SHORT_CFG), **dict(extra))
-        with pytest.raises((InvalidArgument, ValidationError)) as exc:
-            build_run_config(cfg)
-        assert str(exc.value) == message
-        p = tmp_path / "r.cfg"
-        p.write_text(serialize_config(dict(cfg, **{"output.dir": str(tmp_path / "out")})))
-        assert main(["run", "--config", str(p)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {message}\n") and ("usage:" in err) == usage
-        assert not (tmp_path / "out").exists()
+@pytest.mark.parametrize("extra,error,message", [
+    # RunParams' rule, so the API refuses it too; like every RunParams refusal, no usage line
+    ({"time.tau": "1e-3", "time.T": "4e-4"}, InvalidArgument,
+     "time.T = 0.0004 is less than half a step (time.tau = 0.001) and would run no steps"),
+    # the config's own rule: NewtonParams allows max_iter = 0
+    ({"newton.max_iter": "0"}, ValidationError, "newton.max_iter must be >= 1, got 0"),
+])
+def test_run_config_refusal_through_the_api_and_run(tmp_path, capsys, extra, error, message):
+    cfg = {**parse_config(SHORT_CFG), **extra}
+    with pytest.raises(error) as exc:
+        build_run_config(cfg)
+    assert str(exc.value) == message
+    p = tmp_path / "r.cfg"
+    p.write_text(serialize_config({**cfg, "output.dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(p)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}\n") and ("usage:" in err) == (error is ValidationError)
+    assert not (tmp_path / "out").exists()
 
 
 def test_vanishing_combined_mean_exits_1(tmp_path, capsys):
