@@ -606,8 +606,8 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
     Deterministic for a fixed configuration (including the initial-data
     seed).  A diagnostics record is kept every ``output_every`` steps plus
     at the initial and final time.  ``forms``, when given, are the core
-    operators of ``mesh``.  A step whose energy is not finite raises
-    StepFailure.
+    operators of ``mesh``.  A step whose energy is not finite, or that moves
+    a conserved mass past the rounding bound of its sum, raises StepFailure.
     """
     mesh = mesh if mesh is not None else generate_disk_mesh(config.nb, config.nr)
     forms = forms if forms is not None else assemble_core(mesh)
@@ -622,7 +622,9 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
 
     n_steps = params.n_steps
     prev_energy = records[0].energy
+    masses = stepper.chem.mean_rows  # one row w per conserved mass w @ (phi, psi)
     for k in range(1, n_steps + 1):
+        before = np.concatenate([state.phi, state.psi])
         state, report = _attempt_step(stepper, state, params.tau,
                                       params.newton.max_tau_halvings)
         robin_sq += params.tau * report.robin_gap_sq
@@ -630,6 +632,14 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
                                prev_energy=prev_energy, tau=params.tau)
         if not np.isfinite(rec.energy):  # a blown-up state is a failure, not a result
             raise StepFailure(f"non-finite energy at t = {state.t:.6g}")
+        # n u sum_i |w_i x_i| bounds the rounding of a sum of n terms.  A step whose Newton
+        # stop met the tolerance of its largest rows only (a huge trace weight scales the
+        # chem rows far past the phase rows) moved its mass by orders more
+        moved = np.abs(masses @ np.concatenate([state.phi, state.psi]) - masses @ before)
+        bound = len(before) * UNIT_ROUNDOFF * (np.abs(masses) @ np.abs(before))
+        if not np.all(moved <= bound):
+            raise StepFailure(f"conserved mass moved by {moved.max():.3e} at t = {state.t:.6g}, "
+                              f"past its rounding bound {bound[moved.argmax()]:.3e}")
         prev_energy = rec.energy
         if k % config.output_every == 0 or k == n_steps:
             records.append(rec)

@@ -325,6 +325,21 @@ def test_non_finite_energy_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_step_moving_the_conserved_mass_exits_2(tmp_path, capsys):
+    # beta = 1e100 at L = 0 puts beta times the convection into the chem rows, 1e98 past
+    # the phase rows, and one Newton tolerance for both stopped each step after one
+    # iteration with its phase rows unsolved: the run exited 0 with its combined mass
+    # moved by 7e97, 1e-10 * beta being its rounding scale
+    values = {**_PINNED, "mesh.nb": "8", "mesh.nr": "2", "model.L": "0",
+              "potential.bulk": "reg", "potential.surf": "reg",
+              "velocity.bulk": "rigid_rotation", "output.vtk": "false", "model.beta": "1e100"}
+    p = tmp_path / "m.cfg"
+    p.write_text(serialize_config({**values, "output.dir": str(tmp_path / "out")}))
+    assert main(["run", "--config", str(p)]) == 2
+    assert "solver failure: conserved mass moved by" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("c", ["10", "100"])
 def test_regularized_energy_without_lower_bound_exits_1(tmp_path, capsys, c):
     # these runs exited 0, at c = 100 with energy -1.1e140: 4 eps c >= 1 leaves the
@@ -721,6 +736,11 @@ _PINNED = {  # alpha = 0.3 at K = 0: an initial state off the trace constraint
        invalid=st.one_of(st.none(), st.sampled_from(_INVALID + _EXTREME)))
 # at L = inf a huge beta runs to exit 0; its combined mass rounds on the scale of beta
 @example(command="run", values={**_PINNED, "model.L": "inf"}, invalid=("model.beta", "1e100"))
+# at L = 0 with convection it exited 0 with the combined mass moved by 7e97; now exit 2
+@example(command="run", values={**_PINNED, "mesh.nb": "8", "mesh.nr": "2", "model.L": "0",
+                                "potential.bulk": "reg", "potential.surf": "reg",
+                                "velocity.bulk": "rigid_rotation", "output.vtk": "false"},
+         invalid=("model.beta", "1e100"))
 def test_generated_configs_end_in_a_documented_exit(command, values, invalid):
     # any config ends in a correct run (0), a message (1) or a solver failure (2);
     # ``invalid`` also draws extreme values: huge, tiny, denormal or negative
