@@ -291,16 +291,6 @@ class FormsBundle:
     def lump_pair(self):
         return np.concatenate([self.lump_bulk, self.lump_surf])
 
-    def means(self, bulk, surf, weight, separate):
-        """The constant pair (c_b, c_s) carrying the means of (bulk, surf):
-        the separate means, or m * (weight, 1) for the ``weight``-combined
-        mean m, so that (bulk - c_b, surf - c_s) has zero conserved integrals."""
-        if separate:
-            return (self.lump_bulk @ bulk) / self.area, (self.lump_surf @ surf) / self.perimeter
-        m = ((weight * self.lump_bulk) @ bulk + self.lump_surf @ surf) / (
-            weight**2 * self.area + self.perimeter)
-        return weight * m, m
-
     def mismatch_sq(self, bulk, surf, weight):
         """|weight * surf - bulk|_Gamma|^2 in the M_Gamma norm, the form of ``coupling_block``."""
         gap = weight * surf - bulk[self.loop]
@@ -417,20 +407,26 @@ class CaseSpace:
     slot ``col[i]``), and ``block``, its sigma-weighted coupling block on the
     full pair space.  ``idx`` holds the positions of the reduced coordinates
     in the full pair vector; in a Dirichlet case (K = 0 or L = 0) each
-    boundary bulk row is the weight times its surface slot.  ``mean_rows``
-    holds one full pair-space row c per mean the case fixes, c @ (u, v) the
-    conserved integral: int u and int v at the Neumann end (value = inf),
-    else the combined mean_weight * int u + int v.  ``prolong`` is
-    P x, ``restrict`` P^T v and ``lumped`` the diagonal of P^T diag(d) P, as
-    one gather or bincount each, bitwise equal to the sparse products (a slot
-    sums at most two terms).  Like the sparse kernels, each sum starts from
-    +0.0, so a zero result is +0.0 (0.0 * x is -0.0 for x < 0)."""
+    boundary bulk row is the weight times its surface slot.  ``pairs`` holds
+    the full pair-space constant pair of each mean the case fixes: (1, 0) and
+    (0, 1) at the Neumann end (value = inf), else (mean_weight, 1), and
+    ``mean_rows`` = pairs * lump_pair the rows c with c @ (u, v) its conserved
+    integral.  ``prolong`` is P x, ``restrict`` P^T v and ``lumped`` the
+    diagonal of P^T diag(d) P, as one gather or bincount each, bitwise equal
+    to the sparse products (a slot sums at most two terms).  Like the sparse
+    kernels, each sum starts from +0.0, so a zero result is +0.0 (0.0 * x is
+    -0.0 for x < 0)."""
 
     idx: np.ndarray
     col: np.ndarray
     scale: np.ndarray
     block: Csr
-    mean_rows: np.ndarray  # (k, n + b)
+    pairs: np.ndarray  # (k, n + b), as mean_rows
+    mean_rows: np.ndarray
+
+    def means(self, v):
+        """The constant pair with the conserved integrals of ``v``: v minus it has none."""
+        return ((self.mean_rows @ v) / np.sum(self.mean_rows * self.pairs, axis=1)) @ self.pairs
 
     def prolong(self, x):
         return 0.0 + self.scale * x[self.col]
@@ -465,20 +461,21 @@ def case_space(forms: FormsBundle, value, weight, mean_weight) -> CaseSpace:
     a, p = forms.area, forms.perimeter
     if abs(weight * mean_weight * a + p) < 1e-12 * (a + p):
         raise InvalidArgument("alpha*beta*|Omega| + |Gamma| must be nonzero")
-    lump_b, lump_s = forms.lump_bulk, forms.lump_surf
-    rows = (np.array([np.concatenate([lump_b, np.zeros(b)]), np.concatenate([np.zeros(n), lump_s])])
-            if math.isinf(value) else np.concatenate([mean_weight * lump_b, lump_s])[None])
+    on_bulk = np.arange(n + b) < n
+    pairs = (np.array([on_bulk, ~on_bulk], dtype=float) if math.isinf(value)
+             else np.where(on_bulk, mean_weight, 1.0)[None])
+    rows = pairs * forms.lump_pair
     block = forms.coupling_block(weight) if s > 0 else empty((n + b, n + b))
     block = replace(block, data=s * block.data)  # scipy's s * block: stored zeros kept
     col, scale = np.arange(n + b), np.ones(n + b)
     if value != 0.0:
-        return CaseSpace(col, col, scale, block, rows)
+        return CaseSpace(col, col, scale, block, pairs, rows)
     is_bnd = np.zeros(n, dtype=bool)
     is_bnd[loop] = True
     idx = np.concatenate([np.flatnonzero(~is_bnd), n + np.arange(b)])
     col[idx] = np.arange(len(idx))
     col[loop], scale[loop] = col[n:], weight
-    return CaseSpace(idx, col, scale, block, rows)
+    return CaseSpace(idx, col, scale, block, pairs, rows)
 
 
 def build_case_spaces(cp: CouplingParams, forms: FormsBundle):

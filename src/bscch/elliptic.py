@@ -243,18 +243,14 @@ def manufactured_errors(K, mesh_sizes=((32, 8), (64, 16), (128, 32))):
         ang = np.arctan2(
             mesh.vertices[mesh.boundary_loop, 1], mesh.vertices[mesh.boundary_loop, 0]
         )
-        f_data, g_data = f_ex(x, y), g_ex(ang)
+        space, data = case_space(forms, K, alpha, alpha), np.concatenate([f_ex(x, y), g_ex(ang)])
         if np.isinf(K):
             # the continuous means vanish; remove the quadrature defect
-            c_f, c_g = forms.means(f_data, g_data, alpha, True)
-            f_data, g_data = f_data - c_f, g_data - c_g
-        u, v = solve_coupled_poisson(K, alpha, f_data, g_data, forms=forms)
-        du = u - u_ex(x, y)
-        dv = v - v_ex(ang)
+            data -= space.means(data)
+        u, v = solve_coupled_poisson(K, alpha, *forms.split(data), forms=forms)
+        diff = np.concatenate([u - u_ex(x, y), v - v_ex(ang)])
         # separate gauges at K = inf, else the kernel along (alpha, 1): match the means
-        c_u, c_v = forms.means(du, dv, alpha, np.isinf(K))
-        du -= c_u
-        dv -= c_v
+        du, dv = forms.split(diff - space.means(diff))
         err = np.sqrt(du @ (forms.M_bulk @ du) + dv @ (forms.M_surf @ dv))
         errors.append(float(err))
     return errors

@@ -46,7 +46,7 @@ DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
 # (Dembo, Eisenstat & Steihaug 1982): a tenth of the Newton tolerance relative to the
 # residual, never looser than FORCING_MAX.  Mass takes a second test.  The first block row
 # of the system is linear: for each conserved mass w @ (phi, psi) its constant pair c (the
-# chem coordinates of w / lump_pair) has c A1 = 0 for every mobility, and a correction
+# chem coordinates of the case record's pair) has c A1 = 0 for every mobility, and a correction
 # whose linear residual is r moves the mass by lambda tau c r_1.  In exact arithmetic, with
 # D only in the phase rows and the kept factor F of the current tau (a new tau drops it),
 # c (J F^-1 v)_1 = c v_1, so c r_1 = (1 - q(1)) c b_1 for the Krylov polynomial q: a loose
@@ -224,9 +224,9 @@ class Stepper:
         self.phase, self.chem = phase, chem = build_case_spaces(cp, self.forms)
         f = self.forms
         self.A_K = reduce(phase, add(f.A_pair, phase.block), phase)
-        self.system = _NewtonSystem(mesh, chem, reduce(chem, chem.block, chem),
+        self.system = _NewtonSystem(f, chem, reduce(chem, chem.block, chem),
                                     reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
-                                    self.A_K, chem.mean_rows, f.lump_pair)
+                                    self.A_K)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
@@ -366,12 +366,10 @@ class _NewtonSystem:
     conserved mass GMRES also bounds the residual (see KRYLOV_RTOL).
     """
 
-    def __init__(self, mesh, chem, BL_red, M_LK, M_KL, A_K, masses, lump_pair):
-        g, n, ny = mesh.geometry, mesh.n_vertices, len(chem.idx)
+    def __init__(self, forms, chem, BL_red, M_LK, M_KL, A_K):
+        ny = len(chem.idx)
         c, w = chem.col, chem.scale  # P holds one entry per row: w[i] in column c[i]
-        k_rows = np.concatenate([np.repeat(np.arange(p.shape[0]), np.diff(p.indptr)) + off
-                                 for p, off in ((g.tri_pattern, 0), (g.edge_pattern, n))])
-        k_cols = np.concatenate([g.tri_pattern.indices, n + g.edge_pattern.indices])
+        k_rows, k_cols, _ = triplets(forms.A_pair)  # the slots of the (K_b, K_s) data
         size = ny + A_K.shape[0]  # the entries of scipy's bmat, block by block
         F_row, F_col, self.F_data = (np.concatenate(x) for x in zip(
             triplets(BL_red), triplets(M_LK, 0, ny), triplets(M_KL, ny, 0),
@@ -383,11 +381,11 @@ class _NewtonSystem:
         rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
         self.tau = self.K_b = self.J0 = self.D = self.factor = None
-        # one row w per conserved mass w @ (phi, psi), and its constant pair w / lump_pair in
-        # chem coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
-        self.mass_weights = np.abs(masses)
-        self.conserved = np.hstack([(masses / lump_pair)[:, chem.idx],
-                                    np.zeros((len(masses), A_K.shape[0]))])
+        # one row w per conserved mass w @ (phi, psi), and its constant pair in chem
+        # coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
+        self.mass_weights = np.abs(chem.mean_rows)
+        self.conserved = np.hstack([chem.pairs[:, chem.idx],
+                                    np.zeros((len(chem.pairs), A_K.shape[0]))])
 
     def jacobian(self, tau, K_b, K_s):
         """J0 for step size tau and mobility blocks (K_b, K_s), built anew when either changed."""
@@ -577,26 +575,24 @@ def initial_state(mesh: TriMesh, params: RunParams, forms: FormsBundle | None = 
     phi = np.clip(phi, lo, hi)
     psi = np.clip(psi, lo, hi)
 
-    if cp.K == 0.0:
-        # trace constraint phi|_Gamma = alpha * psi, imposed exactly
-        if cp.alpha == 0.0:
-            phi[mesh.boundary_loop] = 0.0
-        else:
-            with np.errstate(over="ignore"):  # a tiny alpha overflows to inf, rejected next
-                psi = phi[mesh.boundary_loop] / cp.alpha
-            if np.any(np.abs(psi) > hi):
-                raise InvalidArgument(f"slaved surface values phi / model.alpha exceed the clamp "
-                                      f"margin (model.alpha = {cp.alpha})")
-            phi[mesh.boundary_loop] = cp.alpha * psi  # phi / alpha * alpha may differ from phi
-
-    separate = np.isinf(cp.L)  # else the combined mean m, carried by (beta * m, m)
-    for mean, pot, where in zip(forms.means(phi, psi, cp.beta, separate),
-                                (params.pot_bulk, params.pot_surf), ("bulk", "surface")):
+    phase, chem = build_case_spaces(cp, forms)
+    if cp.K == 0.0 and cp.alpha != 0.0:  # psi follows phi|_Gamma
+        with np.errstate(over="ignore"):  # a tiny alpha overflows to inf, rejected next
+            psi = phi[mesh.boundary_loop] / cp.alpha
+        if np.any(np.abs(psi) > hi):
+            raise InvalidArgument(f"slaved surface values phi / model.alpha exceed the clamp "
+                                  f"margin (model.alpha = {cp.alpha})")
+    # K = 0: the phase space sets phi|_Gamma = alpha * psi exactly (phi / alpha * alpha may
+    # differ from phi, and alpha = 0 gives 0.0)
+    pair = phase.prolong(np.concatenate([phi, psi])[phase.idx])
+    rule = "separate" if len(chem.pairs) == 2 else "combined"
+    for mean, pot, where in zip(chem.means(pair)[[0, -1]], (params.pot_bulk, params.pot_surf),
+                                ("bulk", "surface")):
         lo, hi = pot.prime_domain
         if not lo < mean < hi:
             raise InvalidArgument(f"initial {where} mean {mean:g} outside its domain's interior "
-                                  f"({'separate' if separate else 'combined'}-mean condition)")
-    return State(t=0.0, phi=phi, psi=psi, mu=np.zeros(n), theta=np.zeros(b))
+                                  f"({rule}-mean condition)")
+    return State(0.0, *forms.split(pair), np.zeros(n), np.zeros(b))
 
 
 def run(config: RunConfig, mesh: TriMesh | None = None,
@@ -622,7 +618,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
 
     n_steps = params.n_steps
     prev_energy = records[0].energy
-    masses = stepper.chem.mean_rows  # one row w per conserved mass w @ (phi, psi)
+    masses, weights = stepper.chem.mean_rows, stepper.system.mass_weights  # w and |w| per mass
     for k in range(1, n_steps + 1):
         before = np.concatenate([state.phi, state.psi])
         state, report = _attempt_step(stepper, state, params.tau,
@@ -636,7 +632,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
         # stop met the tolerance of its largest rows only (a huge trace weight scales the
         # chem rows far past the phase rows) moved its mass by orders more
         moved = np.abs(masses @ np.concatenate([state.phi, state.psi]) - masses @ before)
-        bound = len(before) * UNIT_ROUNDOFF * (np.abs(masses) @ np.abs(before))
+        bound = len(before) * UNIT_ROUNDOFF * (weights @ np.abs(before))
         if not np.all(moved <= bound):
             raise StepFailure(f"conserved mass moved by {moved.max():.3e} at t = {state.t:.6g}, "
                               f"past its rounding bound {bound[moved.argmax()]:.3e}")

@@ -4,7 +4,7 @@ None of these is reached by a command or a run: the scalar property
 battery of acceptance criterion 01 with the minimal section it compares
 against, the quadratic lower-bound certificate, the config writer, a
 reader for the ASCII mesh format that ``bscch mesh`` writes, the
-law-of-cosines mesh statistics, the scipy
+law-of-cosines mesh statistics, the constant pair of a pair's means, the scipy
 forms of the package's sparse operators, and the numeric output oracle of
 ``scripts/output_digest.py``.
 """
@@ -168,6 +168,16 @@ def mesh_stats_reference(mesh: TriMesh):
 
     ang = np.minimum(np.minimum(corner(e0, e1, e2), corner(e1, e2, e0)), corner(e2, e0, e1))
     return h_max, float(ang.min())
+
+
+def means_reference(forms, bulk, surf, weight, separate):
+    """The constant pair (c_b, c_s) carrying the means of (bulk, surf) by the area and
+    perimeter: the separate means, or m * (weight, 1) for the ``weight``-combined mean m."""
+    if separate:
+        return (forms.lump_bulk @ bulk) / forms.area, (forms.lump_surf @ surf) / forms.perimeter
+    m = ((weight * forms.lump_bulk) @ bulk + forms.lump_surf @ surf) / (
+        weight**2 * forms.area + forms.perimeter)
+    return weight * m, m
 
 
 def as_scipy(A: Csr) -> sp.csr_matrix:

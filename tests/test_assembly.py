@@ -22,7 +22,7 @@ from bscch.errors import InvalidArgument
 from bscch.mesh import generate_disk_mesh
 from bscch.potentials import Potential
 from bscch.stepper import RunParams, Stepper, initial_state
-from oracles import as_scipy, prolongation, triple_product
+from oracles import as_scipy, means_reference, prolongation, triple_product
 
 
 @pytest.fixture(scope="module")
@@ -211,18 +211,29 @@ def test_pairing_helpers_bitwise_equal_to_the_formulas_they_replace(mesh, forms,
     assert same(cols[1], np.concatenate([np.zeros(forms.n_bulk), ms]))
     (col,) = case_space(forms, 1.0, weight, weight).mean_rows
     assert same(col, np.concatenate([weight * mb, ms]))
-    # the separate centring and the combined gauge of the manufactured-solution errors
-    c_b, c_s = forms.means(u, v, weight, True)
-    assert same(c_b, (mb @ u) / forms.area) and same(c_s, (ms @ v) / forms.perimeter)
-    shift = ((weight * mb) @ u + ms @ v) / (weight**2 * forms.area + forms.perimeter)
-    c_b, c_s = forms.means(u, v, weight, False)
-    assert same(c_b, weight * shift) and same(c_s, shift)
-    # the constant pair carries the means: what is left has zero constraint integrals
+    # the separate centring and the combined gauge of the manufactured-solution errors: the
+    # record divides by its rows' sums, the reference by |Omega| and |Gamma|
+    x, scale = np.concatenate([u, v]), max(np.abs(u).max(), np.abs(v).max())
     for separate in (True, False):
-        c_b, c_s = forms.means(u, v, weight, separate)
-        rest = np.concatenate([u - c_b, v - c_s])
-        for c in case_space(forms, np.inf if separate else 1.0, weight, weight).mean_rows:
+        space = case_space(forms, np.inf if separate else 1.0, weight, weight)
+        c_b, c_s = forms.split(space.means(x))
+        ref_b, ref_s = means_reference(forms, u, v, weight, separate)
+        assert np.abs(c_b - ref_b).max() <= 8 * np.spacing(scale)
+        assert np.abs(c_s - ref_s).max() <= 8 * np.spacing(scale)
+        # the constant pair carries the means: what is left has zero constraint integrals
+        rest = x - space.means(x)
+        for c in space.mean_rows:
             assert abs(c @ rest) <= 1e-13 * np.abs(c).sum() * np.abs(rest).max()
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, np.inf])
+@pytest.mark.parametrize("weight", [0.0, -0.8, 1.2])
+def test_case_space_means_are_constant_on_each_block(forms, value, weight):
+    x = np.random.default_rng(5).standard_normal(forms.n_bulk + forms.n_surf)
+    c_b, c_s = forms.split(case_space(forms, value, weight, weight).means(x))
+    assert np.all(c_b == c_b[0]) and np.all(c_s == c_s[0])
+    if not np.isinf(value):  # the combined mean m is carried by (weight * m, m)
+        assert c_b[0] == weight * c_s[0]
 
 
 @pytest.mark.parametrize("value", [0.0, 1.0, np.inf])
