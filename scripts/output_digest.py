@@ -40,7 +40,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 import numpy as np  # noqa: E402
 from bscch.cli import main as bscch_main  # noqa: E402
-from bscch.config import resolve  # noqa: E402
+from bscch.config import build_run_config, resolve  # noqa: E402
 from bscch.mesh import generate_disk_mesh  # noqa: E402
 from bscch.stepper import NewtonParams  # noqa: E402
 
@@ -248,7 +248,7 @@ def _numbers(name, argv, cfg):
     if cfg is not None:
         r = resolve(cfg)
         record["model"] = {k: r[f"model.{k}"] for k in ("K", "L", "alpha", "beta")}
-        record["tau"], record["steps"] = r["time.tau"], round(r["time.T"] / r["time.tau"])
+        record["tau"], record["steps"] = r["time.tau"], build_run_config(cfg).params.n_steps
         mesh = generate_disk_mesh(r["mesh.nb"], r["mesh.nr"])
         record["mesh"] = {"n": mesh.n_vertices, "h_min": shortest_edge(mesh)}
     for path, data in files.items():

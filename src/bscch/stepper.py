@@ -155,8 +155,9 @@ class RunParams:
 
     @property
     def n_steps(self):
-        """Number of steps of size tau to the final time (T rounded to a multiple of tau)."""
-        return int(round(self.t_final / self.tau))
+        """Number of steps of size tau to the final time: T / tau rounded, a tie up."""
+        r = self.t_final / self.tau
+        return int(r) + (r - int(r) >= 0.5)
 
 
 @dataclass(frozen=True)

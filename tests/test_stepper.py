@@ -13,7 +13,9 @@ from bscch.assembly import (
     CouplingParams,
     Mobility,
     VelocityField,
+    assemble_core,
     assemble_mobility_stiffness,
+    build_case_spaces,
 )
 from bscch.diagnostics import energy, make_record, masses
 from bscch.errors import InvalidArgument, StepFailure
@@ -29,7 +31,7 @@ from bscch.stepper import (
     initial_state,
     run,
 )
-from oracles import as_scipy, output_digest, prolongation, triple_product
+from oracles import as_scipy, means_reference, output_digest, prolongation, triple_product
 
 LOG = Potential("log")
 
@@ -133,13 +135,34 @@ def test_uniform_draws_bitwise_equal_to_default_rng(seed, sizes):
         assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7, 0.9])
+@pytest.mark.parametrize("alpha", [0.3, 0.6, 0.7, 0.9, 0.0, -0.8])
 def test_initial_trace_constraint_holds_bitwise(alpha):
     # psi = phi|_Gamma / alpha alone left alpha * psi off phi|_Gamma in the last bit
     mesh = generate_disk_mesh(16, 4)
     cp = CouplingParams(K=0.0, L=1.0, alpha=alpha, beta=1.0)
     state = initial_state(mesh, _params(coupling=cp, init=InitialDataSpec(seed=0)))
-    np.testing.assert_array_equal(state.phi[mesh.boundary_loop], alpha * state.psi)
+    trace = state.phi[mesh.boundary_loop]
+    np.testing.assert_array_equal(trace, alpha * state.psi)
+    if alpha == 0.0:  # +0.0, not the -0.0 of 0.0 * psi for psi < 0
+        assert not np.any(np.signbit(trace)) and np.any(state.psi < 0)
+
+
+def test_initial_state_of_separate_masses_carries_the_lumped_means():
+    # L = inf conserves the bulk and surface masses separately: the record's separate
+    # lumped means of the clamped fields, which lie inside every well's domain
+    mesh = generate_disk_mesh(16, 4)
+    cp = CouplingParams(K=1.0, L=np.inf, alpha=1.0, beta=2.0)
+    spec = InitialDataSpec(mode="bubbles", margin=0.01)
+    p = _params(coupling=cp, init=spec)
+    forms = assemble_core(mesh)
+    state = initial_state(mesh, p, forms)
+    _, chem = build_case_spaces(cp, forms)
+    assert len(chem.pairs) == 2
+    c_b, c_s = forms.split(chem.means(np.concatenate([state.phi, state.psi])))
+    ref_b, ref_s = means_reference(forms, state.phi, state.psi, cp.beta, True)
+    assert abs(c_b[0] - ref_b) <= 8 * np.spacing(1.0)
+    assert abs(c_s[-1] - ref_s) <= 8 * np.spacing(1.0)
+    assert np.all(c_b == c_b[0]) and np.all(c_s == c_s[0]) and c_b[0] != c_s[0]
 
 def test_initial_data_mean_admissibility():
     # beta = 5 inflates the conserved combined mean past the log domain edge
@@ -247,6 +270,16 @@ def test_run_params_refuse_a_final_time_of_no_step():
     assert str(exc.value) == message
     assert _params(tau=1e-3, t_final=6e-4).n_steps == 1
     assert _params(tau=1e-3, t_final=0.0).n_steps == 0  # T = 0 asks for the initial record
+
+
+def test_run_params_round_a_final_time_at_half_a_step_up():
+    # round() tied to even: T = tau / 2 was refused as "less than half a step", 2.5 tau ran 2
+    assert _params(tau=0.25, t_final=0.125).n_steps == 1
+    assert _params(tau=0.25, t_final=0.625).n_steps == 3
+    assert _params(tau=0.25, t_final=0.375).n_steps == 2
+    # just below half a step is no step (int(r + 0.5) would round 0.49999999999999994 up)
+    with pytest.raises(InvalidArgument, match="less than half a step"):
+        _params(tau=1.0, t_final=np.nextafter(0.5, 0.0))
 
 
 def _halving_by_hand(stepper, state, tau):
