@@ -329,8 +329,7 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
     m_loc = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
     M_surf = scatter(g.edge_pattern, h[:, None, None] * m_loc)
     # at the unit mobility, bitwise the unweighted stiffnesses
-    A_bulk = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(n))
-    A_surf = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(b))
+    A_bulk, A_surf = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(n), Mobility(), np.zeros(b))
 
     return FormsBundle(
         M_bulk=M_bulk,
@@ -345,24 +344,19 @@ def assemble_core(mesh: TriMesh) -> FormsBundle:
     )
 
 
-def assemble_mobility_stiffness(mesh: TriMesh, mob: Mobility, fld):
-    """Stiffness weighted by the mobility at the element mean of ``fld``.
-
-    Dispatches on the field length: bulk vertices -> bulk operator,
-    boundary positions -> surface operator.
-    """
-    fld = np.asarray(fld, dtype=float)
-    n, b = mesh.n_vertices, mesh.n_boundary
+def assemble_mobility_stiffness(mesh: TriMesh, mob_bulk: Mobility, phi, mob_surf: Mobility, psi):
+    """``(K_bulk, K_surf)``: the bulk stiffness weighted by ``mob_bulk`` at the triangle
+    means of ``phi`` (one value per vertex) and the surface stiffness weighted by
+    ``mob_surf`` at the edge means of ``psi`` (one value per boundary-loop position)."""
+    phi, psi = np.asarray(phi, dtype=float), np.asarray(psi, dtype=float)
+    if phi.shape != (mesh.n_vertices,) or psi.shape != (mesh.n_boundary,):
+        raise InvalidArgument(f"mobility fields of shapes {phi.shape}, {psi.shape} need "
+                              f"({mesh.n_vertices},), ({mesh.n_boundary},)")
     g = mesh.geometry
-    if fld.shape == (n,):
-        coef = mob(fld[mesh.triangles].mean(axis=1)) * g.areas
-        return scatter(g.tri_pattern, coef[:, None, None] * g.gdot)
-    if fld.shape == (b,):
-        pe = g.edge_pos
-        coef = mob(0.5 * (fld[pe[:, 0]] + fld[pe[:, 1]])) / g.lengths
-        a_loc = np.array([[1.0, -1.0], [-1.0, 1.0]])
-        return scatter(g.edge_pattern, coef[:, None, None] * a_loc)
-    raise InvalidArgument("field length matches neither bulk nor surface node count")
+    coef_bulk = mob_bulk(phi[mesh.triangles].mean(axis=1)) * g.areas
+    coef_surf = mob_surf(0.5 * (psi[g.edge_pos[:, 0]] + psi[g.edge_pos[:, 1]])) / g.lengths
+    return (scatter(g.tri_pattern, coef_bulk[:, None, None] * g.gdot),
+            scatter(g.edge_pattern, coef_surf[:, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])))
 
 
 def assemble_convection(mesh: TriMesh, vel: VelocityField):

@@ -230,15 +230,10 @@ class Stepper:
                                     self.A_K)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
-            self._mobility_blocks(np.zeros(f.n_bulk), np.zeros(f.n_surf)) if constant else None)
+            assemble_mobility_stiffness(mesh, params.mob_bulk, np.zeros(f.n_bulk),
+                                        params.mob_surf, np.zeros(f.n_surf)) if constant else None)
         vel = params.velocity  # unit-ramp operators: vel.factor(vel.ramp) = 1
         self.convection = None if vel.is_zero else assemble_convection(mesh, vel)
-
-    def _mobility_blocks(self, phi, psi):
-        """Mobility stiffnesses K_b, K_s at (phi, psi)."""
-        p = self.params
-        return (assemble_mobility_stiffness(self.mesh, p.mob_bulk, phi),
-                assemble_mobility_stiffness(self.mesh, p.mob_surf, psi))
 
     def _nonlinear(self, phase_full):
         """Implicit regularized derivative, its diagonal Jacobian, the resolvents."""
@@ -266,8 +261,9 @@ class Stepper:
 
         pair_n = np.concatenate([state.phi, state.psi])
         x_n = pair_n[phase.idx]
-        K_b, K_s = self.run_mobility or self._mobility_blocks(state.phi, state.psi)
-        J0 = self.system.jacobian(tau, K_b, K_s)
+        mobility = self.run_mobility or assemble_mobility_stiffness(
+            self.mesh, p.mob_bulk, state.phi, p.mob_surf, state.psi)
+        J0 = self.system.jacobian(tau, mobility)
 
         if self.convection is None:
             conv = np.zeros(f.n_bulk + f.n_surf)
@@ -339,8 +335,8 @@ class Stepper:
                     None if state.nonlinear is None else (tau, x_n, y_n))
         mu, theta = new.mu, new.theta
         report = StepReport(iters, linear_iters, factorizations,
-                            diss_bulk=float(mu @ (K_b @ mu)),
-                            diss_surf=float(theta @ (K_s @ theta)),
+                            diss_bulk=float(mu @ (mobility[0] @ mu)),
+                            diss_surf=float(theta @ (mobility[1] @ theta)),
                             robin_gap_sq=f.mismatch_sq(mu, theta, p.coupling.beta))
         report.diss_robin = p.coupling.sigma_L * report.robin_gap_sq
         if not p.velocity.is_zero:
@@ -381,21 +377,21 @@ class _NewtonSystem:
         self.coef, self.ny = w[k_rows] * w[k_cols], ny
         rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
-        self.tau = self.K_b = self.J0 = self.D = self.factor = None
+        self.tau = self.mobility = self.J0 = self.D = self.factor = None
         # one row w per conserved mass w @ (phi, psi), and its constant pair in chem
         # coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
         self.mass_weights = np.abs(chem.mean_rows)
         self.conserved = np.hstack([chem.pairs[:, chem.idx],
                                     np.zeros((len(chem.pairs), A_K.shape[0]))])
 
-    def jacobian(self, tau, K_b, K_s):
-        """J0 for step size tau and mobility blocks (K_b, K_s), built anew when either changed."""
-        if self.tau != tau or self.K_b is not K_b:
+    def jacobian(self, tau, mobility):
+        """J0 for step size tau and the mobility pair (K_b, K_s), built anew when either changed."""
+        if self.tau != tau or self.mobility is not mobility:
             if self.tau != tau:  # the kept factor holds M_LK over the old tau
                 self.factor = None
             data = [np.where(self.over_tau, (1.0 / tau) * self.F_data, self.F_data),
-                    self.coef * np.concatenate([K_b.data, K_s.data])]
-            self.tau, self.K_b, self.J0 = tau, K_b, scatter(self.pattern, np.concatenate(data))
+                    self.coef * np.concatenate([K.data for K in mobility])]
+            self.tau, self.mobility, self.J0 = tau, mobility, scatter(self.pattern, np.concatenate(data))
         return self.J0
 
     def solve(self, D, rhs, rtol, start):

@@ -19,7 +19,7 @@ from bscch.assembly import (
     sigma,
 )
 from bscch.errors import InvalidArgument
-from bscch.mesh import generate_disk_mesh
+from bscch.mesh import TriMesh, generate_disk_mesh
 from bscch.potentials import Potential
 from bscch.stepper import RunParams, Stepper, initial_state
 from oracles import as_scipy, means_reference, prolongation, triple_product
@@ -81,22 +81,53 @@ def test_lumped_masses_match_row_sums(forms):
 
 
 def test_constant_mobility_reduces_to_stiffness(mesh, forms):
-    phi = np.linspace(-0.5, 0.5, forms.n_bulk)
-    K = assemble_mobility_stiffness(mesh, Mobility(kind="constant", m0=2.5), phi)
+    phi, psi = np.linspace(-0.5, 0.5, forms.n_bulk), np.linspace(-0.5, 0.5, forms.n_surf)
+    mob = Mobility(kind="constant", m0=2.5)
+    K, K_s = assemble_mobility_stiffness(mesh, mob, phi, mob, psi)
     assert abs(as_scipy(K) - 2.5 * as_scipy(forms.A_bulk)).max() < 1e-13
+    assert abs(as_scipy(K_s) - 2.5 * as_scipy(forms.A_surf)).max() < 1e-13
 
 
 def test_degenerate_mobility_at_pure_phase(mesh, forms):
     # m(+-1) = m0: degenerate part vanishes at the pure states
-    phi = np.ones(forms.n_bulk)
-    K = assemble_mobility_stiffness(mesh, Mobility(kind="degenerate", m0=1.0, m1=3.0), phi)
+    phi, psi = np.ones(forms.n_bulk), -np.ones(forms.n_surf)
+    mob = Mobility(kind="degenerate", m0=1.0, m1=3.0)
+    K, K_s = assemble_mobility_stiffness(mesh, mob, phi, mob, psi)
     assert abs(as_scipy(K) - as_scipy(forms.A_bulk)).max() < 1e-13
+    assert abs(as_scipy(K_s) - as_scipy(forms.A_surf)).max() < 1e-13
 
 
-def test_surface_mobility_dispatch(mesh, forms):
+def test_surface_mobility_block(mesh, forms):
+    # each block takes its own mobility: the unit one in the bulk, 2 on the surface
     psi = np.zeros(forms.n_surf)
-    K = assemble_mobility_stiffness(mesh, Mobility(kind="degenerate", m0=1.0, m1=1.0), psi)
+    K_b, K = assemble_mobility_stiffness(mesh, Mobility(), np.zeros(forms.n_bulk),
+                                         Mobility(kind="degenerate", m0=1.0, m1=1.0), psi)
     assert abs(as_scipy(K) - 2.0 * as_scipy(forms.A_surf)).max() < 1e-13
+    np.testing.assert_array_equal(K_b.data, forms.A_bulk.data)
+
+
+def test_surface_stiffness_without_interior_vertex_is_the_arclength_laplacian():
+    # the unit square cut into two triangles: every vertex is on the boundary (n = b)
+    square = TriMesh(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]),
+                     np.array([[0, 1, 2], [0, 2, 3]]), np.arange(4))
+    forms = assemble_core(square)
+    h, b = square.geometry.lengths, square.n_boundary
+    laplacian = np.zeros((b, b))
+    for k in range(b):  # edge k joins loop positions k and k + 1 (mod b)
+        ends = [k, (k + 1) % b]
+        laplacian[np.ix_(ends, ends)] += np.array([[1.0, -1.0], [-1.0, 1.0]]) / h[k]
+    np.testing.assert_array_equal(as_scipy(forms.A_surf).toarray(), laplacian)
+    assert not np.array_equal(as_scipy(forms.A_bulk).toarray(), laplacian)
+
+
+@pytest.mark.parametrize("fields", ["swapped", "bulk short", "surface long", "two-dimensional"])
+def test_mobility_fields_of_the_wrong_shape_are_refused(mesh, fields):
+    n, b, mob = mesh.n_vertices, mesh.n_boundary, Mobility()
+    phi, psi = {"swapped": (np.zeros(b), np.zeros(n)), "bulk short": (np.zeros(n - 1), np.zeros(b)),
+                "surface long": (np.zeros(n), np.zeros(b + 1)),
+                "two-dimensional": (np.zeros((n, 1)), np.zeros(b))}[fields]
+    with pytest.raises(InvalidArgument, match="mobility fields"):
+        assemble_mobility_stiffness(mesh, mob, phi, mob, psi)
 
 
 @settings(max_examples=50, deadline=None)
@@ -291,11 +322,12 @@ def test_mobility_stiffness_on_fixed_pattern_matches_coo_scatter(mesh):
     bulk = (mob(phi[tri].mean(axis=1)) * g.areas)[:, None, None] * g.gdot
     surf = (mob(0.5 * (psi[pe[:, 0]] + psi[pe[:, 1]])) / g.lengths)[:, None, None] \
         * np.array([[1.0, -1.0], [-1.0, 1.0]])
-    for fld, elements, local, size in ((phi, tri, bulk, n), (psi, pe, surf, b)):
+    pair = assemble_mobility_stiffness(mesh, mob, phi, mob, psi)
+    for K, elements, local, size in zip(pair, (tri, pe), (bulk, surf), (n, b)):
         k = elements.shape[1]
         rows, cols = np.repeat(elements, k, axis=1), np.tile(elements, (1, k))
         ref = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())), shape=(size, size))
-        got = as_scipy(assemble_mobility_stiffness(mesh, mob, fld))
+        got = as_scipy(K)
         assert got.has_sorted_indices and got.shape == (size, size)
         diff = np.abs((got - ref.tocsr()).toarray()).max()
         assert diff <= 1e-14 * np.abs(got.data).max()
