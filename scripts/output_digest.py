@@ -125,7 +125,7 @@ def _cases():
     yield ("cont-dep", ["cont-dep", "--config", "CONFIG", "--amplitudes", "0,1e-3,2e-3"],
            _config(time__T="5e-4", init__mode="bubbles",
                    velocity__bulk="rigid_rotation", velocity__omega="1"))
-    for K in ("0", "1", "inf"):
+    for K in ("0", "1", "inf", "0.5"):  # 0.5: the Robin family away from K = 1
         yield (f"elliptic-mms-K{K}", ["elliptic-mms", "--K", K, "--levels", "2"], None)
     for K in ("0", "1"):
         yield (f"poincare-K{K}", ["poincare", "--K", K, "--nb", "16", "--nr", "4"], None)

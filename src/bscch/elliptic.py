@@ -215,14 +215,16 @@ def manufactured_case(K):
             lambda x, y: np.zeros_like(x),
             lambda a: 6.0 * np.cos(2.0 * a),
         )
-    # Robin with alpha = 3: d_n u* = 2 cos 2t = (alpha v* - u*)/K at r = 1
+    # Robin with alpha = 3 and u* = c (x^2 - y^2), c = alpha / (1 + 2K): at r = 1
+    # K d_n u* = 2cK cos 2t = (alpha - c) cos 2t = alpha v* - u*, and g = 4 cos 2t + alpha d_n u*
     alpha = 3.0
+    c = alpha / (1.0 + 2.0 * K)
     return (
         alpha,
-        lambda x, y: x * x - y * y,
+        lambda x, y: c * (x * x - y * y),
         lambda a: np.cos(2.0 * a),
         lambda x, y: np.zeros_like(x),
-        lambda a: (4.0 + 2.0 * alpha) * np.cos(2.0 * a),
+        lambda a: (4.0 + 2.0 * alpha * c) * np.cos(2.0 * a),
     )
 
 

@@ -225,7 +225,7 @@ def test_changed_extension_function_fails_naming_it(monkeypatch, function):
         assert raised.value.name == module.__name__
 
 
-@pytest.mark.parametrize("K", [0.0, 1.0, np.inf])
+@pytest.mark.parametrize("K", [0.0, 1e-3, 0.5, 1.0, 2.0, 1e3, np.inf])
 def test_mms_convergence_order(K):
     errors = manufactured_errors(K, mesh_sizes=((32, 8), (64, 16), (128, 32)))
     for e1, e2 in zip(errors, errors[1:]):
@@ -233,13 +233,18 @@ def test_mms_convergence_order(K):
 
 
 def test_mms_exact_pair_satisfies_interface_condition():
-    # Robin case: K d_n u* = alpha v* - u* on r=1 with d_n u* = 2 cos 2t
-    alpha, u_ex, v_ex, _, _ = manufactured_case(1.0)
+    # Robin case: K d_n u* = alpha v* - u* on r=1, and the surface datum is
+    # g = -Delta_Gamma v* + alpha d_n u* = 4 cos 2t + (alpha/K)(alpha v* - u*)
     t = np.linspace(0, 2 * np.pi, 17)
     x, y = np.cos(t), np.sin(t)
-    lhs = 1.0 * 2.0 * np.cos(2 * t)           # K * d_n u*
-    rhs = alpha * v_ex(t) - u_ex(x, y)
-    np.testing.assert_allclose(lhs, rhs, atol=1e-14)
+    for K in (1e-3, 0.5, 1.0, 2.0, 1e3):
+        alpha, u_ex, v_ex, _, g_ex = manufactured_case(K)
+        # central difference along the normal, exact for a quadratic at any step (here 1/2)
+        d_n_u = u_ex(1.5 * x, 1.5 * y) - u_ex(0.5 * x, 0.5 * y)
+        gap = alpha * v_ex(t) - u_ex(x, y)
+        np.testing.assert_allclose(K * d_n_u, gap, rtol=0, atol=1e-14 * alpha)
+        np.testing.assert_allclose(g_ex(t), 4.0 * np.cos(2 * t) + (alpha / K) * gap,
+                                   rtol=0, atol=1e-14 * (1.0 + alpha / K))
 
 
 def test_coupled_poisson_incompatible_data(mesh, forms):
