@@ -33,6 +33,7 @@ import os
 import re
 import sys
 import tempfile
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -122,6 +123,9 @@ def _cases():
     yield ("limit-study-eps->0",
            ["limit-study", "--config", "CONFIG", "--parameter", "eps->0",
             "--schedule", "0.1,0.05,0.025"], short)
+    yield ("limit-study-tau->0",  # 5, 10 and 20 steps to the same final time
+           ["limit-study", "--config", "CONFIG", "--parameter", "tau->0",
+            "--schedule", "1e-4,5e-5,2.5e-5"], short)
     yield ("cont-dep", ["cont-dep", "--config", "CONFIG", "--amplitudes", "0,1e-3,2e-3"],
            _config(time__T="5e-4", init__mode="bubbles",
                    velocity__bulk="rigid_rotation", velocity__omega="1"))
@@ -248,7 +252,11 @@ def _numbers(name, argv, cfg):
     if cfg is not None:
         r = resolve(cfg)
         record["model"] = {k: r[f"model.{k}"] for k in ("K", "L", "alpha", "beta")}
-        record["tau"], record["steps"] = r["time.tau"], build_run_config(cfg).params.n_steps
+        params = build_run_config(cfg).params
+        record["tau"], record["steps"] = r["time.tau"], params.n_steps
+        if "tau->0" in argv:  # the members' own steps, the most at the finest
+            schedule = argv[argv.index("--schedule") + 1].split(",")
+            record["steps"] = max(replace(params, tau=float(v)).n_steps for v in schedule)
         mesh = generate_disk_mesh(r["mesh.nb"], r["mesh.nr"])
         record["mesh"] = {"n": mesh.n_vertices, "h_min": shortest_edge(mesh)}
     for path, data in files.items():

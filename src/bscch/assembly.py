@@ -187,14 +187,6 @@ class CouplingParams:
         for name in ("alpha", "beta"):
             check_weight(f"model.{name}", getattr(self, name))
 
-    @property
-    def sigma_K(self):
-        return sigma(self.K)
-
-    @property
-    def sigma_L(self):
-        return sigma(self.L)
-
 
 @dataclass(frozen=True)
 class Mobility:

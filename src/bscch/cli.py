@@ -51,7 +51,8 @@ def _build_parser():
     pc.add_argument("--alpha", type=float, required=True)
 
     mm = sub.add_parser("elliptic-mms", help="manufactured-solution convergence study")
-    mm.add_argument("--K", type=float, required=True)
+    mm.add_argument("--K", type=float, required=True,
+                    help="K in [0, inf]; order 2 holds at K = 0, at inf, and for 1e-12 <= K <= 1e12")
     mm.add_argument("--levels", type=int, default=3)
 
     po = sub.add_parser("poincare", help="estimate the bulk-surface Poincare constant")

@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace, fields as dc_fields
 
 import numpy as np
 
-from .assembly import CouplingParams, FormsBundle, assemble_core
+from .assembly import CouplingParams, FormsBundle, assemble_core, sigma
 from .elliptic import InverseCoupledOperator
 from .errors import InvalidArgument
 from .mesh import generate_disk_mesh
@@ -53,8 +53,9 @@ def energy(phi, psi, forms: FormsBundle, params, resolvents=None) -> float:
     G = moreau_envelope(params.pot_surf, e, psi, j_s) + params.pot_surf.smooth_value(psi)
     val = 0.5 * float(phi @ (forms.A_bulk @ phi)) + float(forms.lump_bulk @ F)
     val += 0.5 * float(psi @ (forms.A_surf @ psi)) + float(forms.lump_surf @ G)
-    if cp.sigma_K > 0.0:
-        val += 0.5 * cp.sigma_K * forms.mismatch_sq(phi, psi, cp.alpha)
+    s_K = sigma(cp.K)
+    if s_K > 0.0:
+        val += 0.5 * s_K * forms.mismatch_sq(phi, psi, cp.alpha)
     return val
 
 
@@ -71,10 +72,10 @@ def energy_residual(e_new, e_old, tau, report) -> float:
     )
 
 
-def make_record(state, forms: FormsBundle, params, report, prev_energy, tau) -> DiagnosticsRecord:
+def make_record(state, forms: FormsBundle, params, report, prev_energy) -> DiagnosticsRecord:
     mb, ms, mc = masses(state.phi, state.psi, forms, params.coupling)
     en = energy(state.phi, state.psi, forms, params, state.nonlinear and state.nonlinear[2])
-    defect = 0.0 if prev_energy is None else energy_residual(en, prev_energy, tau, report)
+    defect = 0.0 if prev_energy is None else energy_residual(en, prev_energy, params.tau, report)
     db, ds = separation_margin(state.phi, state.psi)
     return DiagnosticsRecord(  # the step's rates and Newton count under their StepReport names
         t=state.t, mass_bulk=mb, mass_surf=ms, mass_combined=mc, energy=en,
@@ -145,7 +146,8 @@ def continuous_dependence_experiment(config_base, perturbation_amplitudes) -> CD
     return CDReport(tuple(amps), tuple(maxima), zero_ok, monotone, ratio)
 
 
-LIMITS = ("L->0", "L->inf", "K->0", "K->inf", "eps->0")
+LIMITS = ("L->0", "L->inf", "K->0", "K->inf", "eps->0", "tau->0")
+_GAP_LIMITS = ("eps->0", "tau->0")  # observed through the final-state gap of consecutive members
 
 
 @dataclass(frozen=True)
@@ -166,9 +168,9 @@ def _mass_drift(result):
 
 def _observables(parameter, results):
     """The observable named in the convergence statement of ``parameter``, one
-    per member run; for "eps->0" one per consecutive pair of members: the L2
-    gap of their final bulk phase fields."""
-    if parameter == "eps->0":
+    per member run; for "eps->0" and "tau->0" one per consecutive pair of
+    members: the L2 gap of their final bulk phase fields."""
+    if parameter in _GAP_LIMITS:
         gaps = [(r1.forms.M_bulk, r1.final_state.phi - r2.final_state.phi)
                 for r1, r2 in zip(results, results[1:])]
         return [float(np.sqrt(d @ (M_bulk @ d))) for M_bulk, d in gaps]
@@ -178,49 +180,56 @@ def _observables(parameter, results):
         if parameter == "L->0":
             return res.robin_gap_sq_integral
         if parameter == "L->inf":
-            return cp.sigma_L**2 * res.robin_gap_sq_integral
+            return sigma(cp.L)**2 * res.robin_gap_sq_integral
         gap_norm = float(np.sqrt(res.forms.mismatch_sq(final.phi, final.psi, cp.alpha)))
-        return gap_norm if parameter == "K->0" else 0.5 * cp.sigma_K * gap_norm**2
+        return gap_norm if parameter == "K->0" else 0.5 * sigma(cp.K) * gap_norm**2
 
     return [observable(res) for res in results]
 
 
 def limit_study(config_base, parameter: str, schedule) -> LimitReport:
-    """Trend check for the coupling and regularization limits.
+    """Trend check for the coupling, regularization and time-step limits.
 
     parameter is one of LIMITS; the schedule must move monotonically toward
     the limit.  Every member runs on one shared mesh and its core operators,
     and keeps no states (only its records and final state are read).  The
     report carries the observables of ``_observables``; for "L->inf" the
-    trend is that of the mass drift in ``extra``.
+    trend is that of the mass drift in ``extra``.  A "tau->0" member must
+    end at time.T: n_steps * tau within 4 u T of it (one rounding each of T,
+    tau and the product), or its gap would measure a time mismatch, not the
+    scheme.
     """
-    from .stepper import run  # local import to avoid a cycle
+    from .stepper import UNIT_ROUNDOFF, run  # local import to avoid a cycle
 
     schedule = [float(v) for v in schedule]
-    toward_zero = parameter.endswith("->0")
     if parameter not in LIMITS:
         raise InvalidArgument(f"unknown limit parameter {parameter!r}")
-    steps_ok = all(
-        (b < a) if toward_zero else (b > a) for a, b in zip(schedule, schedule[1:])
-    )
-    if not steps_ok:
-        raise InvalidArgument("schedule must be monotone toward the limit")
+    name = parameter.split("->")[0]  # eps, tau, K or L
+    toward_zero = parameter.endswith("->0")
+    if not all((b < a) if toward_zero else (b > a) for a, b in zip(schedule, schedule[1:])):
+        key = {"eps": "yosida.eps", "tau": "time.tau"}.get(name, f"model.{name}")
+        raise InvalidArgument(f"schedule of {key} must be monotone toward the limit, got {schedule}")
     if len(schedule) < 2:  # every observable's trend compares consecutive members
         raise InvalidArgument(f"schedule must list at least two values, got {schedule}")
 
     params = config_base.params
-    name = parameter.split("->")[0]  # eps, K or L
     members = [  # every member is checked before the first run
         replace(config_base, keep_states=False,
-                params=(replace(params, eps=v) if name == "eps"
+                params=(replace(params, **{name: v}) if name in ("eps", "tau")
                         else replace(params, coupling=replace(params.coupling, **{name: v}))))
         for v in schedule
     ]
+    T = params.t_final
+    for v, cfg in zip(schedule, members):
+        n = cfg.params.n_steps
+        if name == "tau" and abs(n * v - T) > 4 * UNIT_ROUNDOFF * T:
+            raise InvalidArgument(f"time.tau = {v:g} does not divide time.T = {T:g}: "
+                                  f"its {n} steps end at {n * v:g}")
     mesh = generate_disk_mesh(config_base.nb, config_base.nr)
     forms = assemble_core(mesh)
     results = [run(cfg, mesh=mesh, forms=forms) for cfg in members]
     values = _observables(parameter, results)
     extra = [_mass_drift(res) for res in results] if parameter == "L->inf" else []
     seq = extra if parameter == "L->inf" else values
-    dec = all((b <= a) if parameter == "eps->0" else (b < a) for a, b in zip(seq, seq[1:]))
+    dec = all((b <= a) if parameter in _GAP_LIMITS else (b < a) for a, b in zip(seq, seq[1:]))
     return LimitReport(parameter, tuple(schedule), tuple(values), tuple(extra), dec)

@@ -119,20 +119,13 @@ class Potential:
         return np.zeros_like(r)
 
     def smooth_value(self, r):
-        """F2(r), concave with a Lipschitz derivative."""
-        if self.kind == "reg":
-            return -2.0 * self.c * r**2
-        if self.kind == "log":
-            return -0.5 * self.theta_c * r**2
-        return 1.0 - r**2
+        """F2(r) = F2(0) - kappa r^2 / 2, concave with a Lipschitz derivative; F2(0) is
+        1 for obst, else 0."""
+        return float(self.kind == "obst") - 0.5 * self.concavity[0] * r**2
 
     def smooth_derivative(self, r):
-        """F2'(r)."""
-        if self.kind == "reg":
-            return -4.0 * self.c * r
-        if self.kind == "log":
-            return -self.theta_c * r
-        return -2.0 * r
+        """F2'(r) = -kappa r."""
+        return -self.concavity[0] * r
 
 
 def _as_eps(eps):

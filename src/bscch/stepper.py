@@ -33,6 +33,7 @@ from .assembly import (
     prune,
     reduce,
     scatter,
+    sigma,
     triplets,
 )
 from .elliptic import splu
@@ -338,7 +339,7 @@ class Stepper:
                             diss_bulk=float(mu @ (mobility[0] @ mu)),
                             diss_surf=float(theta @ (mobility[1] @ theta)),
                             robin_gap_sq=f.mismatch_sq(mu, theta, p.coupling.beta))
-        report.diss_robin = p.coupling.sigma_L * report.robin_gap_sq
+        report.diss_robin = sigma(p.coupling.L) * report.robin_gap_sq
         if not p.velocity.is_zero:
             conv_b, conv_s = f.split(conv)
             report.conv_power_bulk = float(mu @ conv_b)
@@ -608,8 +609,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
     stepper = Stepper(mesh, params, forms)
     state = initial_state(mesh, params, forms)
 
-    records = [diag.make_record(state, forms, params, StepReport(newton_iters=0),
-                                prev_energy=None, tau=params.tau)]
+    records = [diag.make_record(state, forms, params, StepReport(newton_iters=0), prev_energy=None)]
     states = [state.copy()] if config.keep_states else []
     robin_sq = 0.0
 
@@ -621,8 +621,7 @@ def run(config: RunConfig, mesh: TriMesh | None = None,
         state, report = _attempt_step(stepper, state, params.tau,
                                       params.newton.max_tau_halvings)
         robin_sq += params.tau * report.robin_gap_sq
-        rec = diag.make_record(state, forms, params, report,
-                               prev_energy=prev_energy, tau=params.tau)
+        rec = diag.make_record(state, forms, params, report, prev_energy=prev_energy)
         if not np.isfinite(rec.energy):  # a blown-up state is a failure, not a result
             raise StepFailure(f"non-finite energy at t = {state.t:.6g}")
         # n u sum_i |w_i x_i| bounds the rounding of a sum of n terms.  A step whose Newton

@@ -2,10 +2,11 @@
 
 None of these is reached by a command or a run: the scalar property
 battery of acceptance criterion 01 with the minimal section it compares
-against, the quadratic lower-bound certificate, the config writer, a
-reader for the ASCII mesh format that ``bscch mesh`` writes, the
-law-of-cosines mesh statistics, the constant pair of a pair's means, the scipy
-forms of the package's sparse operators, and the numeric output oracle of
+against, the smooth part of each well written out per kind, the quadratic
+lower-bound certificate, the config writer, a reader for the ASCII mesh
+format that ``bscch mesh`` writes, the law-of-cosines mesh statistics,
+the constant pair of a pair's means, the scipy forms of the package's
+sparse operators, and the numeric output oracle of
 ``scripts/output_digest.py``.
 """
 
@@ -33,6 +34,15 @@ def minimal_section(pot, r):
             return np.where(np.abs(r) < 1.0, pot.theta * np.arctanh(np.clip(r, -1, 1)),
                             np.inf * np.sign(r))
     return np.where(np.abs(r) <= 1.0, 0.0, np.nan)
+
+
+def smooth_part(pot, r):
+    """(F2(r), F2'(r)) of ``pot``, the smooth concave part written out per kind."""
+    if pot.kind == "reg":
+        return -2.0 * pot.c * r**2, -4.0 * pot.c * r
+    if pot.kind == "log":
+        return -0.5 * pot.theta_c * r**2, -pot.theta_c * r
+    return 1.0 - r**2, -2.0 * r
 
 
 def regularized_lower_bound(pot, eps):

@@ -47,7 +47,7 @@ def test_coupling_params_validation():
         CouplingParams(K=-1.0, L=1.0, alpha=1.0, beta=1.0)
     # alpha*beta*|Omega| + |Gamma| = 0 is the degenerate measure combination
     cp = CouplingParams(K=1.0, L=1.0, alpha=1.0, beta=1.0)
-    assert cp.sigma_K == 1.0 and cp.sigma_L == 1.0
+    assert sigma(cp.K) == 1.0 and sigma(cp.L) == 1.0
 
 
 def test_stiffness_annihilates_constants(forms):

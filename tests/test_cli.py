@@ -383,6 +383,16 @@ def test_elliptic_mms_subcommand(capsys):
     assert ratios and all(r >= 3.4 for r in ratios)
 
 
+def test_elliptic_mms_help_states_the_range_of_order_two(capsys):
+    # past 1e-12 <= K <= 1e12 the Robin penalty 1/K swamps or vanishes in double
+    # precision, and the command still exits 0 with its ratios
+    with pytest.raises(SystemExit) as exc:
+        main(["elliptic-mms", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "K in [0, inf]; order 2 holds at K = 0, at inf, and for 1e-12 <= K <= 1e12" in text
+
+
 @pytest.mark.parametrize("levels", ["0", "-1"])
 def test_elliptic_mms_without_levels_exits_1(capsys, levels):
     # printed nothing and exited 0
@@ -587,6 +597,22 @@ def test_invalid_sweep_exits_1_before_any_run(rotating_cfg, capsys, monkeypatch,
     monkeypatch.setattr(bscch.stepper, "run", no_run)
     assert main([argv[0], "--config", rotating_cfg, *argv[1:]]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("schedule", [
+    "3e-4,1e-4",  # 3 steps of 3e-4 end at 9e-4: the gap would measure the missing time
+    "1e-4,2e-4",  # moves away from the limit
+])
+def test_tau_schedule_refusal_names_time_tau(tmp_path, capsys, monkeypatch, schedule):
+    def no_run(*args, **kwargs):
+        raise AssertionError("simulation started before the sweep was checked")
+
+    monkeypatch.setattr(bscch.stepper, "run", no_run)
+    p = tmp_path / "t.cfg"
+    p.write_text(SHORT_CFG.replace("time.T = 5e-4", "time.T = 1e-3"))
+    assert main(["limit-study", "--config", str(p), "--parameter", "tau->0",
+                 "--schedule", schedule]) == 1
+    assert "time.tau" in capsys.readouterr().err
 
 
 def test_overflowing_member_speed_exits_1_before_any_run(tmp_path, capsys, monkeypatch):

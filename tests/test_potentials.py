@@ -25,6 +25,7 @@ from oracles import (
     minimal_section,
     quadratic_lower_bound_certificate,
     regularized_lower_bound,
+    smooth_part,
     verify_scalar_properties,
 )
 
@@ -105,6 +106,18 @@ def test_eval_regularized_quartic():
     f1e, _, _ = yosida(pot, 0.25, r)
     assert f1e[0] == pytest.approx(4.0, abs=1e-12)
     assert pot.smooth_derivative(r)[0] == pytest.approx(-8.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("c", [1.0, 1e6])
+@pytest.mark.parametrize("theta_c", [1.6, 12.0])
+def test_smooth_part_from_concavity_equals_the_per_kind_formulas(kind, c, theta_c):
+    # F2 = F2(0) - kappa r^2 / 2 and F2' = -kappa r with kappa from Potential.concavity.
+    # Equal as floats; at r = 0 the value is +0.0 where -2c r^2 and -theta_c r^2 / 2 give -0.0
+    pot, r = Potential(kind, c=c, theta_c=theta_c), np.array([0.0, 0.5, -0.5, 1.0, -1.0])
+    value, derivative = smooth_part(pot, r)
+    np.testing.assert_array_equal(pot.smooth_value(r), value)
+    assert pot.smooth_derivative(r).tobytes() == derivative.tobytes()
 
 
 def test_yosida_derivative_accurate_where_eps_times_curvature_is_small():

@@ -17,7 +17,7 @@ from bscch.assembly import (
     assemble_mobility_stiffness,
     build_case_spaces,
 )
-from bscch.diagnostics import energy, make_record, masses
+from bscch.diagnostics import energy, limit_study, make_record, masses
 from bscch.errors import InvalidArgument, StepFailure
 from bscch.mesh import generate_disk_mesh
 from bscch.potentials import Potential
@@ -85,11 +85,13 @@ def test_determinism_bitwise():
 
 
 def test_time_consistency_first_order():
-    # halving tau reduces the final-state gap by ~2 (first-order scheme)
+    # halving tau reduces the final-state gap by ~2 (first-order scheme), and the
+    # tau->0 limit study reports these gaps bit for bit, with a decreasing trend
     base = _params(t_final=8e-3, init=InitialDataSpec(mode="bubbles"))
     mesh = generate_disk_mesh(32, 8)
+    taus = (4e-4, 2e-4, 1e-4)
     finals = []
-    for tau in (4e-4, 2e-4, 1e-4):
+    for tau in taus:
         res = run(RunConfig(nb=32, nr=8, params=replace(base, tau=tau),
                             keep_states=False), mesh=mesh)
         finals.append(res.final_state.phi)
@@ -99,6 +101,9 @@ def test_time_consistency_first_order():
         d = a - b
         gaps.append(float(np.sqrt(d @ (forms.M_bulk @ d))))
     assert 1.7 <= gaps[0] / gaps[1] <= 2.3
+    rep = limit_study(RunConfig(nb=32, nr=8, params=base), "tau->0", taus)
+    assert rep.values == tuple(gaps) and rep.extra == ()
+    assert rep.decreasing
 
 
 def test_convective_run_conserves_mass():
@@ -804,7 +809,7 @@ def _count_resolvents(monkeypatch, p, per_residual):
     resolve = bscch.potentials.resolvent
     monkeypatch.setattr(bscch.potentials, "resolvent", lambda *a: calls.append(1) or resolve(*a))
     monkeypatch.setattr(bscch.stepper, "DAMPING_FACTORS", (1.0,))  # one trial per iteration
-    make_record(state, stepper.forms, p, StepReport(newton_iters=0), None, p.tau)
+    make_record(state, stepper.forms, p, StepReport(newton_iters=0), None)
     assert len(calls) == 2  # a hand-built state has no resolvents yet
     for k in range(4):
         calls.clear()
@@ -817,7 +822,7 @@ def _count_resolvents(monkeypatch, p, per_residual):
         assert report.newton_iters > 0
         assert len(calls) == per_residual * (report.newton_iters + predicted + (k == 0))
         calls.clear()
-        make_record(state, stepper.forms, p, report, 0.0, p.tau)
+        make_record(state, stepper.forms, p, report, 0.0)
         assert calls == []
 
 
