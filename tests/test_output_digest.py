@@ -30,7 +30,7 @@ def _write(tmp_path, name, records):
 
 
 def test_digest_keeps_its_cases():
-    assert len(CASES) == 131
+    assert len(CASES) == 134
 
 
 def test_numbers_hold_every_output(records):
@@ -45,6 +45,22 @@ def test_identical_files_pass(tmp_path, records, capsys):
     b = _write(tmp_path, "b.jsonl", records)
     assert digest.compare(a, b) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "1 of 1 cases within bounds"
+
+
+def test_case_only_in_b_is_new_and_not_judged(tmp_path, records, capsys):
+    added = dict(records, added=dict(_one(records), name="added", rc=2))
+    assert digest.compare(_write(tmp_path, "a.jsonl", records),
+                          _write(tmp_path, "b.jsonl", added)) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], out[-1]) == ("new cases in B, not judged: added", "1 of 1 cases within bounds")
+
+
+def test_case_missing_from_b_fails(tmp_path, records, capsys):
+    added = dict(records, added=dict(_one(records), name="added"))
+    assert digest.compare(_write(tmp_path, "a.jsonl", added),
+                          _write(tmp_path, "b.jsonl", records)) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert (out[0], out[-1]) == ("cases missing from B: added", "1 of 2 cases within bounds")
 
 
 def test_conserved_mass_off_by_1e_12_fails(tmp_path, records):
