@@ -49,7 +49,7 @@ DAMPING_FACTORS = (1.0, 0.5, 0.25, 0.125)
 # of the system is linear: for each conserved mass w @ (phi, psi) its constant pair c (the
 # chem coordinates of the case record's pair) has c A1 = 0 for every mobility, and a correction
 # whose linear residual is r moves the mass by lambda tau c r_1.  In exact arithmetic, with
-# D only in the phase rows and the kept factor F of the current tau (a new tau drops it),
+# D only in the phase rows and the kept factor F of the current tau (solve uses no other),
 # c (J F^-1 v)_1 = c v_1, so c r_1 = (1 - q(1)) c b_1 for the Krylov polynomial q: a loose
 # eta would cost no mass.  In floating point F's solve has a backward error along c, and a
 # stop at eta up to 1e-2 moved the mass by up to 33 u sum_i |w_i x_i| in one correction
@@ -217,18 +217,14 @@ class Stepper:
     def __init__(self, mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None):
         self.mesh = mesh
         self.params = params
-        self.forms = forms if forms is not None else assemble_core(mesh)
+        self.forms = f = forms if forms is not None else assemble_core(mesh)
         cp = params.coupling
         if not np.isinf(cp.K):
             rep = check_domination(params.pot_bulk, params.pot_surf, cp.alpha)
             if not rep.admissible:
                 raise InvalidArgument(f"potential pairing {rep.reason}")
-        self.phase, self.chem = phase, chem = build_case_spaces(cp, self.forms)
-        f = self.forms
-        self.A_K = reduce(phase, add(f.A_pair, phase.block), phase)
-        self.system = _NewtonSystem(f, chem, reduce(chem, chem.block, chem),
-                                    reduce(chem, f.M_pair, phase), reduce(phase, f.M_pair, chem),
-                                    self.A_K)
+        self.phase, self.chem = build_case_spaces(cp, f)
+        self.system = _NewtonSystem(f, self.phase, self.chem)
         constant = params.mob_bulk.kind == params.mob_surf.kind == "constant"
         self.run_mobility = (  # (K_b, K_s) for the whole run, or None: built per step
             assemble_mobility_stiffness(mesh, params.mob_bulk, np.zeros(f.n_bulk),
@@ -272,7 +268,7 @@ class Stepper:
             C_b, C_s = self.convection
             conv = p.velocity.factor(t_new) * np.concatenate([C_b @ state.phi, C_s @ state.psi])
         # linear terms in increment form, J0 (y, x - x_n) - lin_n: x = x_n cancels exactly
-        lin_n = np.concatenate([chem.restrict(conv), self.A_K @ x_n])
+        lin_n = np.concatenate([chem.restrict(conv), self.system.A_K @ x_n])
         smooth_n = np.concatenate([p.pot_bulk.smooth_derivative(state.phi),
                                    p.pot_surf.smooth_derivative(state.psi)])
 
@@ -356,21 +352,24 @@ class _NewtonSystem:
     J0 - diag(0, D) has square diagonal blocks and a symmetric sparsity pattern,
     which the package's `splu` (symmetric ordering, diagonal pivots) is set for.
 
-    It is factored rarely: ``factor`` is kept across Newton iterations and steps
-    and preconditions the GMRES solve of each correction to the caller's
-    tolerance.  When GMRES misses it within KRYLOV_MAX_ITER iterations, the
-    correction is the direct solve with a new factor, taken then; a new tau
-    drops the factor (J0 holds M_LK / tau).  Along the constant pair of each
-    conserved mass GMRES also bounds the residual (see KRYLOV_RTOL).
+    It is factored rarely: ``factor`` is the record (tau, lu) of the one kept LU,
+    kept across Newton iterations and steps.  It preconditions the GMRES solve of
+    each correction to the caller's tolerance while its tau is J0's (J0 holds
+    M_LK / tau).  Otherwise, or when GMRES misses within KRYLOV_MAX_ITER
+    iterations, the correction is the direct solve with a new factor, taken then.
+    Along the constant pair of each conserved mass GMRES also bounds the residual
+    (see KRYLOV_RTOL).
     """
 
-    def __init__(self, forms, chem, BL_red, M_LK, M_KL, A_K):
+    def __init__(self, forms, phase, chem):
+        self.A_K = A_K = reduce(phase, add(forms.A_pair, phase.block), phase)
         ny = len(chem.idx)
         c, w = chem.col, chem.scale  # P holds one entry per row: w[i] in column c[i]
         k_rows, k_cols, _ = triplets(forms.A_pair)  # the slots of the (K_b, K_s) data
         size = ny + A_K.shape[0]  # the entries of scipy's bmat, block by block
+        M_LK, M_KL = reduce(chem, forms.M_pair, phase), reduce(phase, forms.M_pair, chem)
         F_row, F_col, self.F_data = (np.concatenate(x) for x in zip(
-            triplets(BL_red), triplets(M_LK, 0, ny), triplets(M_KL, ny, 0),
+            triplets(reduce(chem, chem.block, chem)), triplets(M_LK, 0, ny), triplets(M_KL, ny, 0),
             triplets(replace(A_K, data=-A_K.data), ny, ny)))
         self.pattern = csr_pattern(np.concatenate([F_row, c[k_rows]]),
                                    np.concatenate([F_col, c[k_cols]]), (size, size))
@@ -378,7 +377,7 @@ class _NewtonSystem:
         self.coef, self.ny = w[k_rows] * w[k_cols], ny
         rows = np.repeat(np.arange(size), np.diff(self.pattern.indptr))
         self.x_diag = np.flatnonzero((rows == self.pattern.indices) & (rows >= ny))  # where D goes
-        self.tau = self.mobility = self.J0 = self.D = self.factor = None
+        self.key = self.J0 = self.factor = None  # J0 is that of key = (tau, mobility)
         # one row w per conserved mass w @ (phi, psi), and its constant pair in chem
         # coordinates (c with c A1 = 0 for every mobility), zero on the phase rows
         self.mass_weights = np.abs(chem.mean_rows)
@@ -387,40 +386,38 @@ class _NewtonSystem:
 
     def jacobian(self, tau, mobility):
         """J0 for step size tau and the mobility pair (K_b, K_s), built anew when either changed."""
-        if self.tau != tau or self.mobility is not mobility:
-            if self.tau != tau:  # the kept factor holds M_LK over the old tau
-                self.factor = None
+        if self.key is None or self.key[0] != tau or self.key[1] is not mobility:
             data = [np.where(self.over_tau, (1.0 / tau) * self.F_data, self.F_data),
                     self.coef * np.concatenate([K.data for K in mobility])]
-            self.tau, self.mobility, self.J0 = tau, mobility, scatter(self.pattern, np.concatenate(data))
+            self.key, self.J0 = (tau, mobility), scatter(self.pattern, np.concatenate(data))
         return self.J0
 
     def solve(self, D, rhs, rtol, start):
         """The correction delta with (J0 - diag(0, D)) delta = rhs in the step from the
         pair ``start``: GMRES to the relative tolerance rtol and to tau |c r| <= u
         sum_i |w_i start_i| for the residual r and each conserved mass w with constant
-        pair c, preconditioned by the kept factor, else the direct solve with a new
-        factor.  Returns (delta, GMRES iterations, factorizations taken: 0 or 1).  An
-        exactly singular Jacobian raises RuntimeError."""
-        self.D = D
+        pair c, preconditioned by the kept factor when its tau is J0's, else the direct
+        solve with a new factor.  Returns (delta, GMRES iterations, factorizations
+        taken: 0 or 1).  An exactly singular Jacobian raises RuntimeError."""
+        J0, ny, tau = self.J0, self.ny, self.key[0]
+
+        def apply(v):  # J0 - diag(0, D)
+            w = J0 @ v
+            w[ny:] -= D * v[ny:]
+            return w
+
         n_krylov = 0
-        if self.factor is not None:
-            mass_tol = UNIT_ROUNDOFF * (self.mass_weights @ np.abs(start)) / self.tau
-            delta, n_krylov = _krylov(self._apply, self.factor.solve, rhs, rtol,
+        if self.factor is not None and self.factor[0] == tau:
+            mass_tol = UNIT_ROUNDOFF * (self.mass_weights @ np.abs(start)) / tau
+            delta, n_krylov = _krylov(apply, self.factor[1].solve, rhs, rtol,
                                       self.conserved, mass_tol)
             if delta is not None:
                 return delta, n_krylov, 0
         self.factor = None  # the old factor goes first, two alive would double memory
-        data = self.J0.data.copy()
+        data = J0.data.copy()
         data[self.x_diag] -= D
-        self.factor = splu(prune(replace(self.J0, data=data)))  # J0 - diag(0, D), as scipy's
-        return self.factor.solve(rhs), n_krylov, 1
-
-    def _apply(self, v):
-        """The Jacobian J0 - diag(0, D) applied to v."""
-        w = self.J0 @ v
-        w[self.ny:] -= self.D * v[self.ny:]
-        return w
+        self.factor = tau, splu(prune(replace(J0, data=data)))  # J0 - diag(0, D), as scipy's
+        return self.factor[1].solve(rhs), n_krylov, 1
 
 
 def _krylov(apply_jacobian, precondition, b, rtol, conserved, mass_tol):

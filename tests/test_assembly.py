@@ -403,7 +403,7 @@ def test_matvec_bitwise_equal_to_scipy(mesh, forms):
     stepper = Stepper(mesh, p, forms)
     stepper.step(initial_state(mesh, p, forms))
     rng = np.random.default_rng(4)
-    for A in (stepper.system.J0, stepper.A_K, forms.M_surf,
+    for A in (stepper.system.J0, stepper.system.A_K, forms.M_surf,
               reduce(stepper.chem, forms.M_pair, stepper.phase)):
         x = rng.standard_normal(A.shape[1])
         x[::5] = -0.0

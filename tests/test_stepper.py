@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -581,11 +582,44 @@ def test_new_tau_refactors():
     stepper = Stepper(mesh, p)
     state = initial_state(mesh, p)
     mid, first = stepper.step(state, p.tau)
-    assert first.factorizations == 1 and stepper.system.tau == p.tau
+    assert first.factorizations == 1 and stepper.system.factor[0] == p.tau
     _, half = stepper.step(state, p.tau / 2)
-    assert half.factorizations == 1 and stepper.system.tau == p.tau / 2
+    assert half.factorizations == 1 and stepper.system.factor[0] == p.tau / 2
     _, again = stepper.step(mid, p.tau / 2)
     assert again.factorizations == 0 and again.linear_iters > 0
+
+
+
+def test_at_most_one_factor_alive(monkeypatch):
+    # the kept factor is dropped before each new one is taken: two alive double the memory
+    p = _params()
+    mesh = generate_disk_mesh(16, 4)
+    stepper = Stepper(mesh, p)
+    alive = []
+    factor = bscch.stepper.splu
+    monkeypatch.setattr(bscch.stepper, "splu",
+                        lambda J: alive.append(stepper.system.factor) or factor(J))
+    state = initial_state(mesh, p)
+    mid, first = stepper.step(state)  # the first factor
+    _, half = stepper.step(state, p.tau / 2)  # a new tau
+    assert first.factorizations == half.factorizations == 1 and len(alive) == 2
+    missed = []
+    monkeypatch.setattr(bscch.stepper, "_krylov", lambda *args: missed.append(1) or (None, 0))
+    _, miss = stepper.step(mid, p.tau / 2)  # a GMRES miss with the factor of this tau
+    assert missed and miss.factorizations == len(missed) == len(alive) - 2
+    assert alive == [None] * len(alive)
+    assert stepper.system.factor[0] == p.tau / 2
+
+
+def test_gmres_exact_breakdown_stops_without_dividing_by_zero():
+    # a 1x1 system: the first Arnoldi vector spans the space, so h = 0 exactly, while the
+    # true residual b - k (b / k) = -8.9e-16 misses rtol = 0: GMRES stops, unconverged
+    k, b = 6.105694180095081, np.array([7.322015953741584])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, iters = bscch.stepper._krylov(lambda v: k * v, lambda v: v, b, 0.0,
+                                         np.zeros((0, 1)), 0.0)
+    assert x is None and iters == 1
 
 
 class _NaNFactor(_NonFiniteFactor):
@@ -600,14 +634,14 @@ def test_non_finite_kept_factor_refactors(monkeypatch, factor):
     stepper = Stepper(mesh, p)
     state, _ = stepper.step(initial_state(mesh, p))
     jacobian_shape = sp.eye(len(stepper.phase.idx) + len(stepper.chem.idx))
-    stepper.system.factor = factor(jacobian_shape)
+    stepper.system.factor = p.tau, factor(jacobian_shape)
     calls = _count_splu(monkeypatch)
     new, report = stepper.step(state)
     assert len(calls) == 1 and report.factorizations == 1
     assert all(np.all(np.isfinite(getattr(new, f))) for f in ("phi", "psi", "mu", "theta"))
     # a refactor that is no better ends in a StepFailure, not in a NaN state
     monkeypatch.setattr(bscch.stepper, "splu", factor)
-    stepper.system.factor = factor(jacobian_shape)
+    stepper.system.factor = p.tau, factor(jacobian_shape)
     with pytest.raises(StepFailure):
         stepper.step(new)
 
@@ -690,7 +724,7 @@ def _first_newton_iterate(stepper, p):
     A1 = triple_product(chem, K_pair, chem) + triple_product(chem, B_L, chem)
     M_pair = as_scipy(f.M_pair)
     M_LK, M_KL = triple_product(chem, M_pair, phase), triple_product(phase, M_pair, chem)
-    return state, (A1, (1.0 / p.tau) * M_LK, M_KL, as_scipy(stepper.A_K), D)
+    return state, (A1, (1.0 / p.tau) * M_LK, M_KL, as_scipy(stepper.system.A_K), D)
 
 
 @pytest.mark.parametrize("K,L", list(itertools.product([0.0, 1.0, np.inf], repeat=2)))
@@ -735,8 +769,8 @@ def test_apply_jacobian_matches_block_application(monkeypatch, K, L):
     state, (A1, J11, M_KL, A_K, D) = _first_newton_iterate(stepper, p)
     # a kept factor sends the first iteration to GMRES, whose operator is applied
     # there (its D changes with the iteration)
-    stepper.step(state)  # builds J0 for p.tau, so the factor kept below is not dropped
-    stepper.system.factor = _NonFiniteFactor(A1)
+    stepper.step(state)  # builds J0 for p.tau, the tau of the factor kept below
+    stepper.system.factor = p.tau, _NonFiniteFactor(A1)
     ny = A1.shape[0]
     vs = [np.random.default_rng(seed).standard_normal(ny + len(D)) for seed in range(3)]
     applied = []
@@ -766,7 +800,7 @@ def test_refreshed_linear_jacobian_matches_block_form(K, L, alpha, beta):
         K_pair = sp.block_diag([as_scipy(K) for K in assemble_mobility_stiffness(
             mesh, mob, state.phi, mob, state.psi)])
         A1 = triple_product(chem, K_pair, chem) + triple_product(chem, B_L, chem)
-        ref = sp.bmat([[A1, M_LK / p.tau], [M_KL, -as_scipy(stepper.A_K)]], format="csr")
+        ref = sp.bmat([[A1, M_LK / p.tau], [M_KL, -as_scipy(stepper.system.A_K)]], format="csr")
         state, _ = stepper.step(state)
         J0 = as_scipy(stepper.system.J0)
         assert J0.shape == ref.shape
@@ -780,7 +814,7 @@ def test_half_step_after_full_step_equals_fresh_stepper():
     state = initial_state(mesh, p, stepper.forms)
     stepper.step(state, p.tau)
     half, half_report = stepper.step(state, p.tau / 2)
-    assert stepper.system.tau == p.tau / 2
+    assert stepper.system.factor[0] == p.tau / 2
     fresh, fresh_report = Stepper(mesh, p).step(state, p.tau / 2)
     assert half_report == fresh_report
     for name in ("phi", "psi", "mu", "theta"):
