@@ -211,7 +211,7 @@ class Stepper:
     case-space blocks and unit-ramp convection operators once per run; the
     mobility blocks once per step, or once per run when both mobilities are
     constant (a constant mobility ignores the field); the lumped diagonal D
-    and the resolvent per iterate; J0 and its kept LU factor in ``system``.
+    and the resolvent per iterate; ``system`` holds the blocks, J0 and its kept factor.
     """
 
     def __init__(self, mesh: TriMesh, params: RunParams, forms: FormsBundle | None = None):

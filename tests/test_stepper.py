@@ -589,7 +589,6 @@ def test_new_tau_refactors():
     assert again.factorizations == 0 and again.linear_iters > 0
 
 
-
 def test_at_most_one_factor_alive(monkeypatch):
     # the kept factor is dropped before each new one is taken: two alive double the memory
     p = _params()
